@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -162,17 +163,19 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.bucket_counts[index] += 1
+        """Record one observation.
+
+        The bucket is the first whose bound is ``>= value`` (found by
+        bisection); values above every bound land in the overflow
+        bucket.
+        """
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
 
     def quantile(self, q: float) -> float:
         """Estimated value at quantile ``q`` in [0, 1].

@@ -256,6 +256,11 @@ class RambusChannel:
             for i in range(self.geometry.num_banks)
         ]
         self.trace: List[object] = []
+        # COL-to-DATA delay per direction; the timing is frozen.
+        self._data_delay = {
+            BusDirection.READ: self.timing.read_data_delay(),
+            BusDirection.WRITE: self.timing.write_data_delay(),
+        }
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
@@ -312,11 +317,7 @@ class RambusChannel:
     ) -> int:
         """First legal COL start (bank rules, shared COL/DATA buses,
         channel-global turnaround and retire slot)."""
-        delay = (
-            self.timing.read_data_delay()
-            if direction is BusDirection.READ
-            else self.timing.write_data_delay()
-        )
+        delay = self._data_delay[direction]
         col_bus_free = self._col_bus_free
         if (
             direction is BusDirection.READ
@@ -381,7 +382,9 @@ class RambusChannel:
                 f"0..{self.geometry.packets_per_page - 1}"
             )
         start = self.earliest_col(bank, row, now, direction)
-        bank_obj = self.bank(bank)
+        # earliest_col bounds-checked the bank.
+        bank_obj = self.banks[bank]
+        delay = self._data_delay[direction]
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
             record_data_gap(
@@ -393,11 +396,7 @@ class RambusChannel:
                 now,
                 direction,
                 start,
-                (
-                    self.timing.read_data_delay()
-                    if direction is BusDirection.READ
-                    else self.timing.write_data_delay()
-                ),
+                delay,
             )
         if (
             direction is BusDirection.READ
@@ -416,11 +415,6 @@ class RambusChannel:
             self._retire_pending = False
         bank_obj.apply_col(start, row)
         self._col_bus_free = start + self.timing.t_pack
-        delay = (
-            self.timing.read_data_delay()
-            if direction is BusDirection.READ
-            else self.timing.write_data_delay()
-        )
         data_start = start + delay
         data = DataPacket(
             direction=direction, bank=bank, start=data_start, source_col_start=start

@@ -362,6 +362,11 @@ class RdramDevice:
             Bank(index=i, timing=self.timing) for i in range(self.geometry.num_banks)
         ]
         self.trace: List[object] = []
+        # COL-to-DATA delay per direction; the timing is frozen.
+        self._data_delay = {
+            BusDirection.READ: self.timing.read_data_delay(),
+            BusDirection.WRITE: self.timing.write_data_delay(),
+        }
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
@@ -425,11 +430,7 @@ class RdramDevice:
         occupancy at the derived transfer slot, and the write-to-read
         turnaround when ``direction`` is READ after write data.
         """
-        delay = (
-            self.timing.read_data_delay()
-            if direction is BusDirection.READ
-            else self.timing.write_data_delay()
-        )
+        delay = self._data_delay[direction]
         col_bus_free = self._col_bus_free
         if (
             direction is BusDirection.READ
@@ -514,7 +515,9 @@ class RdramDevice:
                 f"0..{self.geometry.packets_per_page - 1}"
             )
         start = self.earliest_col(bank, row, now, direction)
-        bank_obj = self.bank(bank)
+        # earliest_col bounds-checked the bank.
+        bank_obj = self.banks[bank]
+        delay = self._data_delay[direction]
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
             record_data_gap(
@@ -526,11 +529,7 @@ class RdramDevice:
                 now,
                 direction,
                 start,
-                (
-                    self.timing.read_data_delay()
-                    if direction is BusDirection.READ
-                    else self.timing.write_data_delay()
-                ),
+                delay,
             )
         if (
             direction is BusDirection.READ
@@ -549,11 +548,6 @@ class RdramDevice:
             self._retire_pending = False
         bank_obj.apply_col(start, row)
         self._col_bus_free = start + self.timing.t_pack
-        delay = (
-            self.timing.read_data_delay()
-            if direction is BusDirection.READ
-            else self.timing.write_data_delay()
-        )
         data_start = start + delay
         data = DataPacket(
             direction=direction, bank=bank, start=data_start, source_col_start=start

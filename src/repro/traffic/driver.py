@@ -6,10 +6,19 @@ components:
 * an :class:`ArrivalPump` that releases requests into per-channel
   queues at their Poisson arrival cycles (open loop — arrivals do not
   wait for service), and
-* one :class:`ChannelServer` per channel, each serving its queue FCFS
-  against that channel's private memory model — channels are
-  independent kernel components, exactly as independent memory
-  controllers would be.
+* one :class:`ChannelServer` per channel, each serving its queue in
+  the order its :class:`~repro.traffic.scheduling.Scheduler` picks
+  (scheduler-ordered) against that channel's private memory model —
+  channels are independent kernel components, exactly as independent
+  memory controllers would be.
+
+A server resolves each request address through the mapping once: for
+a static mapping it caches the address's :class:`RequestPlan` (first
+bank and row, plus every DATA packet's location) for the run, and the
+scheduler, the regulator and the issue loop all read that plan.  A
+stateful mapping (``dream``) may re-arrange its bijection after any
+issued access, so its requests are decomposed afresh at the moment
+each decision needs them, exactly as an uncached server would.
 
 Each completed request's latency (arrival to last DATA packet end)
 feeds an :class:`~repro.obs.metrics.Histogram`, so the run reports
@@ -35,7 +44,17 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.memsys.address import get_address_mapping
@@ -168,6 +187,27 @@ class ArrivalPump:
         return self._pending[0].arrival if self._pending else None
 
 
+#: One DATA packet's location: (global bank, channel-local bank, row,
+#: column).
+PacketLocation = Tuple[int, int, int, int]
+
+
+class RequestPlan(NamedTuple):
+    """Where one request's cacheline lives, resolved once.
+
+    Attributes:
+        bank: Global bank of the first DATA packet (the bank the
+            scheduler, the regulator and the byte tallies key on).
+        row: Row of the first DATA packet.
+        packets: Every DATA packet's :data:`PacketLocation`, in issue
+            order.
+    """
+
+    bank: int
+    row: int
+    packets: Tuple[PacketLocation, ...]
+
+
 class ChannelServer:
     """Serves one channel's queue against its private memory.
 
@@ -181,6 +221,11 @@ class ChannelServer:
     server's :class:`~repro.traffic.scheduling.Scheduler` (FCFS by
     default — the historical behavior, byte-identical).  Schedulers
     may carry reordering state, so each server owns its own instance.
+
+    Schedulers and the regulator locate a request through
+    :meth:`bank_row`, never through the mapping directly, so a static
+    mapping's address is decomposed once per run (see
+    :class:`RequestPlan`).
     """
 
     def __init__(
@@ -225,8 +270,10 @@ class ChannelServer:
         }
         self.busy_cycles = 0
         self._refresh_spans: List[Tuple[int, int]] = []
-        self._span_idx = 0
         self._refresh_idx = 0
+        self._stateful = mapping.stateful
+        self._packet_count = config.packets_per_cacheline
+        self._plans: Dict[int, RequestPlan] = {}
         self._win_bank_bytes: Dict[Tuple[int, int], int] = {}
         self._win_busy: Dict[int, int] = {}
 
@@ -238,20 +285,63 @@ class ChannelServer:
     def idle(self) -> bool:
         return not self.queue
 
-    def _pick(self, cycle: int) -> Optional[Request]:
-        """The request the scheduler serves next (regulator-admitted)."""
-        return self.scheduler.pick(self, cycle)
+    def _location(self, address: int) -> PacketLocation:
+        location = self.mapping.decompose(address)
+        return (
+            location.bank,
+            location.bank - self.bank_offset,
+            location.row,
+            location.column,
+        )
+
+    def plan(self, address: int) -> RequestPlan:
+        """The cached :class:`RequestPlan` of a static-mapping address."""
+        plan = self._plans.get(address)
+        if plan is None:
+            packets = tuple(
+                self._location(address + offset * DATA_PACKET_BYTES)
+                for offset in range(self._packet_count)
+            )
+            plan = RequestPlan(packets[0][0], packets[0][2], packets)
+            self._plans[address] = plan
+        return plan
+
+    def bank_row(self, request: Request) -> Tuple[int, int]:
+        """Global (bank, row) of the request's first DATA packet.
+
+        Static mappings read the cached plan; a stateful mapping is
+        decomposed now, since its map may have moved since the last
+        call.
+        """
+        if self._stateful:
+            location = self.mapping.decompose(request.address)
+            return location.bank, location.row
+        plan = self.plan(request.address)
+        return plan.bank, plan.row
+
+    def _live_packets(self, address: int) -> Iterator[PacketLocation]:
+        # Stateful mappings: each packet is decomposed just before it
+        # issues, after the previous packet may have moved the map.
+        for offset in range(self._packet_count):
+            yield self._location(address + offset * DATA_PACKET_BYTES)
 
     def _sync_refresh_spans(self) -> None:
-        """Pull new refresh spans out of the shared tracer."""
+        """Move new refresh spans out of the shared tracer.
+
+        The tracer's spans (and the refresh engine's forced-precharge
+        instants, which nothing here reads) are dropped once read, so
+        its memory does not grow with the run.
+        """
         if self.obs is None:
             return
-        spans = self.obs.tracer.spans
-        while self._span_idx < len(spans):
-            span = spans[self._span_idx]
-            self._span_idx += 1
+        tracer = self.obs.tracer
+        if not tracer.spans:
+            return
+        for span in tracer.spans:
             if span.track == "refresh" and span.name.startswith("refresh"):
                 self._refresh_spans.append((span.start, span.end))
+        tracer.spans.clear()
+        tracer.instants.clear()
 
     def _classify_gap(
         self, lo: int, gap: DataBusGap, comps: Dict[str, int]
@@ -360,7 +450,7 @@ class ChannelServer:
     def tick(self, cycle: int) -> Tuple[()]:
         if not self.queue or cycle < self._busy_until:
             return ()
-        request = self._pick(cycle)
+        request = self.scheduler.pick(self, cycle)
         if request is None:
             # Every queued client is over budget: sleep to the next
             # window boundary, when budgets reset.
@@ -368,57 +458,40 @@ class ChannelServer:
             return ()
         self._blocked_until = None
         line_bytes = self.config.cacheline_bytes
-        packets = self.config.packets_per_cacheline
+        last = self._packet_count - 1
         page_manager = self.memory.page_manager
         plans = page_manager is not None and page_manager.plans_precharge
+        packets = (
+            self._live_packets(request.address)
+            if self._stateful
+            else self.plan(request.address).packets
+        )
+        issue_access = self.memory.issue_access
+        direction = request.direction
+        bank_bytes = self.bank_bytes
+        window = self.window
         data_end = cycle
-        first_bank = None
-        mark = len(self.obs.gaps) if self.obs is not None else 0
+        first_bank = 0
         transfer = 0
-        for offset in range(packets):
-            location = self.mapping.decompose(
-                request.address + offset * DATA_PACKET_BYTES
-            )
-            if first_bank is None:
-                first_bank = location.bank
-            outcome = self.memory.issue_access(
-                location.bank - self.bank_offset,
-                location.row,
-                location.column,
+        for offset, (bank, local, row, column) in enumerate(packets):
+            if offset == 0:
+                first_bank = bank
+            data = issue_access(
+                local,
+                row,
+                column,
                 cycle,
-                request.direction,
-                precharge=plans and offset == packets - 1,
-            )
-            data = outcome.access.data
+                direction,
+                precharge=plans and offset == last,
+            ).access.data
             data_end = data.end
-            transfer += data.end - data.start
-            self.busy_cycles += data.end - data.start
-            if self.window:
-                self._note_window(location.bank, data.start, data.end)
-            self.bank_bytes[location.bank] = (
-                self.bank_bytes.get(location.bank, 0) + DATA_PACKET_BYTES
-            )
+            transfer += data_end - data.start
+            if window:
+                self._note_window(bank, data.start, data_end)
+            bank_bytes[bank] = bank_bytes.get(bank, 0) + DATA_PACKET_BYTES
+        self.busy_cycles += transfer
         if self.obs is not None:
-            comps = dict.fromkeys(COMPONENTS, 0)
-            comps["queue_wait"] = cycle - request.arrival
-            comps["transfer"] = transfer
-            self._sync_refresh_spans()
-            for gap in self.obs.gaps[mark:]:
-                self._classify_gap(max(gap.start, cycle), gap, comps)
-            latency = data_end - request.arrival
-            accounted = sum(comps.values())
-            if accounted != latency:
-                raise ObservabilityError(
-                    f"latency attribution drifted on channel "
-                    f"{self.index}: components sum to {accounted} but "
-                    f"the request took {latency} cycles "
-                    f"(client {request.client}, arrival "
-                    f"{request.arrival})"
-                )
-            for name, spent in comps.items():
-                self.component_cycles[name] += spent
-                if self.component_hists is not None:
-                    self.component_hists[name].observe(float(spent))
+            self._attribute(request, cycle, data_end, transfer)
         self._busy_until = data_end
         self.last_data_end = max(self.last_data_end, data_end)
         self.completed += 1
@@ -426,14 +499,49 @@ class ChannelServer:
         self.client_bytes[request.client] = (
             self.client_bytes.get(request.client, 0) + line_bytes
         )
-        if first_bank is not None:
-            pair = (request.client, first_bank)
-            self.client_bank_bytes[pair] = (
-                self.client_bank_bytes.get(pair, 0) + line_bytes
-            )
-        if self.regulator is not None and first_bank is not None:
+        pair = (request.client, first_bank)
+        self.client_bank_bytes[pair] = (
+            self.client_bank_bytes.get(pair, 0) + line_bytes
+        )
+        if self.regulator is not None:
             self.regulator.charge(request.client, first_bank, line_bytes, cycle)
         return ()
+
+    def _attribute(
+        self, request: Request, cycle: int, data_end: int, transfer: int
+    ) -> None:
+        """Split one served request's latency into :data:`COMPONENTS`.
+
+        The request's :class:`~repro.obs.core.DataBusGap` records and
+        the refresh spans it has passed are dropped once classified,
+        so attribution memory does not grow with the run.
+        """
+        assert self.obs is not None
+        comps = dict.fromkeys(COMPONENTS, 0)
+        comps["queue_wait"] = cycle - request.arrival
+        comps["transfer"] = transfer
+        self._sync_refresh_spans()
+        gaps = self.obs.gaps
+        for gap in gaps:
+            self._classify_gap(max(gap.start, cycle), gap, comps)
+        gaps.clear()
+        if self._refresh_idx:
+            del self._refresh_spans[: self._refresh_idx]
+            self._refresh_idx = 0
+        latency = data_end - request.arrival
+        accounted = sum(comps.values())
+        if accounted != latency:
+            raise ObservabilityError(
+                f"latency attribution drifted on channel "
+                f"{self.index}: components sum to {accounted} but "
+                f"the request took {latency} cycles "
+                f"(client {request.client}, arrival "
+                f"{request.arrival})"
+            )
+        for name, spent in comps.items():
+            self.component_cycles[name] += spent
+            if self.component_hists is not None:
+                self.component_hists[name].observe(float(spent))
 
     @property
     def next_action_cycle(self) -> Optional[int]:

@@ -26,10 +26,18 @@ Built-in schedulers:
 Schedulers may carry per-channel state (``mars`` remembers its active
 batch), so each :class:`~repro.traffic.driver.ChannelServer` owns one
 instance — build them through :func:`make_scheduler`, once per server.
+
+A pick costs O(window + positions scanned), never O(queue): the
+reordering schedulers inspect only the window, and hand
+:meth:`Scheduler._first_admitted` a lazy candidate order (preferred
+positions first, then the rest of the queue in arrival order), which
+stops at the first request the regulator admits — at once when there
+is no regulator.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
@@ -84,12 +92,26 @@ class Scheduler:
         line_bytes = server.config.cacheline_bytes
         for position in positions:
             request = server.queue[position]
-            bank = server.mapping.decompose(request.address).bank
+            bank = server.bank_row(request)[0]
             if regulator.allows(request.client, bank, line_bytes, cycle):
                 del server.queue[position]
                 return request
             regulator.deferrals += 1
         return None
+
+    @staticmethod
+    def _preferred_first(
+        server: "ChannelServer", preferred: List[int]
+    ) -> Iterable[int]:
+        """``preferred`` positions, then every other queue position in
+        arrival order, generated lazily."""
+        skip = set(preferred)
+        rest = (
+            position
+            for position in range(len(server.queue))
+            if position not in skip
+        )
+        return chain(preferred, rest)
 
 
 #: Registry of scheduling strategies by name (see :mod:`repro.registry`).
@@ -133,21 +155,9 @@ class FcfsScheduler(Scheduler):
     name = "fcfs"
 
     def pick(self, server: "ChannelServer", cycle: int) -> Optional["Request"]:
-        # Byte-identical to the pre-registry ChannelServer._pick: the
-        # no-regulator fast path pops the head, the regulated path
-        # scans in arrival order counting a deferral per rejection.
         if server.regulator is None:
             return server.queue.popleft() if server.queue else None
-        line_bytes = server.config.cacheline_bytes
-        for position, request in enumerate(server.queue):
-            bank = server.mapping.decompose(request.address).bank
-            if server.regulator.allows(
-                request.client, bank, line_bytes, cycle
-            ):
-                del server.queue[position]
-                return request
-            server.regulator.deferrals += 1
-        return None
+        return self._first_admitted(server, range(len(server.queue)), cycle)
 
 
 @register_scheduler
@@ -171,27 +181,26 @@ class FrFcfsScheduler(Scheduler):
     def _row_hit(
         self, server: "ChannelServer", request: "Request", cycle: int
     ) -> bool:
-        location = server.mapping.decompose(request.address)
-        local = location.bank - server.bank_offset
+        bank, row = server.bank_row(request)
+        local = bank - server.bank_offset
         server.memory.sync_bank(local, cycle)
-        return server.memory.bank(local).open_row == location.row
+        return server.memory.bank(local).open_row == row
 
     def pick(self, server: "ChannelServer", cycle: int) -> Optional["Request"]:
-        if not server.queue:
+        queue = server.queue
+        if not queue:
             return None
-        window = min(self.window, len(server.queue))
+        # Every window position is checked (and its bank synced) even
+        # when an early one hits, so runtime page managers see the
+        # same sync calls whatever the pick.
         hits = [
             position
-            for position in range(window)
-            if self._row_hit(server, server.queue[position], cycle)
+            for position in range(min(self.window, len(queue)))
+            if self._row_hit(server, queue[position], cycle)
         ]
-        ready = set(hits)
-        order = hits + [
-            position
-            for position in range(len(server.queue))
-            if position not in ready
-        ]
-        return self._first_admitted(server, order, cycle)
+        return self._first_admitted(
+            server, self._preferred_first(server, hits), cycle
+        )
 
 
 @register_scheduler
@@ -229,41 +238,27 @@ class MarsScheduler(Scheduler):
         self._active_batch: Optional[Tuple[int, int]] = None
 
     def pick(self, server: "ChannelServer", cycle: int) -> Optional["Request"]:
-        if not server.queue:
+        queue = server.queue
+        if not queue:
             return None
-        if cycle - server.queue[0].arrival >= self.age_cap:
-            request = self._first_admitted(
-                server, range(len(server.queue)), cycle
-            )
-            if request is not None:
-                location = server.mapping.decompose(request.address)
-                self._active_batch = (location.bank, location.row)
-            return request
-        window = min(self.window, len(server.queue))
-        batches: dict = {}
-        for position in range(window):
-            location = server.mapping.decompose(
-                server.queue[position].address
-            )
-            batches.setdefault(
-                (location.bank, location.row), []
-            ).append(position)
-        if self._active_batch in batches:
-            chosen = self._active_batch
+        if cycle - queue[0].arrival >= self.age_cap:
+            order: Iterable[int] = range(len(queue))
         else:
-            # Largest batch; ties break toward the older batch head.
-            chosen = max(
-                batches,
-                key=lambda key: (len(batches[key]), -batches[key][0]),
-            )
-        preferred = set(batches[chosen])
-        order = batches[chosen] + [
-            position
-            for position in range(len(server.queue))
-            if position not in preferred
-        ]
+            batches: dict = {}
+            for position in range(min(self.window, len(queue))):
+                batches.setdefault(
+                    server.bank_row(queue[position]), []
+                ).append(position)
+            if self._active_batch in batches:
+                chosen = self._active_batch
+            else:
+                # Largest batch; ties break toward the older batch head.
+                chosen = max(
+                    batches,
+                    key=lambda key: (len(batches[key]), -batches[key][0]),
+                )
+            order = self._preferred_first(server, batches[chosen])
         request = self._first_admitted(server, order, cycle)
         if request is not None:
-            location = server.mapping.decompose(request.address)
-            self._active_batch = (location.bank, location.row)
+            self._active_batch = server.bank_row(request)
         return request
