@@ -120,10 +120,7 @@ class NaturalOrderController:
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
             components.append(BackgroundComponent(refresh_engine))
-        pump = TransactionPump(
-            steps,
-            on_attach_obs=lambda o: setattr(self.device, "obs", o),
-        )
+        pump = TransactionPump(steps, on_attach_obs=self._attach_obs)
         components.append(pump)
         max_cycles = 20_000 + 500 * max(max_steps, 1)
         if resolved == "batch":
@@ -144,6 +141,10 @@ class NaturalOrderController:
             ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued
+
+    def _attach_obs(self, obs: Instrumentation) -> None:
+        self.device.obs = obs
+        self.device.gap_log = obs.gaps
 
     def run(
         self,
@@ -223,6 +224,7 @@ class NaturalOrderController:
             )
             finalize_telemetry(obs)
             self.device.obs = None
+            self.device.gap_log = None
         return builder.build(
             cycles=last_data_end,
             useful_bytes=useful,

@@ -38,21 +38,24 @@ accounting can never silently drift from the simulator.
 Mechanically: the device records one :class:`~repro.obs.core.DataBusGap`
 per idle interval, carrying the first cycle at which each scheduling
 constraint stopped blocking the access that ended the gap.  Each gap is
-partitioned front to back — the leading ``min(gap, t_RW)`` cycles of a
-write-to-read flip are turnaround, then cycles covered by a refresh
-span are refresh, then cycles below the bank-readiness bound are
-precharge/activate, then command-bus cycles, and the controller-side
-remainder is split into ``fifo`` and ``scheduler_idle`` using the MSU's
-recorded idle spans.
+partitioned front to back by :func:`partition_gap` — the leading
+``min(gap, t_RW)`` cycles of a write-to-read flip are turnaround, then
+cycles covered by a refresh span are refresh, then cycles below the
+bank-readiness bound are precharge/activate, then command-bus cycles —
+and the controller-side remainder is split into ``fifo`` and
+``scheduler_idle`` using the MSU's recorded idle spans.  The traffic
+layer's per-request latency attribution
+(:mod:`repro.traffic.driver`) sums the same pieces.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.core import Instrumentation, covers, merge_intervals
+from repro.obs.core import DataBusGap, Instrumentation, merge_intervals
 
 #: Bucket names in reporting order (``busy`` and ``total`` are
 #: presented alongside but are not stall buckets).
@@ -287,15 +290,95 @@ def attribute_stalls(
     return attribution
 
 
+#: Cause :func:`partition_gap` gives the idle cycles beyond every
+#: device bound: the controller had not asked yet.  The seven-bucket
+#: attribution splits it into ``fifo`` and ``scheduler_idle``; the
+#: traffic layer, which issues at service start, calls it ``pipeline``.
+CONTROLLER = "controller"
+
+_NEVER_ENDS = float("inf")
+
+
+def _covered_pieces(
+    lo: int, hi: int, spans: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, int, bool]]:
+    """Split ``[lo, hi)`` by coverage of sorted, disjoint ``spans``.
+
+    Returns ``(start, end, covered)`` pieces in order.  The first span
+    that can touch ``lo`` is found by bisection, so the spans may
+    belong to the whole run (and gaps may arrive in any order).
+    """
+    pieces: List[Tuple[int, int, bool]] = []
+    count = len(spans)
+    index = bisect_right(spans, (lo, _NEVER_ENDS))
+    if index and spans[index - 1][1] > lo:
+        index -= 1
+    while lo < hi:
+        if index < count and spans[index][0] <= lo:
+            end = min(spans[index][1], hi)
+            pieces.append((lo, end, True))
+            index += 1
+        else:
+            end = min(spans[index][0], hi) if index < count else hi
+            pieces.append((lo, end, False))
+        lo = end
+    return pieces
+
+
+def partition_gap(
+    lo: int, gap: DataBusGap, refresh: Sequence[Tuple[int, int]]
+) -> List[Tuple[int, int, str]]:
+    """Split the idle cycles ``[lo, gap.end)`` of one gap by cause.
+
+    The one gap classifier: the seven-bucket stall attribution and the
+    traffic layer's per-request latency components both sum its
+    pieces.  Front to back: the leading write-to-read turnaround
+    (``turnaround``), then cycles covered by a refresh span
+    (``refresh``), then cycles below the bank-readiness bound
+    (``precharge_activate``), then below the COL-bus bound
+    (``command_bus``), and the rest is :data:`CONTROLLER`.
+
+    Args:
+        lo: First cycle to classify (``gap.start``, or later when the
+            caller owns the cycles before it).
+        gap: The DATA-bus gap.
+        refresh: Sorted, disjoint ``[start, end)`` refresh spans.
+
+    Returns:
+        Disjoint ``(start, end, cause)`` pieces covering ``[lo,
+        gap.end)`` in order.
+    """
+    hi = gap.end
+    pieces: List[Tuple[int, int, str]] = []
+    lead = min(max(gap.turnaround_until, lo), hi)
+    if lead > lo:
+        pieces.append((lo, lead, "turnaround"))
+        lo = lead
+    for start, end, in_refresh in _covered_pieces(lo, hi, refresh):
+        if in_refresh:
+            pieces.append((start, end, "refresh"))
+            continue
+        for bound, cause in (
+            (gap.bank_until, "precharge_activate"),
+            (gap.colbus_until, "command_bus"),
+        ):
+            cut = min(bound, end)
+            if start < cut:
+                pieces.append((start, cut, cause))
+                start = cut
+        if start < end:
+            pieces.append((start, end, CONTROLLER))
+    return pieces
+
+
 def classify_stall_intervals(
     obs: Instrumentation,
 ) -> List[Tuple[int, int, str]]:
     """Classify every idle DATA-bus interval of an instrumented run.
 
-    The single source of truth for gap classification: both
-    :func:`attribute_stalls` (run totals) and the windowed telemetry
-    series (:func:`repro.obs.telemetry.build_windowed_series`) sum
-    these same pieces, so windowed stall series reconcile with the
+    Both :func:`attribute_stalls` (run totals) and the windowed
+    telemetry series (:func:`repro.obs.telemetry.build_windowed_series`)
+    sum these same pieces, so windowed stall series reconcile with the
     seven-bucket totals *exactly*, by construction.
 
     Args:
@@ -315,57 +398,14 @@ def classify_stall_intervals(
         (span.start, span.end)
         for span in obs.tracer.spans_on("refresh", "refresh")
     )
-
     pieces: List[Tuple[int, int, str]] = []
     for gap in obs.gaps:
-        cursor = gap.start
-        # Leading turnaround portion: exactly min(gap, t_RW) cycles,
-        # matching TraceMetrics.turnaround_cycles.
-        lead = min(max(gap.turnaround_until, cursor), gap.end)
-        if lead > cursor:
-            pieces.append((cursor, lead, "turnaround"))
-        cursor = lead
-        if cursor >= gap.end:
-            continue
-        for lo, hi in _subintervals(
-            cursor,
-            gap.end,
-            (gap.bank_until, gap.colbus_until, gap.request_until),
-            refresh_spans,
-            fifo_spans,
-        ):
-            mid = lo  # bounds are constant over the subinterval
-            if covers(mid, refresh_spans):
-                name = "refresh"
-            elif mid < gap.bank_until:
-                name = "precharge_activate"
-            elif mid < gap.colbus_until:
-                name = "command_bus"
-            elif covers(mid, fifo_spans):
-                name = "fifo"
-            else:
-                name = "scheduler_idle"
-            pieces.append((lo, hi, name))
+        for lo, hi, cause in partition_gap(gap.start, gap, refresh_spans):
+            if cause != CONTROLLER:
+                pieces.append((lo, hi, cause))
+                continue
+            for start, end, in_fifo in _covered_pieces(lo, hi, fifo_spans):
+                pieces.append(
+                    (start, end, "fifo" if in_fifo else "scheduler_idle")
+                )
     return pieces
-
-
-def _subintervals(
-    lo: int,
-    hi: int,
-    bounds: Tuple[int, ...],
-    *span_lists: List[Tuple[int, int]],
-) -> List[Tuple[int, int]]:
-    """Split [lo, hi) at every constraint bound and span edge, so each
-    returned piece has a single classification."""
-    points = {lo, hi}
-    for bound in bounds:
-        if lo < bound < hi:
-            points.add(bound)
-    for spans in span_lists:
-        for start, end in spans:
-            if lo < start < hi:
-                points.add(start)
-            if lo < end < hi:
-                points.add(end)
-    ordered = sorted(points)
-    return list(zip(ordered, ordered[1:]))

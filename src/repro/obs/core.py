@@ -23,8 +23,11 @@ Three kinds of data are collected:
 * **DATA-bus gaps** (:class:`DataBusGap`) — one record per idle
   interval on the DATA bus, carrying the constraint decomposition the
   device computed when it scheduled the access that ended the gap.
-  The stall-attribution pass (:mod:`repro.obs.attribution`) turns
-  these into an exact cycle-by-cycle account of where bandwidth went.
+  The device appends them to its ``gap_log`` list, which attaching an
+  Instrumentation points at :attr:`Instrumentation.gaps` (the traffic
+  layer points it at a list of its own instead).  The
+  stall-attribution pass (:mod:`repro.obs.attribution`) turns these
+  into an exact cycle-by-cycle account of where bandwidth went.
 
 All timestamps are interface-clock cycles.
 """
@@ -32,7 +35,7 @@ All timestamps are interface-clock cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -165,8 +168,7 @@ class EventTracer:
         return self.spans == other.spans and self.instants == other.instants
 
 
-@dataclass(frozen=True)
-class DataBusGap:
+class DataBusGap(NamedTuple):
     """One idle interval on the DATA bus, with its constraint bounds.
 
     Recorded by the device model when it schedules a DATA packet that
@@ -175,7 +177,8 @@ class DataBusGap:
     the transfer; the gap's end is the maximum of them (and of
     ``start``), which is exactly how the device schedules.  The
     stall-attribution pass partitions ``[start, end)`` using these
-    bounds.
+    bounds.  A named tuple rather than a dataclass: the device builds
+    one per idle interval, and a tuple builds about three times faster.
 
     Attributes:
         start: First idle cycle (end of the previous DATA packet, or 0).
@@ -288,13 +291,3 @@ def overlap(
             break
         covered += max(0, min(hi, end) - max(lo, start))
     return covered
-
-
-def covers(cycle: int, merged: List[Tuple[int, int]]) -> bool:
-    """True if ``cycle`` lies inside one of the merged intervals."""
-    for start, end in merged:
-        if start > cycle:
-            return False
-        if cycle < end:
-            return True
-    return False

@@ -177,6 +177,26 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def observe_counts(self, counts: Iterable[Tuple[float, int]]) -> None:
+        """Record ``count`` observations of each ``(value, count)`` pair.
+
+        The bulk form of :meth:`observe` for callers that tally values
+        first (counts are positive): the state equals calling
+        ``observe(value)`` ``count`` times per pair, in order, whenever
+        the values are integers (each pair is added to :attr:`sum` as
+        one product, which is exact while the sum stays below 2**53).
+        """
+        bounds = self.bounds
+        bucket_counts = self.bucket_counts
+        for value, count in counts:
+            bucket_counts[bisect_left(bounds, value)] += count
+            self.count += count
+            self.sum += value * count
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+
     def quantile(self, q: float) -> float:
         """Estimated value at quantile ``q`` in [0, 1].
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.obs.core import Instrumentation
+from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.bank import NEVER, Bank
 from repro.rdram.device import (
     AccessIssue,
@@ -247,6 +247,8 @@ class RambusChannel:
         self.explicit_retire = explicit_retire
         #: Optional instrumentation (see RdramDevice.obs).
         self.obs: Optional[Instrumentation] = None
+        #: Optional DATA-bus gap hook (see RdramDevice.gap_log).
+        self.gap_log: Optional[List[DataBusGap]] = None
         #: Optional page-management strategy (see RdramDevice.page_manager).
         self.page_manager = None
         #: Optional attached address mapping (see RdramDevice.mapping).
@@ -387,8 +389,9 @@ class RambusChannel:
         delay = self._data_delay[direction]
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
+        if self.gap_log is not None:
             record_data_gap(
-                self.obs,
+                self.gap_log,
                 self,
                 bank_obj,
                 bank,

@@ -111,7 +111,7 @@ class RdramGeometry:
 
 
 def record_data_gap(
-    obs: Instrumentation,
+    gap_log: List[DataBusGap],
     memory,
     bank_obj: Bank,
     bank_index: int,
@@ -121,8 +121,8 @@ def record_data_gap(
     col_start: int,
     delay: int,
 ) -> None:
-    """Record a :class:`~repro.obs.core.DataBusGap` for an access whose
-    DATA packet leaves the bus idle before it.
+    """Append a :class:`~repro.obs.core.DataBusGap` to ``gap_log`` for
+    an access whose DATA packet leaves the bus idle before it.
 
     Must be called after the access's COL start is computed but before
     any bus/bank state is updated.  ``memory`` is the device or channel
@@ -146,16 +146,17 @@ def record_data_gap(
         and memory._retire_pending
     ):
         col_bus_free += memory.timing.t_pack
-    obs.gaps.append(
+    # Positional: keyword arguments double the tuple's build cost.
+    gap_log.append(
         DataBusGap(
-            start=idle_from,
-            end=data_start,
-            bank=bank_index,
-            direction=direction.value,
-            turnaround_until=turnaround_until,
-            bank_until=bank_obj.earliest_col(0, row) + delay,
-            colbus_until=col_bus_free + delay,
-            request_until=now + delay,
+            idle_from,
+            data_start,
+            bank_index,
+            direction.value,
+            turnaround_until,
+            bank_obj.earliest_col(0, row) + delay,
+            col_bus_free + delay,
+            now + delay,
         )
     )
 
@@ -345,10 +346,17 @@ class RdramDevice:
         #: the real protocol does.
         self.explicit_retire = explicit_retire
         self._retire_pending = False
-        #: Optional instrumentation; attach one to record counters,
-        #: bank-row spans, and DATA-bus gap records for stall
-        #: attribution.  None (the default) costs one branch per issue.
+        #: Optional instrumentation; attach one to record counters and
+        #: bank-row spans.  None (the default) costs one branch per
+        #: issue.
         self.obs: Optional[Instrumentation] = None
+        #: Optional DATA-bus gap hook: every idle interval before a
+        #: DATA packet is appended here as a
+        #: :class:`~repro.obs.core.DataBusGap`.  Attaching an
+        #: Instrumentation points it at ``obs.gaps``; the traffic layer
+        #: points it at each channel server's own list.  None (the
+        #: default) costs one branch per COL packet.
+        self.gap_log: Optional[List[DataBusGap]] = None
         #: Optional page-management strategy consulted by
         #: :func:`perform_access`; None behaves like the open policy
         #: (callers decide precharge flags themselves).
@@ -520,8 +528,9 @@ class RdramDevice:
         delay = self._data_delay[direction]
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
+        if self.gap_log is not None:
             record_data_gap(
-                self.obs,
+                self.gap_log,
                 self,
                 bank_obj,
                 bank,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.obs.core import Instrumentation
+from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry, RambusChannel
 from repro.rdram.device import AccessIssue, RdramDevice, RdramGeometry
@@ -148,6 +148,7 @@ class MemoryFabric:
         self.record_trace = record_trace
         self.explicit_retire = explicit_retire
         self._obs: Optional[Instrumentation] = None
+        self._gap_log: Optional[List[DataBusGap]] = None
         self._mapping = None
         self.channel_memories: List[object] = []
         for _ in range(channels):
@@ -201,6 +202,21 @@ class MemoryFabric:
         self._obs = obs
         for memory in self.channel_memories:
             memory.obs = obs
+
+    @property
+    def gap_log(self) -> Optional[List[DataBusGap]]:
+        """Shared DATA-bus gap hook, propagated to every channel.
+
+        The channels append to one list in issue order, so gaps of
+        different channels interleave.
+        """
+        return self._gap_log
+
+    @gap_log.setter
+    def gap_log(self, gap_log: Optional[List[DataBusGap]]) -> None:
+        self._gap_log = gap_log
+        for memory in self.channel_memories:
+            memory.gap_log = gap_log
 
     @property
     def page_manager(self):

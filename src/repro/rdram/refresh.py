@@ -19,7 +19,7 @@ deadline taking priority over open-page policy.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.core import Instrumentation
@@ -62,9 +62,13 @@ class RefreshEngine:
         self.refreshes_issued = 0
         self.deferrals = 0
         self.forced_precharges = 0
+        #: ``(start, end)`` of the refresh issued last: ACT start
+        #: through bank recovery at PRER + t_RP.  None before the
+        #: first refresh.
+        self.last_refresh: Optional[Tuple[int, int]] = None
         #: Optional instrumentation; records one "refresh" span per
-        #: issued refresh (ACT start through bank recovery at
-        #: PRER + t_RP) plus deferral/forced-precharge counters.
+        #: issued refresh (:attr:`last_refresh`) plus
+        #: deferral/forced-precharge counters.
         self.obs: Optional[Instrumentation] = None
 
     @property
@@ -117,13 +121,16 @@ class RefreshEngine:
         )
         prer = self.device.issue_prer(self._bank_cursor, activate.start)
         self.refreshes_issued += 1
+        self.last_refresh = (
+            activate.start,
+            prer.start + self.device.timing.t_rp,
+        )
         if self.obs is not None:
             self.obs.counters.incr("refresh.issued")
             self.obs.tracer.add_span(
                 "refresh",
                 f"refresh b{self._bank_cursor} r{self._row_cursor}",
-                activate.start,
-                prer.start + self.device.timing.t_rp,
+                *self.last_refresh,
                 bank=self._bank_cursor,
                 row=self._row_cursor,
             )

@@ -74,6 +74,7 @@ class _MsuComponent:
 
     def attach_obs(self, obs: Instrumentation) -> None:
         self.system.device.obs = obs
+        self.system.device.gap_log = obs.gaps
         self.msu.obs = obs
         self.system.sbu.attach_obs(obs)
 

@@ -363,7 +363,9 @@ class BackgroundComponent:
     state on its own cadence but does not constitute forward progress
     for the computation, so it never breaks a deadlock.  The optional
     ``on_fire`` callback runs whenever the engine acted — wirings use
-    it to wake a scheduler whose bank state may have changed under it.
+    it to wake a scheduler whose bank state may have changed under it,
+    or to hand each refresh to the traffic server that attributes
+    latency to it.
     """
 
     breaks_deadlock = False

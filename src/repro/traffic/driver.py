@@ -21,22 +21,28 @@ issued access, so its requests are decomposed afresh at the moment
 each decision needs them, exactly as an uncached server would.
 
 Each completed request's latency (arrival to last DATA packet end)
-feeds an :class:`~repro.obs.metrics.Histogram`, so the run reports
-interpolated p50/p90/p99; byte tallies are kept per bank, per channel
-and per client.  An optional :class:`BankBudgetRegulator` enforces
+is tallied, and the run fills an :class:`~repro.obs.metrics.Histogram`
+from the tallies once at the end, so it reports interpolated
+p50/p90/p99; byte tallies are kept per bank, per channel and per
+client.  An optional :class:`BankBudgetRegulator` enforces
 per-client bank budgets per time window (Sullivan-style bandwidth
 regulation): a client over budget on a bank has its requests deferred
 to the next window, bounding the bank share any one client can take.
 
 Every request's latency is additionally *attributed*: the per-request
 analogue of the seven-bucket DATA-bus stall attribution
-(:mod:`repro.obs.attribution`).  Each channel memory carries an
-:class:`~repro.obs.core.Instrumentation` whose
-:class:`~repro.obs.core.DataBusGap` records — the same single source
-of truth the closed-loop attribution partitions — are classified per
-request into :data:`COMPONENTS`, and the components sum *exactly* to
-the measured latency (an :class:`~repro.errors.ObservabilityError`
-otherwise, so the accounting can never silently drift).
+(:mod:`repro.obs.attribution`).  No :class:`~repro.obs.core.Instrumentation`
+is involved: each channel memory's ``gap_log`` hook appends the
+:class:`~repro.obs.core.DataBusGap` records of the request's packets
+to its server's own list — the same records the closed-loop
+attribution partitions — and each channel's refresh engine hands its
+refresh spans to the server as they issue.  The server classifies
+them with the shared :func:`~repro.obs.attribution.partition_gap` into
+:data:`COMPONENTS`, and the components sum *exactly* to the measured
+latency (an :class:`~repro.errors.ObservabilityError` otherwise, so
+the accounting can never silently drift).  Latency and component
+values are tallied as ``{value: count}`` per server and land in the
+run's histograms in bulk at the end.
 """
 
 from __future__ import annotations
@@ -60,8 +66,9 @@ from repro.errors import ConfigurationError, ObservabilityError
 from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.memsys.pagemanager import make_page_manager
-from repro.obs.core import DataBusGap, Instrumentation
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.attribution import CONTROLLER, partition_gap
+from repro.obs.core import DataBusGap
+from repro.obs.metrics import MetricsRegistry
 from repro.rdram.channel import make_memory
 from repro.rdram.fabric import MemoryFabric
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
@@ -90,7 +97,9 @@ LATENCY_BUCKETS = (
 #: ``bus_contention``
 #:     Write-to-read turnaround plus COL command-bus occupancy.
 #: ``pipeline``
-#:     The fixed command-to-data delay of each COL issued.
+#:     The fixed command-to-data delay of each COL issued (the
+#:     controller-side remainder of a gap: the request was issued at
+#:     service start, so nothing else is left there).
 #: ``transfer``
 #:     DATA packets of the request on the bus (t_PACK each).
 COMPONENTS = (
@@ -226,6 +235,12 @@ class ChannelServer:
     :meth:`bank_row`, never through the mapping directly, so a static
     mapping's address is decomposed once per run (see
     :class:`RequestPlan`).
+
+    The server points its memory's ``gap_log`` at :attr:`gaps`, so the
+    memory records the DATA-bus gaps of the packets it issues there;
+    refresh spans arrive through :meth:`note_refresh`.  Both are
+    dropped once a request is attributed, so attribution memory does
+    not grow with the run.
     """
 
     def __init__(
@@ -234,11 +249,8 @@ class ChannelServer:
         memory,
         mapping,
         config: MemorySystemConfig,
-        latency: Histogram,
         bank_offset: int,
         regulator: Optional[BankBudgetRegulator] = None,
-        obs: Optional[Instrumentation] = None,
-        component_hists: Optional[Mapping[str, Histogram]] = None,
         window: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
     ) -> None:
@@ -246,7 +258,6 @@ class ChannelServer:
         self.memory = memory
         self.mapping = mapping
         self.config = config
-        self.latency = latency
         self.bank_offset = bank_offset
         self.regulator = regulator
         self.scheduler = scheduler if scheduler is not None else make_scheduler("fcfs")
@@ -258,19 +269,21 @@ class ChannelServer:
         self.client_bank_bytes: Dict[Tuple[int, int], int] = {}
         self._busy_until = 0
         self._blocked_until: Optional[int] = None
-        # Latency attribution: the channel memory's instrumentation
-        # (its DataBusGap records are the source of truth), optional
-        # shared per-component histograms, and an optional telemetry
-        # window for per-(channel, bank) heatmap series.
-        self.obs = obs
-        self.component_hists = component_hists
-        self.window = window
-        self.component_cycles: Dict[str, int] = {
-            name: 0 for name in COMPONENTS
+        #: DATA-bus gaps of the request being served (the memory's
+        #: gap hook appends here).
+        self.gaps: List[DataBusGap] = []
+        memory.gap_log = self.gaps
+        #: Sorted, disjoint refresh spans not yet behind the bus.
+        self.refresh_spans: List[Tuple[int, int]] = []
+        #: ``{value: count}`` of every served request's latency
+        #: (``"latency"``) and of each of its :data:`COMPONENTS`.
+        self.tallies: Dict[str, Dict[int, int]] = {
+            name: {} for name in ("latency", *COMPONENTS)
         }
+        # Optional telemetry window for per-(channel, bank) heatmap
+        # series.
+        self.window = window
         self.busy_cycles = 0
-        self._refresh_spans: List[Tuple[int, int]] = []
-        self._refresh_idx = 0
         self._stateful = mapping.stateful
         self._packet_count = config.packets_per_cacheline
         self._plans: Dict[int, RequestPlan] = {}
@@ -325,73 +338,18 @@ class ChannelServer:
         for offset in range(self._packet_count):
             yield self._location(address + offset * DATA_PACKET_BYTES)
 
-    def _sync_refresh_spans(self) -> None:
-        """Move new refresh spans out of the shared tracer.
+    def note_refresh(self, span: Tuple[int, int]) -> None:
+        """Record one refresh of this channel: ``(start, end)`` from its
+        ACT through bank recovery.
 
-        The tracer's spans (and the refresh engine's forced-precharge
-        instants, which nothing here reads) are dropped once read, so
-        its memory does not grow with the run.
+        A channel's refreshes issue in ACT order, so a span that
+        overlaps the last one extends it and the list stays disjoint.
         """
-        if self.obs is None:
-            return
-        tracer = self.obs.tracer
-        if not tracer.spans:
-            return
-        for span in tracer.spans:
-            if span.track == "refresh" and span.name.startswith("refresh"):
-                self._refresh_spans.append((span.start, span.end))
-        tracer.spans.clear()
-        tracer.instants.clear()
-
-    def _classify_gap(
-        self, lo: int, gap: DataBusGap, comps: Dict[str, int]
-    ) -> None:
-        """Partition ``[lo, gap.end)`` into latency components.
-
-        Mirrors :func:`repro.obs.attribution.classify_stall_intervals`
-        front to back: leading turnaround, then refresh-covered
-        cycles, then the bank-readiness bound, then the COL bus, and
-        the remainder is the fixed command-to-data pipeline (the
-        request was issued at service start, so there is no
-        controller-idle bucket here).
-        """
-        cursor, hi = lo, gap.end
-        if cursor >= hi:
-            return
-        lead = min(max(gap.turnaround_until, cursor), hi)
-        if lead > cursor:
-            comps["bus_contention"] += lead - cursor
-            cursor = lead
-        spans = self._refresh_spans
-        while cursor < hi:
-            nxt = hi
-            for bound in (gap.bank_until, gap.colbus_until):
-                if cursor < bound < nxt:
-                    nxt = bound
-            while (
-                self._refresh_idx < len(spans)
-                and spans[self._refresh_idx][1] <= cursor
-            ):
-                self._refresh_idx += 1
-            in_refresh = False
-            if self._refresh_idx < len(spans):
-                start, end = spans[self._refresh_idx]
-                if start <= cursor:
-                    in_refresh = True
-                    if end < nxt:
-                        nxt = end
-                elif start < nxt:
-                    nxt = start
-            if in_refresh:
-                name = "refresh_blocked"
-            elif cursor < gap.bank_until:
-                name = "bank_busy"
-            elif cursor < gap.colbus_until:
-                name = "bus_contention"
-            else:
-                name = "pipeline"
-            comps[name] += nxt - cursor
-            cursor = nxt
+        spans = self.refresh_spans
+        if spans and span[0] <= spans[-1][1]:
+            spans[-1] = (spans[-1][0], max(spans[-1][1], span[1]))
+        else:
+            spans.append(span)
 
     def _note_window(self, bank: int, start: int, end: int) -> None:
         """Tally one DATA packet into the telemetry windows."""
@@ -490,12 +448,10 @@ class ChannelServer:
                 self._note_window(bank, data.start, data_end)
             bank_bytes[bank] = bank_bytes.get(bank, 0) + DATA_PACKET_BYTES
         self.busy_cycles += transfer
-        if self.obs is not None:
-            self._attribute(request, cycle, data_end, transfer)
+        self._attribute(request, cycle, data_end, transfer)
         self._busy_until = data_end
         self.last_data_end = max(self.last_data_end, data_end)
         self.completed += 1
-        self.latency.observe(float(data_end - request.arrival))
         self.client_bytes[request.client] = (
             self.client_bytes.get(request.client, 0) + line_bytes
         )
@@ -510,26 +466,41 @@ class ChannelServer:
     def _attribute(
         self, request: Request, cycle: int, data_end: int, transfer: int
     ) -> None:
-        """Split one served request's latency into :data:`COMPONENTS`.
+        """Split one served request's latency into :data:`COMPONENTS`
+        and tally it.
 
-        The request's :class:`~repro.obs.core.DataBusGap` records and
-        the refresh spans it has passed are dropped once classified,
-        so attribution memory does not grow with the run.
+        The request's gaps are cleared once classified, and refresh
+        spans that ended by its last DATA packet are dropped: every
+        later request is served after it, so no later gap reaches
+        back before that cycle.
         """
-        assert self.obs is not None
-        comps = dict.fromkeys(COMPONENTS, 0)
-        comps["queue_wait"] = cycle - request.arrival
-        comps["transfer"] = transfer
-        self._sync_refresh_spans()
-        gaps = self.obs.gaps
+        bank_busy = refresh_blocked = bus_contention = pipeline = 0
+        gaps = self.gaps
+        spans = self.refresh_spans
         for gap in gaps:
-            self._classify_gap(max(gap.start, cycle), gap, comps)
+            lo = gap.start if gap.start > cycle else cycle
+            for start, end, cause in partition_gap(lo, gap, spans):
+                if cause == "precharge_activate":
+                    bank_busy += end - start
+                elif cause == "refresh":
+                    refresh_blocked += end - start
+                elif cause == CONTROLLER:
+                    pipeline += end - start
+                else:  # turnaround or command_bus
+                    bus_contention += end - start
         gaps.clear()
-        if self._refresh_idx:
-            del self._refresh_spans[: self._refresh_idx]
-            self._refresh_idx = 0
+        while spans and spans[0][1] <= data_end:
+            del spans[0]
+        queue_wait = cycle - request.arrival
         latency = data_end - request.arrival
-        accounted = sum(comps.values())
+        accounted = (
+            queue_wait
+            + bank_busy
+            + refresh_blocked
+            + bus_contention
+            + pipeline
+            + transfer
+        )
         if accounted != latency:
             raise ObservabilityError(
                 f"latency attribution drifted on channel "
@@ -538,10 +509,20 @@ class ChannelServer:
                 f"(client {request.client}, arrival "
                 f"{request.arrival})"
             )
-        for name, spent in comps.items():
-            self.component_cycles[name] += spent
-            if self.component_hists is not None:
-                self.component_hists[name].observe(float(spent))
+        # Same order as self.tallies: latency, then COMPONENTS.
+        for tally, value in zip(
+            self.tallies.values(),
+            (
+                latency,
+                queue_wait,
+                bank_busy,
+                refresh_blocked,
+                bus_contention,
+                pipeline,
+                transfer,
+            ),
+        ):
+            tally[value] = tally.get(value, 0) + 1
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -883,46 +864,50 @@ def run_traffic(
         bounds=LATENCY_BUCKETS,
         help="request latency (arrival to last DATA packet end), cycles",
     )
-    component_hists = {
-        name: registry.histogram(
-            "traffic.latency_component_cycles",
-            bounds=LATENCY_BUCKETS,
-            help="per-request latency attribution, cycles per component",
-            component=name,
-        )
-        for name in COMPONENTS
+    histograms = {
+        "latency": latency,
+        **{
+            name: registry.histogram(
+                "traffic.latency_component_cycles",
+                bounds=LATENCY_BUCKETS,
+                help="per-request latency attribution, cycles per component",
+                component=name,
+            )
+            for name in COMPONENTS
+        },
     }
-    # One Instrumentation per channel memory: its DataBusGap records
-    # drive the per-request attribution, and (with refresh enabled)
-    # the refresh engine writes its spans into the same tracer.
-    channel_obs = [Instrumentation() for _ in channel_memories]
-    for channel_memory, obs in zip(channel_memories, channel_obs):
-        channel_memory.obs = obs
-    refresh_engines: List[RefreshEngine] = []
-    if refresh:
-        interval = (
-            DEFAULT_INTERVAL_CYCLES if refresh is True else int(refresh)
-        )
-        for channel_memory, obs in zip(channel_memories, channel_obs):
-            engine = RefreshEngine(channel_memory, interval=interval)
-            engine.obs = obs
-            refresh_engines.append(engine)
     servers = [
         ChannelServer(
             index=index,
             memory=channel_memory,
             mapping=mapping,
             config=config,
-            latency=latency,
             bank_offset=index * banks_per_channel,
             regulator=regulator,
-            obs=channel_obs[index],
-            component_hists=component_hists,
             window=telemetry_window,
             scheduler=scheduler_for(index),
         )
         for index, channel_memory in enumerate(channel_memories)
     ]
+    # Each channel's refresh engine hands every refresh it issues to
+    # that channel's server, for the refresh_blocked component.
+    refresh_engines: List[RefreshEngine] = []
+    refresh_components: List[BackgroundComponent] = []
+    if refresh:
+        interval = (
+            DEFAULT_INTERVAL_CYCLES if refresh is True else int(refresh)
+        )
+        for server in servers:
+            engine = RefreshEngine(server.memory, interval=interval)
+            refresh_engines.append(engine)
+            refresh_components.append(
+                BackgroundComponent(
+                    engine,
+                    on_fire=lambda server=server, engine=engine: (
+                        server.note_refresh(engine.last_refresh)
+                    ),
+                )
+            )
     pump = ArrivalPump(generate_requests(workload, mapping), servers, mapping)
     if max_cycles is None:
         max_cycles = 50_000 + 600 * workload.requests
@@ -951,11 +936,7 @@ def run_traffic(
             )
     wall_started = time.perf_counter()
     Simulation(
-        [
-            pump,
-            *servers,
-            *(BackgroundComponent(engine) for engine in refresh_engines),
-        ],
+        [pump, *servers, *refresh_components],
         done=lambda sim: pump.done and all(server.idle for server in servers),
         max_cycles=max_cycles,
         label=(
@@ -984,11 +965,25 @@ def run_traffic(
             client_bank_bytes[pair] = client_bank_bytes.get(pair, 0) + served
     channel_bytes = tuple(m.bytes_transferred for m in channel_memories)
     cycles = max(server.last_data_end for server in servers)
-    component_cycles = {name: 0 for name in COMPONENTS}
     for server in servers:
-        for name, spent in server.component_cycles.items():
-            component_cycles[name] += spent
         server.finalize_windows(registry, cycles)
+    # One bulk fill per histogram and channel.  The values are integer
+    # cycles, so the sums are exact and match per-request observes bit
+    # for bit.
+    for name, histogram in histograms.items():
+        for server in servers:
+            histogram.observe_counts(
+                (float(value), count)
+                for value, count in server.tallies[name].items()
+            )
+    component_cycles = {
+        name: sum(
+            value * count
+            for server in servers
+            for value, count in server.tallies[name].items()
+        )
+        for name in COMPONENTS
+    }
     return TrafficResult(
         organization=config.describe(),
         channels=config.topology.channels,

@@ -15,8 +15,10 @@ On top of that floor:
 * static mappings decompose each address at most once per DATA
   packet per run; the stateful DReAM mapping keeps decomposing at
   service time;
-* the per-channel attribution state stays bounded on long runs;
-* :meth:`Histogram.observe` matches a linear bucket scan;
+* the per-channel attribution state stays bounded on long runs, and
+  a traffic run builds no :class:`~repro.obs.core.Instrumentation`;
+* :meth:`Histogram.observe` and :meth:`Histogram.observe_counts`
+  match a linear bucket scan;
 * the ``frfcfs``/``mars`` picks match the whole-queue order-list
   implementation they replaced (kept below as the reference),
   including regulator deferral counts and MARS's active batch.
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections import deque
+import math
+from collections import Counter, deque
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -36,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.memsys.address import AddressMapping, get_address_mapping
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
+from repro.obs.core import Instrumentation
 from repro.obs.metrics import Histogram
 from repro.rdram.channel import make_memory
 from repro.rdram.packets import BusDirection
@@ -45,7 +49,7 @@ from repro.traffic import (
     make_scheduler,
     run_traffic,
 )
-from repro.traffic.driver import LATENCY_BUCKETS, ChannelServer
+from repro.traffic.driver import ChannelServer
 from repro.traffic.workload import Request, generate_requests
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_traffic_paths.json"
@@ -228,28 +232,19 @@ class TestPlanCache:
 class TestBoundedAttributionMemory:
     def test_live_gap_list_holds_one_request(self, monkeypatch):
         seen = {"gaps": 0, "left": 0, "served": 0}
-        classify = ChannelServer._classify_gap
         attribute = ChannelServer._attribute
 
-        def watched_classify(self, lo, gap, comps):
-            seen["gaps"] = max(seen["gaps"], len(self.obs.gaps))
-            return classify(self, lo, gap, comps)
-
         def watched_attribute(self, *args):
+            # The gaps the memory recorded for this request alone.
+            seen["gaps"] = max(seen["gaps"], len(self.gaps))
             attribute(self, *args)
             seen["served"] += 1
-            # What survives a served request: its gaps and every
-            # tracer span are gone; only refresh spans it has not
-            # reached yet remain.
+            # What survives a served request: its gaps are gone; only
+            # refresh spans it has not passed remain.
             seen["left"] = max(
-                seen["left"],
-                len(self.obs.gaps)
-                + len(self.obs.tracer.spans)
-                + len(self.obs.tracer.instants)
-                + len(self._refresh_spans),
+                seen["left"], len(self.gaps) + len(self.refresh_spans)
             )
 
-        monkeypatch.setattr(ChannelServer, "_classify_gap", watched_classify)
         monkeypatch.setattr(ChannelServer, "_attribute", watched_attribute)
         config = MemorySystemConfig.cli()
         workload = TrafficWorkload(
@@ -261,6 +256,22 @@ class TestBoundedAttributionMemory:
         # A request's gaps come from its own DATA packets only.
         assert 0 < seen["gaps"] <= config.packets_per_cacheline
         assert seen["left"] <= 2
+
+    def test_no_instrumentation_is_built(self, monkeypatch):
+        built: List[Instrumentation] = []
+        original = Instrumentation.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Instrumentation, "__init__", counted)
+        result = run_traffic(
+            MemorySystemConfig.cli(), COUNT_WORKLOAD, channels=2, refresh=True
+        )
+        assert result.refreshes > 0
+        assert result.component_cycles["refresh_blocked"] > 0
+        assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +307,8 @@ class TestHistogramBisection:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_linear_scan(self, data):
+        """``observe`` on any values, and ``observe_counts`` on an
+        integer tally, match the linear scan over the same values."""
         bounds = sorted(
             data.draw(
                 st.lists(
@@ -319,6 +332,26 @@ class TestHistogramBisection:
         assert repr(histogram.state()) == repr(
             _linear_scan_state(bounds, values)
         )
+        # The bulk path sums one product per distinct value, which is
+        # exact for integers: a bound, above the last bound, <= 0, or
+        # none at all (an empty tally).
+        integral = [
+            float(int(bound)) for bound in bounds if bound == int(bound)
+        ]
+        integer = st.one_of(
+            st.integers(-(10**6), 10**6).map(float),
+            st.sampled_from(
+                integral + [0.0, -1.0, float(math.floor(bounds[-1]) + 1)]
+            ),
+        )
+        tally = Counter(
+            data.draw(st.lists(integer, max_size=40))
+        )
+        bulk = Histogram("h", bounds=bounds)
+        bulk.observe_counts(tally.items())
+        assert repr(bulk.state()) == repr(
+            _linear_scan_state(bounds, list(tally.elements()))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +373,6 @@ def _server(
         memory=memory,
         mapping=mapping,
         config=config,
-        latency=Histogram("latency", bounds=LATENCY_BUCKETS),
         bank_offset=0,
         regulator=regulator,
         scheduler=scheduler,
