@@ -19,8 +19,7 @@ Quickstart::
 :func:`simulate` is the single simulation entry point.  It runs on a
 selectable engine — ``engine="event"`` (the discrete-event kernel),
 ``"batch"`` (a bit-identical vectorized fast path), or ``"auto"`` (the
-default: batch whenever the spec supports it).  ``simulate_kernel`` is
-a deprecated keyword-style wrapper kept for existing callers.
+default: batch whenever the spec supports it).
 """
 
 from repro.cache import (
@@ -114,7 +113,6 @@ from repro.sim import (
     run_smc,
     set_default_engine,
     simulate,
-    simulate_kernel,
     sweep,
 )
 from repro.exec import ResultCache, execution, run_specs
@@ -200,7 +198,6 @@ __all__ = [
     "run_smc",
     "set_default_engine",
     "simulate",
-    "simulate_kernel",
     "sweep",
     "ResultCache",
     "execution",

@@ -5,44 +5,26 @@ RDRAM device" and notes that Crisp's reported 95 % efficiency came
 from "a system with many devices" under more random access patterns
 (Section 6).  This module models that fuller system: up to 32 devices
 share one channel — one ROW bus, one COL bus, one dual-edge DATA bus —
-while each device keeps its own banks, sense amps, write buffer and
-per-device t_RR constraint.
+while each device keeps its own banks and its own t_RR constraint.
 
-:class:`RambusChannel` exposes the same interface as
-:class:`~repro.rdram.device.RdramDevice` with *global* bank indices
-(device d's bank b is global index ``d * banks_per_device + b``), so
-every controller in the library — the SMC and the natural-order
-baseline — runs unmodified against a channel; pair it with a
-:class:`ChannelGeometry` in the memory-system configuration and the
-address map spreads interleave units across all devices' banks.
+:class:`ChannelGeometry` describes that system in *global* bank
+indices (device d's bank b is global index ``d * banks_per_device +
+b``), and :class:`~repro.rdram.device.RdramDevice` is the one bus
+model for any device count: it keeps t_RR per device and everything
+else channel-wide.  So every controller in the library — the SMC and
+the natural-order baseline — runs unmodified against a channel; pair
+a :class:`ChannelGeometry` with the memory-system configuration and
+the address map spreads interleave units across all devices' banks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
-from repro.obs.core import DataBusGap, Instrumentation
-from repro.rdram.bank import NEVER, Bank
-from repro.rdram.device import (
-    AccessIssue,
-    RdramGeometry,
-    ScheduledAccess,
-    flush_bank_observation,
-    perform_access,
-    record_bank_close,
-    record_data_gap,
-)
-from repro.rdram.packets import (
-    BusDirection,
-    ColCommand,
-    ColPacket,
-    DataPacket,
-    RowCommand,
-    RowPacket,
-)
-from repro.rdram.timing import DATA_PACKET_BYTES, RdramTiming
+from repro.errors import ConfigurationError
+from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.rdram.timing import RdramTiming
 
 
 @dataclass(frozen=True)
@@ -147,8 +129,8 @@ def make_memory(
 
     A :class:`ChannelGeometry` yields a :class:`RambusChannel`; an
     :class:`~repro.rdram.device.RdramGeometry` (or None) yields a
-    single :class:`~repro.rdram.device.RdramDevice`.  Controllers are
-    agnostic — both expose the same interface.  An optional
+    single :class:`~repro.rdram.device.RdramDevice`.  Both are the same
+    bus model, so controllers are agnostic.  An optional
     :class:`~repro.memsys.pagemanager.PageManager` is attached for the
     ``issue_access`` path to consult.
 
@@ -161,8 +143,6 @@ def make_memory(
     ``page_manager_factory`` (called once per channel) instead of a
     shared ``page_manager``.
     """
-    from repro.rdram.device import RdramDevice
-
     if topology is not None and not topology.single:
         if isinstance(geometry, ChannelGeometry):
             raise ConfigurationError(
@@ -198,41 +178,30 @@ def make_memory(
             device=geometry or RdramGeometry(),
         )
 
-    if isinstance(geometry, ChannelGeometry):
-        memory = RambusChannel(
-            timing=timing,
-            geometry=geometry,
-            record_trace=record_trace,
-            explicit_retire=explicit_retire,
-        )
-    else:
-        memory = RdramDevice(
-            timing=timing,
-            geometry=geometry,
-            record_trace=record_trace,
-            explicit_retire=explicit_retire,
-        )
+    model = RambusChannel if isinstance(geometry, ChannelGeometry) else RdramDevice
+    memory = model(
+        timing=timing,
+        geometry=geometry,
+        record_trace=record_trace,
+        explicit_retire=explicit_retire,
+    )
     if page_manager is None and page_manager_factory is not None:
         page_manager = page_manager_factory()
     memory.page_manager = page_manager
     return memory
 
 
-class RambusChannel:
-    """Multiple RDRAM devices behind the RdramDevice interface.
+class RambusChannel(RdramDevice):
+    """Several RDRAM devices sharing one channel's buses.
 
-    All bus-level state (packet bus exclusivity, data-bus turnaround,
-    write-buffer retire) is channel-global; bank state and the t_RR
-    row-packet spacing are per device, which is exactly what lets a
-    many-device channel hide single-device dead time under random
-    loads.
-
-    Args:
-        timing: Channel/device timing parameters.
-        geometry: Channel geometry (device count x per-device layout).
-        record_trace: Record all packets for auditing.
-        explicit_retire: Model write-buffer retires as COL RET packets.
+    :class:`~repro.rdram.device.RdramDevice` is the one bus model for
+    any device count (it keeps t_RR per device); a channel only
+    defaults its geometry to a :class:`ChannelGeometry`.
     """
+
+    # perfbench/tracing.py wraps these from each class's own namespace.
+    issue_access = RdramDevice.issue_access
+    issue_col = RdramDevice.issue_col
 
     def __init__(
         self,
@@ -241,273 +210,6 @@ class RambusChannel:
         record_trace: bool = True,
         explicit_retire: bool = False,
     ) -> None:
-        self.timing = timing or RdramTiming()
-        self.geometry = geometry or ChannelGeometry()
-        self.record_trace = record_trace
-        self.explicit_retire = explicit_retire
-        #: Optional instrumentation (see RdramDevice.obs).
-        self.obs: Optional[Instrumentation] = None
-        #: Optional DATA-bus gap hook (see RdramDevice.gap_log).
-        self.gap_log: Optional[List[DataBusGap]] = None
-        #: Optional page-management strategy (see RdramDevice.page_manager).
-        self.page_manager = None
-        #: Optional attached address mapping (see RdramDevice.mapping).
-        self.mapping = None
-        self.banks: List[Bank] = [
-            Bank(index=i, timing=self.timing)
-            for i in range(self.geometry.num_banks)
-        ]
-        self.trace: List[object] = []
-        # COL-to-DATA delay per direction; the timing is frozen.
-        self._data_delay = {
-            BusDirection.READ: self.timing.read_data_delay(),
-            BusDirection.WRITE: self.timing.write_data_delay(),
-        }
-        self._row_bus_free = 0
-        self._col_bus_free = 0
-        self._data_bus_free = 0
-        self._last_act_by_device = [NEVER] * self.geometry.num_devices
-        self._last_write_data_end = NEVER
-        self._last_data_dir: Optional[BusDirection] = None
-        self._data_packets_moved = 0
-        self._retire_pending = False
-
-    # ------------------------------------------------------------------
-    # queries (RdramDevice interface)
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Total bytes moved on the shared DATA bus."""
-        return self._data_packets_moved * DATA_PACKET_BYTES
-
-    def bank(self, index: int) -> Bank:
-        """Global bank ``index`` (bounds-checked)."""
-        if not 0 <= index < self.geometry.num_banks:
-            raise ProtocolError(
-                f"global bank {index} out of range "
-                f"0..{self.geometry.num_banks - 1}"
-            )
-        return self.banks[index]
-
-    def earliest_act(self, bank: int, now: int) -> int:
-        """First legal ACT start: bank rules, t_RR within the owning
-        device, shared ROW bus, and double-bank adjacency."""
-        device = self.geometry.device_of(bank)
-        earliest = max(
-            self.bank(bank).earliest_act(now),
-            self._row_bus_free,
-            self._last_act_by_device[device] + self.timing.t_rr,
+        super().__init__(
+            timing, geometry or ChannelGeometry(), record_trace, explicit_retire
         )
-        for neighbor in self.geometry.neighbors(bank):
-            neighbor_bank = self.banks[neighbor]
-            if neighbor_bank.is_open:
-                raise ProtocolError(
-                    f"bank {bank}: ACT while adjacent bank {neighbor} is "
-                    "open (shared sense amps on a double-bank core)"
-                )
-            earliest = max(
-                earliest, neighbor_bank.last_prer_start + self.timing.t_rp
-            )
-        return earliest
-
-    def earliest_prer(self, bank: int, now: int) -> int:
-        """First legal PRER start (bank rules, shared ROW bus)."""
-        return max(self.bank(bank).earliest_prer(now), self._row_bus_free)
-
-    def earliest_col(
-        self, bank: int, row: int, now: int, direction: BusDirection
-    ) -> int:
-        """First legal COL start (bank rules, shared COL/DATA buses,
-        channel-global turnaround and retire slot)."""
-        delay = self._data_delay[direction]
-        col_bus_free = self._col_bus_free
-        if (
-            direction is BusDirection.READ
-            and self.explicit_retire
-            and self._retire_pending
-        ):
-            col_bus_free += self.timing.t_pack
-        start = max(self.bank(bank).earliest_col(now, row), col_bus_free)
-        data_start = max(start + delay, self._data_bus_free)
-        if direction is BusDirection.READ and self._last_data_dir is BusDirection.WRITE:
-            data_start = max(
-                data_start, self._last_write_data_end + self.timing.t_rw
-            )
-        return data_start - delay
-
-    # ------------------------------------------------------------------
-    # issue operations (RdramDevice interface)
-
-    def issue_act(self, bank: int, row: int, now: int) -> RowPacket:
-        """Issue a ROW ACT on the shared row bus."""
-        if not 0 <= row < self.geometry.rows_per_bank:
-            raise ProtocolError(
-                f"row {row} out of range 0..{self.geometry.rows_per_bank - 1}"
-            )
-        start = self.earliest_act(bank, now)
-        if self.obs is not None:
-            self.obs.counters.incr("device.row_act")
-        self.bank(bank).apply_act(start, row)
-        self._row_bus_free = start + self.timing.t_pack
-        self._last_act_by_device[self.geometry.device_of(bank)] = start
-        packet = RowPacket(command=RowCommand.ACT, bank=bank, row=row, start=start)
-        if self.record_trace:
-            self.trace.append(packet)
-        return packet
-
-    def issue_prer(self, bank: int, now: int) -> RowPacket:
-        """Issue a ROW PRER on the shared row bus."""
-        start = self.earliest_prer(bank, now)
-        if self.obs is not None:
-            self.obs.counters.incr("device.row_prer")
-            record_bank_close(self.obs, self.bank(bank), bank, start)
-        self.bank(bank).apply_prer(start)
-        self._row_bus_free = start + self.timing.t_pack
-        packet = RowPacket(command=RowCommand.PRER, bank=bank, row=None, start=start)
-        if self.record_trace:
-            self.trace.append(packet)
-        return packet
-
-    def issue_col(
-        self,
-        bank: int,
-        row: int,
-        column: int,
-        now: int,
-        direction: BusDirection,
-        precharge: bool = False,
-    ) -> ScheduledAccess:
-        """Issue a COL RD/WR moving one DATA packet on the shared bus."""
-        if not 0 <= column < self.geometry.packets_per_page:
-            raise ProtocolError(
-                f"column {column} out of range "
-                f"0..{self.geometry.packets_per_page - 1}"
-            )
-        start = self.earliest_col(bank, row, now, direction)
-        # earliest_col bounds-checked the bank.
-        bank_obj = self.banks[bank]
-        delay = self._data_delay[direction]
-        if self.obs is not None:
-            self.obs.counters.incr("device.data_packets")
-        if self.gap_log is not None:
-            record_data_gap(
-                self.gap_log,
-                self,
-                bank_obj,
-                bank,
-                row,
-                now,
-                direction,
-                start,
-                delay,
-            )
-        if (
-            direction is BusDirection.READ
-            and self.explicit_retire
-            and self._retire_pending
-        ):
-            retire = ColPacket(
-                command=ColCommand.RET,
-                bank=bank,
-                row=row,
-                column=0,
-                start=start - self.timing.t_pack,
-            )
-            if self.record_trace:
-                self.trace.append(retire)
-            self._retire_pending = False
-        bank_obj.apply_col(start, row)
-        self._col_bus_free = start + self.timing.t_pack
-        data_start = start + delay
-        data = DataPacket(
-            direction=direction, bank=bank, start=data_start, source_col_start=start
-        )
-        self._data_bus_free = data_start + self.timing.t_pack
-        self._last_data_dir = direction
-        if direction is BusDirection.WRITE:
-            self._last_write_data_end = data_start + self.timing.t_pack
-            self._retire_pending = True
-        self._data_packets_moved += 1
-        cmd = ColCommand.RD if direction is BusDirection.READ else ColCommand.WR
-        col = ColPacket(command=cmd, bank=bank, row=row, column=column, start=start)
-        if self.record_trace:
-            self.trace.append(col)
-            self.trace.append(data)
-        if precharge:
-            prer_start = bank_obj.earliest_prer(start)
-            if self.obs is not None:
-                record_bank_close(
-                    self.obs, bank_obj, bank, prer_start, via_col=True
-                )
-            bank_obj.apply_prer(prer_start)
-            if self.record_trace:
-                self.trace.append(
-                    RowPacket(
-                        command=RowCommand.PRER,
-                        bank=bank,
-                        row=None,
-                        start=prer_start,
-                        via_col=True,
-                    )
-                )
-        return ScheduledAccess(col=col, data=data, precharged=precharge)
-
-    def issue_access(
-        self,
-        bank: int,
-        row: int,
-        column: int,
-        now: int,
-        direction: BusDirection,
-        precharge: bool = False,
-    ) -> AccessIssue:
-        """Issue one full stream access (see
-        :func:`repro.rdram.device.perform_access`)."""
-        return perform_access(
-            self, bank, row, column, now, direction, precharge=precharge
-        )
-
-    def sync_bank(self, index: int, now: int) -> None:
-        """Materialize any page-manager action due on a global bank."""
-        if self.page_manager is not None and self.page_manager.runtime:
-            self.page_manager.sync(self, index, now)
-
-    def autoclose(self, bank: int, due: int) -> None:
-        """Close a bank from a page-manager timeout (no ROW-bus cost)."""
-        bank_obj = self.bank(bank)
-        start = bank_obj.earliest_prer(due)
-        if self.obs is not None:
-            self.obs.counters.incr("device.autoclose")
-            record_bank_close(self.obs, bank_obj, bank, start, via_col=True)
-        bank_obj.apply_prer(start)
-        if self.record_trace:
-            self.trace.append(
-                RowPacket(
-                    command=RowCommand.PRER,
-                    bank=bank,
-                    row=None,
-                    start=start,
-                    via_col=True,
-                )
-            )
-
-    def finish_observation(self, end_cycle: int) -> None:
-        """Close any still-open "row open" spans at the end of a run."""
-        if self.obs is not None:
-            flush_bank_observation(self.obs, self.banks, end_cycle)
-
-    def reset(self) -> None:
-        """Return the channel and all devices to the power-on state."""
-        for bank in self.banks:
-            bank.reset()
-        if self.page_manager is not None:
-            self.page_manager.reset()
-        self.trace.clear()
-        self._row_bus_free = 0
-        self._col_bus_free = 0
-        self._data_bus_free = 0
-        self._last_act_by_device = [NEVER] * self.geometry.num_devices
-        self._last_write_data_end = NEVER
-        self._last_data_dir = None
-        self._data_packets_moved = 0
-        self._retire_pending = False

@@ -1,18 +1,18 @@
-"""Cycle-level model of a single Direct RDRAM device.
+"""Cycle-level model of the Direct RDRAM devices on one Rambus channel.
 
-The device owns three channel resources — the ROW command bus, the COL
-command bus, and the dual-edge DATA bus — plus eight independent banks
-of sense amplifiers.  Controllers drive it through an
-*earliest-legal-issue* interface: for each command the device computes
-the first cycle at or after the requested cycle at which every
-datasheet constraint is satisfied, reserves the buses, updates bank
-state, and returns the scheduled packet.
+The model owns three channel resources — the ROW command bus, the COL
+command bus, and the dual-edge DATA bus — plus every device's banks of
+sense amplifiers (eight on the paper's single device).  Controllers
+drive it through an *earliest-legal-issue* interface: for each command
+the model computes the first cycle at or after the requested cycle at
+which every datasheet constraint is satisfied, reserves the buses,
+updates bank state, and returns the scheduled packet.
 
 Constraints enforced here (bank-local rules live in
 :mod:`repro.rdram.bank`):
 
 * each sub-bus carries one packet per t_PACK window,
-* t_RR between consecutive ROW ACT packets anywhere on the device,
+* t_RR between consecutive ROW ACT packets to the same device,
 * read DATA follows its COL RD by t_CAC + t_RDLY; write DATA follows
   its COL WR by t_CAC (no round-trip delay for writes),
 * cycling the DATA bus from write back to read inserts the t_RW
@@ -75,6 +75,16 @@ class RdramGeometry:
     doubled_banks: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("num_banks", "page_bytes", "rows_per_bank"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+        if not isinstance(self.doubled_banks, bool):
+            raise ConfigurationError(
+                f"doubled_banks must be a bool, got {self.doubled_banks!r}"
+            )
         if self.num_banks <= 0 or self.page_bytes <= 0 or self.rows_per_bank <= 0:
             raise ConfigurationError("geometry fields must be positive")
         if self.page_bytes % DATA_PACKET_BYTES:
@@ -125,8 +135,8 @@ def record_data_gap(
     an access whose DATA packet leaves the bus idle before it.
 
     Must be called after the access's COL start is computed but before
-    any bus/bank state is updated.  ``memory`` is the device or channel
-    issuing the access; both expose the same bus-state attributes.
+    any bus/bank state is updated.  ``memory`` is the
+    :class:`RdramDevice` issuing the access.
     """
     data_start = col_start + delay
     idle_from = memory._data_bus_free
@@ -180,21 +190,6 @@ def record_bank_close(
         prer_start,
         via_col=via_col,
     )
-
-
-def flush_bank_observation(
-    obs: Instrumentation, banks: List[Bank], end_cycle: int
-) -> None:
-    """Close "row open" spans for banks still open when a run ends."""
-    for bank_obj in banks:
-        if bank_obj.is_open:
-            obs.tracer.add_span(
-                f"bank{bank_obj.index}",
-                f"row {bank_obj.open_row}",
-                bank_obj.last_act_start,
-                end_cycle,
-                open_at_end=True,
-            )
 
 
 @dataclass
@@ -318,11 +313,20 @@ def perform_access(
 
 
 class RdramDevice:
-    """One Direct RDRAM device on a Rambus channel.
+    """The Direct RDRAM devices on one Rambus channel.
+
+    A plain :class:`RdramGeometry` is one device, the paper's system.
+    A :class:`~repro.rdram.channel.ChannelGeometry` puts up to 32
+    devices on the channel: they share the ROW, COL and DATA buses,
+    the DATA-bus turnaround and the write-buffer retire slot, while
+    each keeps its own banks and its own t_RR spacing between ACTs.
+    Bank indices are global (device d's bank b is index
+    ``d * banks_per_device + b``), so every controller runs unmodified
+    on any device count.
 
     Args:
         timing: Datasheet timing parameters.
-        geometry: Bank/page geometry.
+        geometry: Bank/page geometry, of one device or of a channel.
         record_trace: When True (default) every scheduled packet is
             appended to :attr:`trace` for auditing and timeline
             rendering.  Disable for long benchmark sweeps.
@@ -375,10 +379,16 @@ class RdramDevice:
             BusDirection.READ: self.timing.read_data_delay(),
             BusDirection.WRITE: self.timing.write_data_delay(),
         }
+        # t_RR spaces ACTs per device; a plain RdramGeometry is one.
+        self._banks_per_device = getattr(
+            self.geometry, "device", self.geometry
+        ).num_banks
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
-        self._last_act_start = NEVER
+        self._last_act_by_device = [NEVER] * (
+            self.geometry.num_banks // self._banks_per_device
+        )
         self._last_write_data_end = NEVER
         self._last_data_dir: Optional[BusDirection] = None
         self._data_packets_moved = 0
@@ -402,7 +412,8 @@ class RdramDevice:
     def earliest_act(self, bank: int, now: int) -> int:
         """First cycle >= now at which ACT to ``bank`` could start.
 
-        On double-bank cores, the activate also waits out t_RP from
+        t_RR counts from the last ACT to the same device only.  On
+        double-bank cores, the activate also waits out t_RP from
         any neighbor's precharge, and requires both neighbors closed
         (raising :class:`~repro.errors.ProtocolError` otherwise, since
         no amount of waiting legalizes it — the controller must
@@ -411,7 +422,8 @@ class RdramDevice:
         earliest = max(
             self.bank(bank).earliest_act(now),
             self._row_bus_free,
-            self._last_act_start + self.timing.t_rr,
+            self._last_act_by_device[bank // self._banks_per_device]
+            + self.timing.t_rr,
         )
         for neighbor in self.geometry.neighbors(bank):
             neighbor_bank = self.banks[neighbor]
@@ -475,7 +487,7 @@ class RdramDevice:
             self.obs.counters.incr("device.row_act")
         self.bank(bank).apply_act(start, row)
         self._row_bus_free = start + self.timing.t_pack
-        self._last_act_start = start
+        self._last_act_by_device[bank // self._banks_per_device] = start
         packet = RowPacket(command=RowCommand.ACT, bank=bank, row=row, start=start)
         if self.record_trace:
             self.trace.append(packet)
@@ -646,11 +658,20 @@ class RdramDevice:
 
     def finish_observation(self, end_cycle: int) -> None:
         """Close any still-open "row open" spans at the end of a run."""
-        if self.obs is not None:
-            flush_bank_observation(self.obs, self.banks, end_cycle)
+        if self.obs is None:
+            return
+        for bank_obj in self.banks:
+            if bank_obj.is_open:
+                self.obs.tracer.add_span(
+                    f"bank{bank_obj.index}",
+                    f"row {bank_obj.open_row}",
+                    bank_obj.last_act_start,
+                    end_cycle,
+                    open_at_end=True,
+                )
 
     def reset(self) -> None:
-        """Return the device and all banks to the power-on state."""
+        """Return the buses and all banks to the power-on state."""
         for bank in self.banks:
             bank.reset()
         if self.page_manager is not None:
@@ -659,7 +680,7 @@ class RdramDevice:
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
-        self._last_act_start = NEVER
+        self._last_act_by_device = [NEVER] * len(self._last_act_by_device)
         self._last_write_data_end = NEVER
         self._last_data_dir = None
         self._data_packets_moved = 0

@@ -7,7 +7,7 @@ independent per-channel memories — each with private bus state, bank
 state, write buffer and page manager — and routes global bank indices
 to them: channel ``c``'s local bank ``b`` is global index
 ``c * banks_per_channel + b``, the same globalization scheme
-:class:`~repro.rdram.channel.RambusChannel` uses for device banks.
+:class:`~repro.rdram.channel.ChannelGeometry` uses for device banks.
 Every controller in the library therefore runs unmodified against a
 fabric, and accesses routed to different channels overlap in time
 because nothing below the controller is shared.
@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.bank import Bank
-from repro.rdram.channel import ChannelGeometry, RambusChannel
+from repro.rdram.channel import ChannelGeometry, make_memory
 from repro.rdram.device import AccessIssue, RdramDevice, RdramGeometry
 from repro.rdram.packets import BusDirection, RowPacket
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
@@ -150,26 +150,16 @@ class MemoryFabric:
         self._obs: Optional[Instrumentation] = None
         self._gap_log: Optional[List[DataBusGap]] = None
         self._mapping = None
-        self.channel_memories: List[object] = []
-        for _ in range(channels):
-            if isinstance(self.geometry.channel, ChannelGeometry):
-                memory: object = RambusChannel(
-                    timing=self.timing,
-                    geometry=self.geometry.channel,
-                    record_trace=record_trace,
-                    explicit_retire=explicit_retire,
-                )
-            else:
-                memory = RdramDevice(
-                    timing=self.timing,
-                    geometry=self.geometry.channel,
-                    record_trace=record_trace,
-                    explicit_retire=explicit_retire,
-                )
-            memory.page_manager = (
-                page_manager_factory() if page_manager_factory else None
+        self.channel_memories: List[RdramDevice] = [
+            make_memory(
+                timing=self.timing,
+                geometry=self.geometry.channel,
+                record_trace=record_trace,
+                explicit_retire=explicit_retire,
+                page_manager_factory=page_manager_factory,
             )
-            self.channel_memories.append(memory)
+            for _ in range(channels)
+        ]
         #: Flat global-bank view across channels (telemetry samples it).
         self.banks: List[Bank] = [
             bank for memory in self.channel_memories for bank in memory.banks

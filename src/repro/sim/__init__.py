@@ -28,7 +28,6 @@ from repro.sim.runner import (
     resolve_policy,
     set_default_engine,
     simulate,
-    simulate_kernel,
 )
 from repro.sim.sweep import Sweep, pivot, sweep
 
@@ -59,7 +58,6 @@ __all__ = [
     "resolve_config",
     "resolve_policy",
     "simulate",
-    "simulate_kernel",
     "Sweep",
     "pivot",
     "sweep",

@@ -73,10 +73,6 @@ ENGINES.add("event", "the discrete-event kernel; supports every configuration")
 ENGINES.add("batch", "vectorized fast path; bit-identical, core configs only")
 ENGINES.add("auto", "batch when the configuration supports it, else event")
 
-#: Back-compat alias: ``ENGINE_DESCRIPTIONS[name]`` is the one-line
-#: description, exactly as the historical plain dict behaved.
-ENGINE_DESCRIPTIONS: Registry[str] = ENGINES
-
 #: MSU idle sentinel, mirrored from :mod:`repro.core.msu` (imported
 #: by value to keep this module free of the object model's hot path).
 _IDLE = 1 << 60
@@ -98,7 +94,7 @@ def list_engines() -> str:
     """Human-readable engine listing (mirrors ``list_policies``)."""
     lines = ["simulation engines:"]
     for engine in ENGINES:
-        lines.append(f"  {engine:12s} {ENGINE_DESCRIPTIONS[engine]}")
+        lines.append(f"  {engine:12s} {ENGINES[engine]}")
     return "\n".join(lines)
 
 

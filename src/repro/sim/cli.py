@@ -40,7 +40,7 @@ from repro.obs.metrics import write_metrics_jsonl
 from repro.rdram.audit import audit_trace
 from repro.rdram.tracefmt import render_trace
 from repro.exec import execution
-from repro.sim.batch import ENGINE_DESCRIPTIONS, ENGINES, list_engines
+from repro.sim.batch import ENGINES, list_engines
 from repro.traffic.scheduling import SCHEDULERS, list_schedulers
 from repro.sim.engine import run_smc
 from repro.sim.metrics import bank_imbalance, measure_trace
@@ -223,7 +223,7 @@ def list_policies() -> str:
         )
     lines.append("simulation engines (--engine):")
     for name in ENGINES:
-        lines.append(f"  {name:12s} {ENGINE_DESCRIPTIONS[name]}")
+        lines.append(f"  {name:12s} {ENGINES[name]}")
     return "\n".join(lines)
 
 

@@ -14,17 +14,12 @@ Engines (see :mod:`repro.sim.batch`):
 * ``"batch"`` — the vectorized fast path; bit-identical on the core
   configurations, several times faster.
 * ``"auto"`` (default) — batch when the spec supports it, else event.
-
-:func:`simulate_kernel` is the historical keyword interface, kept as a
-deprecated thin wrapper that builds a :class:`RunSpec` and calls
-:func:`simulate`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -409,8 +404,7 @@ class RunSpec:
         if isinstance(alignment, Alignment):
             object.__setattr__(self, "alignment", alignment.value)
         else:
-            # Validates the string; bad names raise ValueError exactly
-            # as the historical simulate_kernel signature did.
+            # Validates the string; bad names raise ValueError.
             object.__setattr__(self, "alignment", Alignment(alignment.lower()).value)
         policy = self.policy
         if (
@@ -682,89 +676,3 @@ def simulate(
     if cache is not None:
         cache.put(spec, result)
     return result
-
-
-def simulate_kernel(
-    kernel: Union[str, Kernel],
-    organization: Union[str, MemorySystemConfig] = "cli",
-    length: int = 1024,
-    fifo_depth: int = 64,
-    stride: int = 1,
-    alignment: Union[str, Alignment] = Alignment.STAGGERED,
-    policy: Union[str, SchedulingPolicy, None] = None,
-    audit: bool = False,
-    refresh: bool = False,
-    interleaving: Optional[Union[str, Interleaving]] = None,
-    page_policy: Optional[Union[str, PagePolicy]] = None,
-    telemetry_window: Optional[int] = None,
-    obs: Optional[Instrumentation] = None,
-    engine: str = "auto",
-) -> SimulationResult:
-    """Simulate one streaming kernel on an SMC-equipped RDRAM system.
-
-    .. deprecated::
-        Build a :class:`RunSpec` and call :func:`simulate` instead;
-        this keyword wrapper packs its parameters into a spec
-        unchanged and will eventually be removed.
-
-    Args:
-        kernel: Kernel name (see :data:`repro.cpu.kernels.KERNELS`) or
-            a :class:`~repro.cpu.kernels.Kernel`.
-        organization: "cli", "pi", or a custom
-            :class:`~repro.memsys.config.MemorySystemConfig`.
-        length: Vector length in elements (the paper uses 128 and 1024).
-        fifo_depth: FIFO depth in elements (the paper sweeps 8-128).
-        stride: Stream stride in elements.
-        alignment: "aligned" (maximal bank conflicts) or "staggered".
-        policy: MSU policy name or instance; None selects the paper's
-            round-robin policy.
-        audit: Verify the full packet trace against the protocol
-            auditor after the run (slower; implies trace recording).
-        refresh: Run a background refresh engine (the paper ignores
-            refresh; enable to measure its cost).
-        interleaving: Optional registered address-mapping name (e.g.
-            "swizzle") overriding the organization's own choice.
-        page_policy: Optional registered page-management policy name
-            (e.g. "timeout", "hybrid") overriding the organization's
-            own choice.
-        telemetry_window: Optional sampling period in cycles; applied
-            to ``obs`` (when given without a window of its own) so the
-            run emits windowed time series (see
-            :mod:`repro.obs.telemetry`).
-        obs: Optional :class:`~repro.obs.core.Instrumentation` to
-            record counters, spans and DATA-bus gaps for this run (see
-            :mod:`repro.obs`).  Default None costs nothing.
-        engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-            :func:`simulate`).
-
-    Returns:
-        The simulation result, including percent-of-peak bandwidth.
-
-    Example:
-        >>> spec = RunSpec(kernel="daxpy", organization="pi",
-        ...                length=1024, fifo_depth=128)
-        >>> 0 < simulate(spec).percent_of_peak <= 100
-        True
-    """
-    warnings.warn(
-        "simulate_kernel() is deprecated; build a RunSpec and call "
-        "simulate(spec) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = RunSpec(
-        kernel=kernel,
-        organization=organization,
-        length=length,
-        fifo_depth=fifo_depth,
-        stride=stride,
-        alignment=alignment,
-        policy=policy,
-        audit=audit,
-        refresh=refresh,
-        interleaving=interleaving,
-        page_policy=page_policy,
-        telemetry_window=telemetry_window,
-        engine=engine,
-    )
-    return simulate(spec, obs=obs)

@@ -12,7 +12,6 @@ cache identity.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,7 +40,6 @@ from repro.sim.runner import (
     default_engine,
     set_default_engine,
     simulate,
-    simulate_kernel,
 )
 
 kernel_names = st.sampled_from(sorted(KERNELS))
@@ -260,23 +258,6 @@ class TestSimulateEngineApi:
         finally:
             set_default_engine(previous)
         assert default_engine() == "auto"
-
-    def test_simulate_kernel_is_deprecated_but_equivalent(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = simulate_kernel("daxpy", "cli", length=64,
-                                     fifo_depth=16)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        # Exactly one warning per call: the alias warns at its own
-        # call site and nothing underneath it warns again.
-        assert len(deprecations) == 1
-        assert "RunSpec" in str(deprecations[0].message)
-        assert legacy == simulate(RunSpec(
-            kernel="daxpy", organization="cli", length=64, fifo_depth=16,
-        ))
 
 
 class TestEngineCli:

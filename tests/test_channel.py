@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.cpu.kernels import DAXPY
@@ -108,6 +110,79 @@ class TestChannelAudit:
         channel.issue_act(8, 0, 0)
         with pytest.raises(ProtocolError, match="t_RR"):
             audit_trace(channel.trace, timing, num_banks=16)
+
+
+#: Per-device geometries the property draws from: the paper's part and
+#: a double-bank core.
+DEVICE_GEOMETRIES = (
+    RdramGeometry(),
+    RdramGeometry(num_banks=16, doubled_banks=True),
+)
+
+#: One stream access: (bank draw, row, column, cycles since the previous
+#: request, write?, precharge flag).  Few rows, so page conflicts are
+#: common; the bank draw is reduced modulo the memory's bank count.
+accesses = st.lists(
+    st.tuples(
+        st.integers(0, 63),
+        st.integers(0, 3),
+        st.integers(0, 63),
+        st.integers(0, 12),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=48,
+)
+
+
+def _replay(memory, ops):
+    now = 0
+    for bank, row, column, gap, write, precharge in ops:
+        now += gap
+        memory.issue_access(
+            bank % memory.geometry.num_banks,
+            row,
+            column,
+            now,
+            BusDirection.WRITE if write else BusDirection.READ,
+            precharge=precharge,
+        )
+    return memory.trace
+
+
+class TestRandomAccessProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        device=st.sampled_from(DEVICE_GEOMETRIES),
+        explicit_retire=st.booleans(),
+        num_devices=st.sampled_from((2, 4)),
+        ops=accesses,
+    )
+    def test_channels_match_device_and_pass_audit(
+        self, device, explicit_retire, num_devices, ops
+    ):
+        def channel(devices):
+            return RambusChannel(
+                geometry=ChannelGeometry(num_devices=devices, device=device),
+                explicit_retire=explicit_retire,
+            )
+
+        plain = _replay(
+            RdramDevice(geometry=device, explicit_retire=explicit_retire), ops
+        )
+        assert _replay(channel(1), ops) == plain
+        audit_trace(
+            plain,
+            num_banks=device.num_banks,
+            doubled_banks=device.doubled_banks,
+        )
+        audit_trace(
+            _replay(channel(num_devices), ops),
+            num_banks=num_devices * device.num_banks,
+            doubled_banks=device.doubled_banks,
+            banks_per_device=device.num_banks,
+        )
 
 
 class TestControllersOnChannels:

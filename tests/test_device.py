@@ -22,6 +22,18 @@ class TestGeometry:
             RdramGeometry(num_banks=0)
         with pytest.raises(ConfigurationError):
             RdramGeometry(page_bytes=1000)  # not packet-aligned
+        for field, bad in (
+            ("num_banks", 8.5),
+            ("num_banks", "8"),
+            ("num_banks", True),
+            ("page_bytes", 1024.0),
+            ("rows_per_bank", 2.5),
+            ("rows_per_bank", None),
+            ("doubled_banks", 1),
+            ("doubled_banks", "yes"),
+        ):
+            with pytest.raises(ConfigurationError, match=field):
+                RdramGeometry(**{field: bad})
 
 
 class TestRowCommands:
