@@ -75,7 +75,6 @@ from repro.errors import (
     StreamError,
 )
 from repro.memsys import (
-    AddressMap,
     Interleaving,
     Location,
     MemorySystemConfig,
@@ -161,7 +160,6 @@ __all__ = [
     "ReproError",
     "SchedulingError",
     "StreamError",
-    "AddressMap",
     "Interleaving",
     "Location",
     "MemorySystemConfig",

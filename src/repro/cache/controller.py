@@ -29,6 +29,7 @@ from repro.cpu.streams import (
 )
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.naturalorder.controller import MAX_OUTSTANDING, NaturalOrderController
+from repro.rdram.packets import BusDirection
 from repro.sim.kernel import ResultBuilder
 from repro.sim.results import SimulationResult
 
@@ -90,7 +91,7 @@ class CachedNaturalOrderController(NaturalOrderController):
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
             engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
+                :meth:`~repro.naturalorder.line.LineController._drive`).
 
         Returns:
             The result; ``bank_conflicts`` reports device-level
@@ -165,20 +166,20 @@ class CachedNaturalOrderController(NaturalOrderController):
             return start_at
 
         def issue(
-            line_address: int, direction: Direction, start_at: int
+            line_address: int, direction: BusDirection, start_at: int
         ) -> int:
             (first_cmd, first_arrival, data_end,
-             had_conflict, hits, misses) = self._issue_line(
+             forced, hits, misses) = self.issue_line(
                 line_address, direction, start_at
             )
             builder.transactions += 1
-            builder.bank_conflicts += int(had_conflict)
+            builder.bank_conflicts += int(forced > 0)
             builder.page_hits += hits
             builder.page_misses += misses
             clock.value = max(clock.value, first_cmd)
             builder.note_data_end(data_end)
             outstanding.append(data_end)
-            if direction is Direction.READ:
+            if direction is BusDirection.READ:
                 builder.note_first_data(first_arrival)
             return first_arrival
 
@@ -205,21 +206,21 @@ class CachedNaturalOrderController(NaturalOrderController):
                     start_at = max(start_at, dependence)
                 start_at = prepare(start_at)
                 yield start_at
-                arrival = issue(outcome.fill_line, Direction.READ, start_at)
+                arrival = issue(outcome.fill_line, BusDirection.READ, start_at)
                 if not is_write:
                     line_first_data[descriptor.name] = arrival
                 if outcome.writeback_line is not None:
                     start_at = prepare(clock.value)
                     yield start_at
                     issue(
-                        outcome.writeback_line, Direction.WRITE, start_at
+                        outcome.writeback_line, BusDirection.WRITE, start_at
                     )
 
         if flush_at_end:
             for line_address in cache.flush_dirty_lines():
                 start_at = prepare(clock.value)
                 yield start_at
-                issue(line_address, Direction.WRITE, start_at)
+                issue(line_address, BusDirection.WRITE, start_at)
 
 
 class _ProgramClock:

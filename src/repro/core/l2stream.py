@@ -31,19 +31,10 @@ from repro.cache.model import CacheConfig, CacheModel
 from repro.cpu.kernels import Kernel
 from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
 from repro.cpu.streams import Alignment, Direction, place_streams
-from repro.memsys.address import get_address_mapping
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
-from repro.rdram.channel import make_memory
+from repro.naturalorder.line import LineController
 from repro.rdram.packets import BusDirection
-from repro.rdram.refresh import RefreshEngine
-from repro.sim.kernel import (
-    BackgroundComponent,
-    Component,
-    ResultBuilder,
-    Simulation,
-    TimedEvent,
-)
+from repro.sim.kernel import ResultBuilder, TimedEvent
 from repro.sim.results import SimulationResult
 
 #: Concurrent line fetches in flight, matching the device pipeline.
@@ -62,7 +53,7 @@ class _StreamState:
     prefetch_cursor: int = 0
 
 
-class L2StreamingController:
+class L2StreamingController(LineController):
     """SMC variant that stages stream data in an L2 cache.
 
     Args:
@@ -85,7 +76,7 @@ class L2StreamingController:
     ) -> None:
         if prefetch_window < 1:
             raise ConfigurationError("prefetch window must be at least 1")
-        self.config = config
+        super().__init__(config, record_trace=record_trace, refresh=refresh)
         self.l2_config = l2_config or CacheConfig(
             size_bytes=64 * 1024,
             associativity=2,
@@ -96,17 +87,6 @@ class L2StreamingController:
                 "L2 line size must match the memory system cacheline"
             )
         self.prefetch_window = prefetch_window
-        self.page_manager = make_page_manager(config)
-        self.device = make_memory(
-            timing=config.timing,
-            geometry=config.geometry,
-            record_trace=record_trace,
-            page_manager=self.page_manager,
-        )
-        self.address_map = get_address_mapping(config)
-        self.device.mapping = self.address_map
-        self.refresh = refresh
-        self.refreshes_issued = 0
         self.l2: Optional[CacheModel] = None
         self.refetches = 0
         self.writebacks_streamed = 0
@@ -135,7 +115,7 @@ class L2StreamingController:
             dense: Visit every cycle in the simulation kernel instead
                 of skipping ahead while waiting on line arrivals.
             engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
+                :meth:`LineController._drive`).
 
         Returns:
             The result; ``fifo_depth`` reports the prefetch window and
@@ -146,7 +126,6 @@ class L2StreamingController:
         self.l2 = CacheModel(self.l2_config)
         self.refetches = 0
         self.writebacks_streamed = 0
-        self.refreshes_issued = 0
         descriptors = place_streams(
             kernel.streams,
             self.config,
@@ -179,43 +158,21 @@ class L2StreamingController:
         if max_cycles is None:
             max_cycles = 20_000 + 200 * sum(len(s.lines) for s in streams)
 
-        # Imported here, not at module scope: repro.sim.batch pulls in
-        # repro.core for plan building, so a top-level import would be
-        # circular whichever package loads first.
-        from repro.sim.batch import lean_run, resolve_controller_engine
-
-        resolved = resolve_controller_engine(engine, dense=dense)
         run_state = _L2Run(self, streams, length)
-        components: List[Component] = []
-        if self.refresh:
-            refresh_engine = RefreshEngine(self.device)
-            components.append(BackgroundComponent(refresh_engine))
-        components.append(run_state)
-        label = (
-            f"l2-streaming: kernel={kernel.name}, "
-            f"org={self.config.describe()}"
+        final_cycle = self._drive(
+            run_state,
+            max_cycles=max_cycles,
+            label=(
+                f"l2-streaming: kernel={kernel.name}, "
+                f"org={self.config.describe()}"
+            ),
+            dense=dense,
+            engine=engine,
         )
-        if resolved == "batch":
-            final_cycle = lean_run(
-                components,
-                done=lambda: run_state.finished,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            final_cycle = Simulation(
-                components,
-                done=lambda sim: run_state.finished,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-            ).run()
-        if self.refresh:
-            self.refreshes_issued = refresh_engine.refreshes_issued
 
         # Stream out the remaining dirty lines.
         for line_address in self.l2.flush_dirty_lines():
-            run_state.issue_line(line_address, Direction.WRITE, final_cycle)
+            run_state.issue(line_address, BusDirection.WRITE, final_cycle)
             self.writebacks_streamed += 1
 
         useful = len(descriptors) * length * ELEMENT_BYTES
@@ -311,7 +268,7 @@ class _L2Run:
         self._last_cycle = -1
 
     @property
-    def finished(self) -> bool:
+    def done(self) -> bool:
         """All accesses retired and no line traffic left in flight."""
         return (
             self.position >= len(self.schedule)
@@ -319,38 +276,15 @@ class _L2Run:
             and not self.pending_writebacks
         )
 
-    def issue_line(
-        self, line_address: int, direction: Direction, cycle: int
+    def issue(
+        self, line_address: int, direction: BusDirection, cycle: int
     ) -> int:
         """Issue one full-cacheline transfer; returns its data end."""
-        controller = self.controller
-        bus_dir = (
-            BusDirection.READ
-            if direction is Direction.READ
-            else BusDirection.WRITE
+        _, _, data_end, _, hits, misses = self.controller.issue_line(
+            line_address, direction, cycle
         )
-        packets = controller.config.packets_per_cacheline
-        data_end = 0
-        for offset in range(packets):
-            location = controller.address_map.decompose(
-                line_address + offset * 16
-            )
-            outcome = controller.device.issue_access(
-                location.bank,
-                location.row,
-                location.column,
-                cycle,
-                bus_dir,
-                precharge=(
-                    controller.page_manager.plans_precharge
-                    and offset == packets - 1
-                ),
-            )
-            if outcome.page_hit:
-                self.page_hits += 1
-            else:
-                self.page_misses += 1
-            data_end = outcome.access.data.end
+        self.page_hits += hits
+        self.page_misses += misses
         self.transactions += 1
         self.last_data_end = max(self.last_data_end, data_end)
         return data_end
@@ -377,7 +311,7 @@ class _L2Run:
         # Drain one pending writeback per cycle slot.
         if self.pending_writebacks:
             line_address = self.pending_writebacks.pop(0)
-            self.issue_line(line_address, Direction.WRITE, cycle)
+            self.issue(line_address, BusDirection.WRITE, cycle)
             controller.writebacks_streamed += 1
         # Prefetch round-robin: one line issue per cycle at most.
         if len(self.inflight) < MAX_OUTSTANDING_LINES:
@@ -393,8 +327,8 @@ class _L2Run:
                 ):
                     pass  # already here (shared vector) — free
                 else:
-                    arrival = self.issue_line(
-                        line_address, Direction.READ, cycle
+                    arrival = self.issue(
+                        line_address, BusDirection.READ, cycle
                     )
                     self.inflight[line_address] = arrival
         # CPU consumes in natural order.
@@ -418,8 +352,8 @@ class _L2Run:
                 # Prematurely evicted (or never prefetched):
                 # demand refetch — the cost the paper predicts.
                 controller.refetches += 1
-                self.inflight[line_address] = self.issue_line(
-                    line_address, Direction.READ, cycle
+                self.inflight[line_address] = self.issue(
+                    line_address, BusDirection.READ, cycle
                 )
                 ready = False
             else:

@@ -1,7 +1,6 @@
 """Memory-system organization: configuration, interleaving, policies."""
 
 from repro.memsys.address import (
-    AddressMap,
     AddressMapping,
     Location,
     MAPPINGS,
@@ -26,7 +25,6 @@ from repro.memsys.pagemanager import (
 )
 
 __all__ = [
-    "AddressMap",
     "AddressMapping",
     "Location",
     "MAPPINGS",

@@ -322,16 +322,6 @@ def get_address_mapping(config: MemorySystemConfig) -> AddressMapping:
     return ChannelStriping(config, base)
 
 
-def AddressMap(config: MemorySystemConfig) -> AddressMapping:
-    """Back-compat factory: the mapping selected by ``config``.
-
-    Historical callers constructed ``AddressMap(config)`` directly;
-    the class has become the :class:`AddressMapping` strategy registry
-    and this factory keeps the old spelling working.
-    """
-    return get_address_mapping(config)
-
-
 @register_mapping
 class CachelineInterleaving(AddressMapping):
     """The paper's CLI map: successive cachelines in successive banks."""

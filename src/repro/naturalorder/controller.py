@@ -26,7 +26,7 @@ The model follows Figure 5's conventions:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional
 
 from repro.cpu.kernels import Kernel
 from repro.cpu.streams import (
@@ -35,22 +35,12 @@ from repro.cpu.streams import (
     StreamDescriptor,
     place_streams,
 )
-from repro.memsys.address import get_address_mapping
-from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
+from repro.memsys.config import ELEMENT_BYTES
+from repro.naturalorder.line import LineController
 from repro.obs.core import Instrumentation
 from repro.obs.telemetry import finalize_telemetry
-from repro.rdram.channel import make_memory
 from repro.rdram.packets import BusDirection
-from repro.rdram.refresh import RefreshEngine
-from repro.sim.batch import lean_run, resolve_controller_engine
-from repro.sim.kernel import (
-    BackgroundComponent,
-    Component,
-    ResultBuilder,
-    Simulation,
-    TransactionPump,
-)
+from repro.sim.kernel import ResultBuilder, TransactionPump
 from repro.sim.results import SimulationResult
 
 #: The Direct RDRAM's pipelined microarchitecture "supports up to four
@@ -58,7 +48,7 @@ from repro.sim.results import SimulationResult
 MAX_OUTSTANDING = 4
 
 
-class NaturalOrderController:
+class NaturalOrderController(LineController):
     """Blocking-order cacheline controller over one RDRAM device.
 
     Args:
@@ -74,25 +64,6 @@ class NaturalOrderController:
     #: Result ``policy`` name reported by this controller.
     POLICY = "natural-order"
 
-    def __init__(
-        self,
-        config: MemorySystemConfig,
-        record_trace: bool = False,
-        refresh: bool = False,
-    ) -> None:
-        self.config = config
-        self.page_manager = make_page_manager(config)
-        self.device = make_memory(
-            timing=config.timing,
-            geometry=config.geometry,
-            record_trace=record_trace,
-            page_manager=self.page_manager,
-        )
-        self.address_map = get_address_mapping(config)
-        self.device.mapping = self.address_map
-        self.refresh = refresh
-        self.refreshes_issued = 0
-
     def _simulate(
         self,
         steps: Iterator[int],
@@ -103,44 +74,20 @@ class NaturalOrderController:
         obs: Optional[Instrumentation] = None,
         engine: str = "auto",
     ) -> None:
-        """Drive ``steps`` through the shared simulation kernel.
+        """Drive ``steps`` through a :class:`TransactionPump`.
 
-        One kernel run per controller run: an optional background
-        refresh engine plus a :class:`TransactionPump` resuming the
-        controller's transaction generator at each start cycle.  With
-        ``engine="batch"`` (or ``"auto"`` when neither instrumentation
-        nor dense mode is requested) the same components run on the
-        heapless :func:`repro.sim.batch.lean_run` loop instead.
+        The pump resumes the controller's transaction generator at each
+        start cycle; :meth:`_drive` runs it on the kernel ``engine``
+        picks.
         """
-        resolved = resolve_controller_engine(
-            engine, instrumented=obs is not None, dense=dense
+        self._drive(
+            TransactionPump(steps, on_attach_obs=self._attach_obs),
+            max_cycles=20_000 + 500 * max(max_steps, 1),
+            label=label,
+            dense=dense,
+            engine=engine,
+            obs=obs,
         )
-        self.refreshes_issued = 0
-        components: List[Component] = []
-        if self.refresh:
-            refresh_engine = RefreshEngine(self.device)
-            components.append(BackgroundComponent(refresh_engine))
-        pump = TransactionPump(steps, on_attach_obs=self._attach_obs)
-        components.append(pump)
-        max_cycles = 20_000 + 500 * max(max_steps, 1)
-        if resolved == "batch":
-            lean_run(
-                components,
-                done=lambda: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            Simulation(
-                components,
-                done=lambda sim: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-                obs=obs,
-            ).run()
-        if self.refresh:
-            self.refreshes_issued = refresh_engine.refreshes_issued
 
     def _attach_obs(self, obs: Instrumentation) -> None:
         self.device.obs = obs
@@ -172,7 +119,7 @@ class NaturalOrderController:
                 of skipping to the next transaction start (the
                 property tests assert both modes agree).
             engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
+                :meth:`LineController._drive`).
 
         Returns:
             The result; ``useful_bytes`` counts stream elements only,
@@ -266,7 +213,8 @@ class NaturalOrderController:
                     continue
                 current_line[descriptor.name] = line
                 start_at = program_clock
-                if descriptor.direction is Direction.WRITE:
+                is_read = descriptor.direction is Direction.READ
+                if not is_read:
                     dependence = max(
                         (
                             line_first_data[d.name]
@@ -279,86 +227,30 @@ class NaturalOrderController:
                 if len(outstanding) >= MAX_OUTSTANDING:
                     start_at = max(start_at, outstanding.popleft())
                 yield start_at
-                (first_cmd, first_arrival, data_end, had_conflict,
-                 hits, misses) = self._issue_line(
-                    line * line_bytes, descriptor.direction, start_at
+                (first_cmd, first_arrival, data_end, forced,
+                 hits, misses) = self.issue_line(
+                    line * line_bytes,
+                    BusDirection.READ if is_read else BusDirection.WRITE,
+                    start_at,
                 )
                 builder.transactions += 1
-                builder.bank_conflicts += int(had_conflict)
+                builder.bank_conflicts += int(forced > 0)
                 builder.page_hits += hits
                 builder.page_misses += misses
                 if obs is not None:
                     obs.counters.incr("controller.transactions")
-                    if had_conflict:
+                    if forced:
                         obs.counters.incr("controller.conflicts")
                     obs.tracer.add_span(
                         "controller",
-                        ("RD " if descriptor.direction is Direction.READ
-                         else "WR ") + descriptor.name,
+                        ("RD " if is_read else "WR ") + descriptor.name,
                         first_cmd,
                         data_end,
                         line=line,
                     )
                 program_clock = max(program_clock, first_cmd)
                 builder.note_data_end(data_end)
-                if descriptor.direction is Direction.READ:
+                if is_read:
                     line_first_data[descriptor.name] = first_arrival
                     builder.note_first_data(first_arrival)
                 outstanding.append(data_end)
-
-    def _issue_line(
-        self,
-        line_address: int,
-        direction: Direction,
-        start_at: int,
-    ) -> Tuple[int, int, int, bool, int, int]:
-        """Issue one full-cacheline transaction.
-
-        Each packet routes through the device's shared access path
-        (:func:`repro.rdram.device.perform_access`), which owns the
-        open/conflict decision and consults the page manager; the
-        plan-time precharge flag goes on the last packet of the line
-        when the manager plants precharges (the closed-page policy).
-
-        Returns:
-            (first command start, first DATA packet start, last DATA
-            packet end, whether a bank conflict forced a precharge,
-            page hits, page misses).
-        """
-        packets = self.config.packets_per_cacheline
-        bus_dir = (
-            BusDirection.READ
-            if direction is Direction.READ
-            else BusDirection.WRITE
-        )
-        first_cmd: Optional[int] = None
-        first_arrival = 0
-        data_end = 0
-        had_conflict = False
-        hits = 0
-        misses = 0
-        for offset in range(packets):
-            location = self.address_map.decompose(line_address + offset * 16)
-            precharge = (
-                self.page_manager.plans_precharge and offset == packets - 1
-            )
-            outcome = self.device.issue_access(
-                location.bank,
-                location.row,
-                location.column,
-                start_at,
-                bus_dir,
-                precharge=precharge,
-            )
-            had_conflict = had_conflict or outcome.conflicts > 0
-            if outcome.page_hit:
-                hits += 1
-            else:
-                misses += 1
-            if first_cmd is None:
-                first_cmd = outcome.first_cmd
-            if offset == 0:
-                first_arrival = outcome.access.data.start
-            data_end = outcome.access.data.end
-        assert first_cmd is not None
-        return first_cmd, first_arrival, data_end, had_conflict, hits, misses

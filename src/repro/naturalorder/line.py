@@ -1,0 +1,174 @@
+"""Shared base of the whole-cacheline controllers.
+
+The natural-order baseline, its cache-realistic variant, the random
+cacheline driver and the L2 streamer differ in *which* lines they move
+and when, but not in how: each moves whole cachelines through one
+memory wired to the configured page manager and address mapping, next
+to an optional background refresh engine, on one kernel run.
+:class:`LineController` owns those three pieces so each controller
+keeps only its own transaction order and tallies.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, List, Optional, Tuple
+
+from repro.errors import ConfigurationError
+from repro.memsys.address import get_address_mapping
+from repro.memsys.config import MemorySystemConfig
+from repro.memsys.pagemanager import make_page_manager
+from repro.rdram.channel import make_memory
+from repro.rdram.packets import BusDirection
+from repro.rdram.refresh import RefreshEngine
+
+if TYPE_CHECKING:
+    from repro.obs.core import Instrumentation
+    from repro.sim.kernel import Component
+
+
+class LineController:
+    """Whole-cacheline transactions on one RDRAM device or channel.
+
+    Args:
+        config: Memory organization (geometry may be a channel).
+        record_trace: Record the device packet trace for auditing.
+        refresh: Run a background :class:`RefreshEngine` alongside the
+            controller's run.
+    """
+
+    def __init__(
+        self,
+        config: MemorySystemConfig,
+        record_trace: bool = False,
+        refresh: bool = False,
+    ) -> None:
+        self.config = config
+        self.page_manager = make_page_manager(config)
+        self.device = make_memory(
+            timing=config.timing,
+            geometry=config.geometry,
+            record_trace=record_trace,
+            page_manager=self.page_manager,
+        )
+        self.address_map = get_address_mapping(config)
+        self.device.mapping = self.address_map
+        self.refresh = refresh
+        self.refreshes_issued = 0
+
+    def issue_line(
+        self, line_address: int, direction: BusDirection, start_at: int
+    ) -> Tuple[int, int, int, int, int, int]:
+        """Issue one full-cacheline transaction, no earlier than ``start_at``.
+
+        Each DATA packet of the line routes through the device's shared
+        access path (:func:`repro.rdram.device.perform_access`), which
+        owns the open/conflict decision and consults the page manager;
+        the plan-time precharge flag goes on the last packet of the
+        line when the manager plants precharges (the closed-page
+        policy).
+
+        Returns:
+            (first command start, first DATA packet start, last DATA
+            packet end, precharges forced by bank conflicts, page hits,
+            page misses).
+        """
+        decompose = self.address_map.decompose
+        issue_access = self.device.issue_access
+        last = self.config.packets_per_cacheline - 1
+        plans_precharge = self.page_manager.plans_precharge
+        forced = 0
+        hits = 0
+        for offset in range(last + 1):
+            location = decompose(line_address + offset * 16)
+            outcome = issue_access(
+                location.bank,
+                location.row,
+                location.column,
+                start_at,
+                direction,
+                precharge=plans_precharge and offset == last,
+            )
+            forced += outcome.conflicts
+            if outcome.page_hit:
+                hits += 1
+            if offset == 0:
+                first_cmd = outcome.first_cmd
+                first_data = outcome.access.data.start
+        return (
+            first_cmd,
+            first_data,
+            outcome.access.data.end,
+            forced,
+            hits,
+            last + 1 - hits,
+        )
+
+    def _drive(
+        self,
+        component: Component,
+        *,
+        max_cycles: int,
+        label: str,
+        dense: bool,
+        engine: str,
+        obs: Optional[Instrumentation] = None,
+    ) -> int:
+        """Run ``component`` until its ``done`` property holds.
+
+        One kernel run per controller run: the optional background
+        refresh engine plus ``component``.  ``engine="event"`` runs the
+        discrete-event :class:`~repro.sim.kernel.Simulation`; the only
+        reasons a line controller needs it are instrumentation (``obs``)
+        and dense verification mode.  Otherwise ``"batch"`` and
+        ``"auto"`` drive the same components on the heapless
+        :func:`repro.sim.batch.lean_run` loop, and ``"batch"`` with
+        either reason raises.
+
+        Returns:
+            The final visited cycle.
+
+        Raises:
+            ConfigurationError: On an unknown engine name, or on
+                ``engine="batch"`` for an instrumented or dense run.
+        """
+        # Imported here, not at module scope: repro.sim.batch pulls in
+        # repro.core for plan building, and repro.core's package imports
+        # the L2 streamer, a subclass of this class.
+        from repro.sim import batch
+        from repro.sim.kernel import BackgroundComponent, Simulation
+
+        choice = batch.canonical_engine(engine)
+        reason: Optional[str] = None
+        if obs is not None:
+            reason = "instrumented runs need the event engine"
+        elif dense:
+            reason = "dense verification mode needs the event engine"
+        if choice == "batch" and reason is not None:
+            raise ConfigurationError(
+                f"engine 'batch' cannot run this run: {reason}"
+            )
+        self.refreshes_issued = 0
+        components: List[Component] = []
+        if self.refresh:
+            refresh_engine = RefreshEngine(self.device)
+            components.append(BackgroundComponent(refresh_engine))
+        components.append(component)
+        if choice == "event" or reason is not None:
+            final_cycle = Simulation(
+                components,
+                done=lambda sim: component.done,
+                max_cycles=max_cycles,
+                label=label,
+                dense=dense,
+                obs=obs,
+            ).run()
+        else:
+            final_cycle = batch.lean_run(
+                components,
+                done=lambda: component.done,
+                max_cycles=max_cycles,
+                label=label,
+            )
+        if self.refresh:
+            self.refreshes_issued = refresh_engine.refreshes_issued
+        return final_cycle

@@ -18,28 +18,18 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Iterator, List
+from typing import Deque, Iterator
 
 from repro.errors import ConfigurationError
-from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
 from repro.naturalorder.controller import MAX_OUTSTANDING
-from repro.rdram.channel import make_memory
+from repro.naturalorder.line import LineController
 from repro.rdram.packets import BusDirection
-from repro.rdram.refresh import RefreshEngine
-from repro.sim.batch import lean_run, resolve_controller_engine
-from repro.sim.kernel import (
-    BackgroundComponent,
-    Component,
-    ResultBuilder,
-    Simulation,
-    TransactionPump,
-)
+from repro.sim.kernel import ResultBuilder, TransactionPump
 from repro.sim.results import SimulationResult
 
 
-class RandomAccessDriver:
+class RandomAccessDriver(LineController):
     """Issues independent random cacheline transactions.
 
     Args:
@@ -60,19 +50,8 @@ class RandomAccessDriver:
     ) -> None:
         if queue_depth < 1:
             raise ConfigurationError("queue depth must be at least 1")
-        self.config = config
+        super().__init__(config, record_trace=record_trace, refresh=refresh)
         self.queue_depth = queue_depth
-        self.page_manager = make_page_manager(config)
-        self.device = make_memory(
-            timing=config.timing,
-            geometry=config.geometry,
-            record_trace=record_trace,
-            page_manager=self.page_manager,
-        )
-        self.address_map = get_address_mapping(config)
-        self.device.mapping = self.address_map
-        self.refresh = refresh
-        self.refreshes_issued = 0
 
     def run(
         self,
@@ -91,7 +70,7 @@ class RandomAccessDriver:
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
             engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
+                :meth:`LineController._drive`).
 
         Returns:
             A result whose ``percent_of_peak`` is the channel
@@ -100,7 +79,6 @@ class RandomAccessDriver:
         if not 0.0 <= write_fraction <= 1.0:
             raise ConfigurationError("write_fraction must be in [0, 1]")
         self.device.reset()
-        self.refreshes_issued = 0
         builder = ResultBuilder(
             kernel="random-access",
             organization=self.config.describe(),
@@ -110,36 +88,17 @@ class RandomAccessDriver:
             alignment="random",
             policy=f"random-q{self.queue_depth}",
         )
-        resolved = resolve_controller_engine(engine, dense=dense)
-        components: List[Component] = []
-        if self.refresh:
-            refresh_engine = RefreshEngine(self.device)
-            components.append(BackgroundComponent(refresh_engine))
-        pump = TransactionPump(
-            self._transaction_steps(
-                num_transactions, write_fraction, seed, builder
-            )
+        self._drive(
+            TransactionPump(
+                self._transaction_steps(
+                    num_transactions, write_fraction, seed, builder
+                )
+            ),
+            max_cycles=20_000 + 500 * max(num_transactions, 1),
+            label=f"random-q{self.queue_depth}: org={self.config.describe()}",
+            dense=dense,
+            engine=engine,
         )
-        components.append(pump)
-        max_cycles = 20_000 + 500 * max(num_transactions, 1)
-        label = f"random-q{self.queue_depth}: org={self.config.describe()}"
-        if resolved == "batch":
-            lean_run(
-                components,
-                done=lambda: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            Simulation(
-                components,
-                done=lambda sim: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-            ).run()
-        if self.refresh:
-            self.refreshes_issued = refresh_engine.refreshes_issued
 
         moved = self.device.bytes_transferred
         return builder.build(
@@ -169,7 +128,6 @@ class RandomAccessDriver:
         rng = random.Random(seed)
         line_bytes = self.config.cacheline_bytes
         total_lines = self.config.geometry.capacity_bytes // line_bytes
-        packets = self.config.packets_per_cacheline
         outstanding: Deque[int] = deque()
 
         for __ in range(num_transactions):
@@ -183,25 +141,11 @@ class RandomAccessDriver:
             if len(outstanding) >= self.queue_depth:
                 start_at = outstanding.popleft()
             yield start_at
-            data_end = 0
-            for offset in range(packets):
-                location = self.address_map.decompose(
-                    line * line_bytes + offset * 16
-                )
-                outcome = self.device.issue_access(
-                    location.bank,
-                    location.row,
-                    location.column,
-                    start_at,
-                    direction,
-                    precharge=(
-                        self.page_manager.plans_precharge
-                        and offset == packets - 1
-                    ),
-                )
-                builder.bank_conflicts += outcome.conflicts
-                builder.note_first_data(outcome.access.data.start)
-                data_end = outcome.access.data.end
+            _, first_data, data_end, forced, _, _ = self.issue_line(
+                line * line_bytes, direction, start_at
+            )
+            builder.bank_conflicts += forced
+            builder.note_first_data(first_data)
             builder.transactions += 1
             builder.note_data_end(data_end)
             outstanding.append(data_end)

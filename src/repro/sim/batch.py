@@ -21,9 +21,12 @@ parts:
 
 * :func:`lean_run` — a heapless replica of
   :meth:`repro.sim.kernel.Simulation.run` for controllers whose
-  components never post events (the transaction-pump baselines and the
-  L2 streamer).  It drives the *same* component objects with the same
-  visit set, minus the event-scheduler and observability machinery.
+  components never post events: the four whole-cacheline controllers,
+  whose one kernel run is
+  :meth:`repro.naturalorder.line.LineController._drive` (that method
+  also decides between this loop and the event kernel for them).  It
+  drives the *same* component objects with the same visit set, minus
+  the event-scheduler and observability machinery.
 
 The batch SMC loop handles the paper's core configurations: a single
 plain RDRAM device, the round-robin policy, and plan-time page
@@ -174,33 +177,6 @@ def resolve_engine(
         return "batch"
     if choice == "batch":
         raise ConfigurationError(f"engine 'batch' cannot run this spec: {reason}")
-    return "event"
-
-
-def resolve_controller_engine(
-    engine: str,
-    instrumented: bool = False,
-    dense: bool = False,
-) -> str:
-    """Resolve an engine request for a pump-style controller run.
-
-    The transaction-pump controllers support every configuration on
-    both engines (:func:`lean_run` drives the same components), so the
-    only reasons to stay on the event kernel are instrumentation and
-    dense verification mode.
-    """
-    choice = canonical_engine(engine)
-    if choice == "event":
-        return "event"
-    reason: Optional[str] = None
-    if instrumented:
-        reason = "instrumented runs need the event engine"
-    elif dense:
-        reason = "dense verification mode needs the event engine"
-    if reason is None:
-        return "batch"
-    if choice == "batch":
-        raise ConfigurationError(f"engine 'batch' cannot run this run: {reason}")
     return "event"
 
 

@@ -52,6 +52,14 @@ from repro.sim.runner import (
     simulate,
 )
 
+#: ``--baseline`` name -> controller class; all take the same
+#: ``(config, record_trace=..., refresh=...)`` arguments.
+BASELINES = {
+    "natural-order": NaturalOrderController,
+    "cached": CachedNaturalOrderController,
+    "l2-streaming": L2StreamingController,
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -110,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-engines", action="store_true",
                         help="list the simulation engines, then exit")
     parser.add_argument("--baseline", default=None,
-                        choices=("natural-order", "cached", "l2-streaming"),
+                        choices=tuple(BASELINES),
                         help="run a traditional controller instead of "
                              "the SMC: the bare natural-order device, "
                              "the cache-realistic natural-order "
@@ -298,39 +306,20 @@ def _run(args) -> int:
                 "channel's buses"
             )
 
-    if args.baseline == "natural-order":
-        controller = NaturalOrderController(config, record_trace=need_trace)
-        result = controller.run(
-            kernel,
-            length=args.length,
-            stride=args.stride,
-            alignment=Alignment(args.alignment),
-            obs=obs,
-            engine=args.engine,
-        )
-        trace = controller.device.trace
-    elif args.baseline == "cached":
-        controller = CachedNaturalOrderController(
+    if args.baseline:
+        controller = BASELINES[args.baseline](
             config, record_trace=need_trace, refresh=args.refresh
         )
+        # Only natural-order's run takes obs (None for the obsless
+        # baselines above).
+        extra = {} if obs is None else {"obs": obs}
         result = controller.run(
             kernel,
             length=args.length,
             stride=args.stride,
             alignment=Alignment(args.alignment),
             engine=args.engine,
-        )
-        trace = controller.device.trace
-    elif args.baseline == "l2-streaming":
-        controller = L2StreamingController(
-            config, record_trace=need_trace, refresh=args.refresh
-        )
-        result = controller.run(
-            kernel,
-            length=args.length,
-            stride=args.stride,
-            alignment=Alignment(args.alignment),
-            engine=args.engine,
+            **extra,
         )
         trace = controller.device.trace
     elif not need_trace and not need_obs:

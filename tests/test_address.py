@@ -7,18 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.memsys.address import AddressMap, Location
+from repro.memsys.address import Location, get_address_mapping
 from repro.memsys.config import MemorySystemConfig
 
 
 @pytest.fixture
 def cli_map(cli_config):
-    return AddressMap(cli_config)
+    return get_address_mapping(cli_config)
 
 
 @pytest.fixture
 def pi_map(pi_config):
-    return AddressMap(pi_config)
+    return get_address_mapping(pi_config)
 
 
 class TestCliMap:
@@ -100,7 +100,7 @@ class TestRoundTrip:
     @given(address=addresses)
     @settings(max_examples=200)
     def test_cli_round_trip(self, address):
-        mapping = AddressMap(MemorySystemConfig.cli())
+        mapping = get_address_mapping(MemorySystemConfig.cli())
         packet_base = address - address % 16
         location = mapping.decompose(address)
         assert mapping.compose(location, address % 16) == address
@@ -109,7 +109,7 @@ class TestRoundTrip:
     @given(address=addresses)
     @settings(max_examples=200)
     def test_pi_round_trip(self, address):
-        mapping = AddressMap(MemorySystemConfig.pi())
+        mapping = get_address_mapping(MemorySystemConfig.pi())
         location = mapping.decompose(address)
         assert mapping.compose(location, address % 16) == address
 
@@ -118,8 +118,12 @@ class TestRoundTrip:
     def test_maps_disagree_only_on_arrangement(self, address):
         # Both maps must place every address somewhere valid; they are
         # permutations of the same location space.
-        cli_loc = AddressMap(MemorySystemConfig.cli()).decompose(address)
-        pi_loc = AddressMap(MemorySystemConfig.pi()).decompose(address)
+        cli_loc = get_address_mapping(MemorySystemConfig.cli()).decompose(
+            address
+        )
+        pi_loc = get_address_mapping(MemorySystemConfig.pi()).decompose(
+            address
+        )
         for loc in (cli_loc, pi_loc):
             assert 0 <= loc.bank < 8
             assert 0 <= loc.row < 1024

@@ -26,6 +26,7 @@ from repro.cpu.streams import Alignment
 from repro.memsys.config import MemorySystemConfig
 from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
+from repro.obs import Instrumentation
 from repro.sim.batch import (
     ENGINES,
     batch_unsupported_reason,
@@ -204,6 +205,45 @@ class TestEngineSelection:
                               instrumented=True) == "event"
         with pytest.raises(ConfigurationError, match="instrument"):
             resolve_engine("batch", config_for("cli"), instrumented=True)
+
+
+DENSE_BATCH_RUNS = {
+    "natural-order": lambda: NaturalOrderController(config_for("cli")).run(
+        KERNELS["copy"], length=32, dense=True, engine="batch"
+    ),
+    "cached-natural-order": lambda: CachedNaturalOrderController(
+        config_for("cli")
+    ).run(KERNELS["copy"], length=32, dense=True, engine="batch"),
+    "l2-streaming": lambda: L2StreamingController(config_for("cli")).run(
+        KERNELS["copy"], length=32, dense=True, engine="batch"
+    ),
+    "random-access": lambda: RandomAccessDriver(config_for("cli")).run(
+        8, dense=True, engine="batch"
+    ),
+}
+
+
+class TestLineControllerEngineSelection:
+    """The line controllers run on both kernels; only dense mode and
+    instrumentation pin them to the event kernel, and an explicit
+    ``engine="batch"`` names the reason instead of falling back."""
+
+    @pytest.mark.parametrize("name", sorted(DENSE_BATCH_RUNS))
+    def test_batch_refuses_dense_mode(self, name):
+        with pytest.raises(ConfigurationError, match="dense verification"):
+            DENSE_BATCH_RUNS[name]()
+
+    def test_batch_refuses_instrumented_natural_order(self):
+        controller = NaturalOrderController(config_for("cli"))
+        with pytest.raises(ConfigurationError, match="instrumented runs"):
+            controller.run(
+                KERNELS["copy"], length=32, obs=Instrumentation(),
+                engine="batch",
+            )
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown engine"):
+            RandomAccessDriver(config_for("cli")).run(8, engine="warp")
 
 
 class TestSimulateEngineApi:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.memsys.address import AddressMap
+from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
 from repro.rdram.device import RdramDevice, RdramGeometry
 from repro.sim.runner import RunSpec, simulate
@@ -54,7 +54,7 @@ class TestDeviceRules:
 class TestAddressPermutation:
     def test_consecutive_lines_land_on_non_adjacent_banks(self, doubled):
         config = MemorySystemConfig.cli(geometry=doubled)
-        mapping = AddressMap(config)
+        mapping = get_address_mapping(config)
         banks = [mapping.decompose(i * 32).bank for i in range(17)]
         for a, b in zip(banks, banks[1:]):
             assert abs(a - b) != 1
@@ -63,13 +63,13 @@ class TestAddressPermutation:
 
     def test_permuted_map_round_trips(self, doubled):
         config = MemorySystemConfig.pi(geometry=doubled)
-        mapping = AddressMap(config)
+        mapping = get_address_mapping(config)
         for address in range(0, 16 * 1024 * 1024, 131072):
             location = mapping.decompose(address)
             assert mapping.compose(location) == address - address % 16
 
     def test_plain_geometry_keeps_identity_order(self, cli_config):
-        mapping = AddressMap(cli_config)
+        mapping = get_address_mapping(cli_config)
         banks = [mapping.decompose(i * 32).bank for i in range(8)]
         assert banks == list(range(8))
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import SchedulingError, StreamError
 from repro.core.fifo import StreamFifo, build_access_units
 from repro.cpu.streams import Direction, StreamDescriptor
-from repro.memsys.address import AddressMap
+from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
 
 
@@ -22,7 +22,7 @@ def make_units(
     )
     return build_access_units(
         descriptor,
-        AddressMap(config),
+        get_address_mapping(config),
         policy if policy is not None else config.page_policy,
     )
 
@@ -80,7 +80,9 @@ def make_fifo(depth=8, direction=Direction.READ, length=32, stride=1):
     descriptor = StreamDescriptor(
         "s", base=0, stride=stride, length=length, direction=direction
     )
-    units = build_access_units(descriptor, AddressMap(config), config.page_policy)
+    units = build_access_units(
+        descriptor, get_address_mapping(config), config.page_policy
+    )
     return StreamFifo(descriptor, depth, units)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import pytest
 
 from repro.sim.cli import main
 
@@ -60,6 +63,20 @@ class TestOptions:
         out = capsys.readouterr().out
         refreshes = int(out.split("refreshes")[0].rsplit(",", 1)[1])
         assert refreshes > 0
+
+    @pytest.mark.parametrize("baseline, policy", [
+        ("natural-order", "natural-order"),
+        ("cached", "cached-natural-order"),
+        ("l2-streaming", "l2-streaming"),
+    ])
+    def test_baseline_refresh(self, capsys, baseline, policy):
+        assert main([
+            "copy", "--baseline", baseline, "--refresh", "--json",
+            "--length", "1024",
+        ]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["result"]["policy"] == policy
+        assert report["result"]["refreshes"] > 0
 
     def test_compile_mode(self, capsys):
         assert main(

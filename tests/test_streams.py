@@ -12,7 +12,7 @@ from repro.cpu.streams import (
     StreamDescriptor,
     place_streams,
 )
-from repro.memsys.address import AddressMap
+from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
 
 
@@ -56,7 +56,7 @@ class TestPlacement:
     @pytest.mark.parametrize("org", ["cli", "pi"])
     def test_aligned_bases_share_a_bank(self, org):
         config = getattr(MemorySystemConfig, org)()
-        mapping = AddressMap(config)
+        mapping = get_address_mapping(config)
         placed = place_streams(
             VAXPY.streams, config, length=1024, alignment=Alignment.ALIGNED
         )
@@ -66,7 +66,7 @@ class TestPlacement:
     @pytest.mark.parametrize("org", ["cli", "pi"])
     def test_staggered_bases_hit_distinct_banks(self, org):
         config = getattr(MemorySystemConfig, org)()
-        mapping = AddressMap(config)
+        mapping = get_address_mapping(config)
         placed = place_streams(
             VAXPY.streams, config, length=1024, alignment=Alignment.STAGGERED
         )
@@ -78,7 +78,7 @@ class TestPlacement:
 
     def test_staggered_banks_spread_evenly(self):
         config = MemorySystemConfig.pi()
-        mapping = AddressMap(config)
+        mapping = get_address_mapping(config)
         placed = place_streams(
             HYDRO.streams, config, length=1024, alignment=Alignment.STAGGERED
         )
