@@ -10,7 +10,7 @@ refresh interference, scheduler idling, or the final drain — with the
 buckets plus busy cycles summing exactly to the run's cycle count.
 
 The same machinery drives ``repro-simulate --stats/--json/--trace-out``
-and the ``repro-trace`` file inspector; exports open directly in
+and the ``repro-obs trace`` file inspector; exports open directly in
 Perfetto (https://ui.perfetto.dev).
 
 Run: python examples/stall_attribution.py
@@ -49,7 +49,7 @@ def main() -> None:
     events = write_chrome_trace("/tmp/repro_vaxpy_trace.json", obs,
                                 stalls=stalls.as_dict())
     print(f"wrote {events} trace events to /tmp/repro_vaxpy_trace.json "
-          "(open in Perfetto, or run: repro-trace "
+          "(open in Perfetto, or run: repro-obs trace "
           "/tmp/repro_vaxpy_trace.json --stalls)")
     assert stalls.busy + stalls.idle == result.cycles
 

@@ -55,6 +55,25 @@ class ObservabilityError(ReproError):
     of a run (which would indicate an instrumentation bug).
     """
 
+    #: What parsing a malformed exported record raises: a missing
+    #: field, or a value of the wrong type or shape.
+    MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+    @classmethod
+    def malformed(
+        cls, where: str, what: str, error: Exception
+    ) -> "ObservabilityError":
+        """The error for input at ``where`` that is not a valid ``what``.
+
+        ``where`` names the file, and the line for JSONL; ``error`` is
+        one of :attr:`MALFORMED`, raised while parsing it.
+        """
+        detail = (
+            f"missing field {error}" if isinstance(error, KeyError)
+            else str(error)
+        )
+        return cls(f"{where}: not a {what} ({detail})")
+
 
 class ExecutionError(ReproError):
     """The sweep-execution backend could not complete a batch of runs.

@@ -32,13 +32,6 @@ from typing import IO, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Wall-time histogram bounds: 1 ms to 60 s, roughly log-spaced — sim
-#: points run milliseconds to minutes depending on length and refresh.
-WALL_TIME_BOUNDS = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
-
 
 class SweepStats:
     """Accumulates sweep execution metrics across run_specs batches.
@@ -70,9 +63,10 @@ class SweepStats:
         self._workers = self.registry.gauge(
             "sweep.workers", help="process-pool size of the last batch"
         )
+        # The registry's default bounds, 1 ms to 60 s log-spaced, fit
+        # sim points that run milliseconds to minutes.
         self._wall = self.registry.histogram(
             "sweep.spec_wall_seconds",
-            bounds=WALL_TIME_BOUNDS,
             help="per-spec simulation wall time, seconds",
         )
         self._started: Optional[float] = None

@@ -99,7 +99,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="FILE",
         help="append one JSONL event per sweep-point lifecycle "
-             "transition to FILE (render with repro-report)",
+             "transition to FILE (render with repro-obs report)",
     )
     parser.add_argument(
         "--quiet",

@@ -17,9 +17,9 @@ Two on-disk forms are supported:
   appending many runs to one log.
 
 :func:`load_trace_file` reads either format back into a
-:class:`TraceDocument`, which is what the ``repro-trace`` CLI
-consumes.  Counters, spans, instants, gauges, and embedded stall
-buckets round-trip exactly.
+:class:`TraceDocument`, which is what ``repro-obs trace`` consumes.
+Counters, spans, instants, gauges, and embedded stall buckets
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObservabilityError
-from repro.obs.core import (
-    CounterRegistry,
-    EventTracer,
-    Instrumentation,
-    InstantEvent,
-    SpanEvent,
-)
+from repro.obs.core import Instrumentation, InstantEvent, SpanEvent
 
 #: Process id used for all exported events (one run == one process).
 _PID = 1
@@ -219,22 +213,25 @@ def load_trace_file(path: str) -> TraceDocument:
     """Read a Chrome trace JSON or JSONL export back from disk.
 
     Raises:
-        ObservabilityError: If the file is neither format.
+        ObservabilityError: If the file is neither format; the message
+            names the file, and the line for JSONL.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as error:
         raise ObservabilityError(f"cannot read trace file: {error}") from None
+    except UnicodeDecodeError as error:
+        raise ObservabilityError.malformed(path, "text file", error) from None
     stripped = text.lstrip()
     if not stripped:
         raise ObservabilityError(f"trace file {path!r} is empty")
     if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
         try:
             return _from_chrome(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as error:
-            raise ObservabilityError(
-                f"malformed Chrome trace in {path!r}: {error}"
+        except ObservabilityError.MALFORMED as error:
+            raise ObservabilityError.malformed(
+                path, "Chrome trace", error
             ) from None
     return _from_jsonl(path, text)
 
@@ -293,65 +290,46 @@ def _from_jsonl(path: str, text: str) -> TraceDocument:
         if not line:
             continue
         try:
-            record = json.loads(line)
-            kind = record.pop("type")
-        except (json.JSONDecodeError, KeyError) as error:
-            raise ObservabilityError(
-                f"{path}:{number}: not a JSONL trace record ({error})"
+            _add_jsonl_record(loaded, json.loads(line))
+        except ObservabilityError.MALFORMED as error:
+            raise ObservabilityError.malformed(
+                f"{path}:{number}", "JSONL trace record", error
             ) from None
-        if kind == "meta":
-            loaded.meta = record
-        elif kind == "result":
-            loaded.result = record
-        elif kind == "stalls":
-            loaded.stalls = record
-        elif kind == "counter":
-            loaded.counters[record["name"]] = record["value"]
-        elif kind == "gauge":
-            loaded.gauges[record["name"]] = [
-                (cycle, value) for cycle, value in record["samples"]
-            ]
-        elif kind == "span":
-            loaded.spans.append(
-                SpanEvent(
-                    track=record["track"],
-                    name=record["name"],
-                    start=record["start"],
-                    end=record["end"],
-                    args=_args_tuple(record.get("args")),
-                )
-            )
-        elif kind == "instant":
-            loaded.instants.append(
-                InstantEvent(
-                    track=record["track"],
-                    name=record["name"],
-                    cycle=record["cycle"],
-                    args=_args_tuple(record.get("args")),
-                )
-            )
-        # Unknown record types are skipped so the format can grow.
     return loaded
 
 
-def rebuild_instrumentation(document: TraceDocument) -> Instrumentation:
-    """Reconstruct an :class:`Instrumentation` from a loaded export.
+def _add_jsonl_record(loaded: TraceDocument, record: Dict[str, object]) -> None:
+    kind = record.pop("type")
+    if kind == "meta":
+        loaded.meta = record
+    elif kind == "result":
+        loaded.result = record
+    elif kind == "stalls":
+        loaded.stalls = record
+    elif kind == "counter":
+        loaded.counters[record["name"]] = record["value"]
+    elif kind == "gauge":
+        loaded.gauges[record["name"]] = [
+            (cycle, value) for cycle, value in record["samples"]
+        ]
+    elif kind == "span":
+        loaded.spans.append(
+            SpanEvent(
+                track=record["track"],
+                name=record["name"],
+                start=record["start"],
+                end=record["end"],
+                args=_args_tuple(record.get("args")),
+            )
+        )
+    elif kind == "instant":
+        loaded.instants.append(
+            InstantEvent(
+                track=record["track"],
+                name=record["name"],
+                cycle=record["cycle"],
+                args=_args_tuple(record.get("args")),
+            )
+        )
+    # Unknown record types are skipped so the format can grow.
 
-    Gap records are not exported, so the result supports event/counter
-    inspection but not re-running stall attribution; use the embedded
-    ``stalls`` dict for bucket data.
-    """
-    obs = Instrumentation()
-    obs.meta = dict(document.meta)
-    registry = CounterRegistry()
-    for name, value in document.counters.items():
-        registry.incr(name, value)
-    for name, series in document.gauges.items():
-        for cycle, value in series:
-            registry.sample_gauge(name, cycle, value)
-    obs.counters = registry
-    tracer = EventTracer()
-    tracer.spans = list(document.spans)
-    tracer.instants = list(document.instants)
-    obs.tracer = tracer
-    return obs

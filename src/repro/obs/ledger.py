@@ -282,6 +282,8 @@ class Ledger:
             raise ObservabilityError(
                 f"cannot read ledger file: {error}"
             ) from None
+        except UnicodeDecodeError as error:
+            raise ObservabilityError.malformed(name, "text file", error) from None
         events: List[LedgerEvent] = []
         run = -1
         for number, line in enumerate(text.splitlines(), start=1):
@@ -290,16 +292,12 @@ class Ledger:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ObservabilityError(
-                    f"{name}:{number}: not a JSONL ledger record ({error})"
+                event = str(record.pop("event"))
+                t = float(record.pop("t", 0.0))
+            except ObservabilityError.MALFORMED as error:
+                raise ObservabilityError.malformed(
+                    f"{name}:{number}", "JSONL ledger record", error
                 ) from None
-            if not isinstance(record, dict) or "event" not in record:
-                raise ObservabilityError(
-                    f"{name}:{number}: ledger record has no 'event' field"
-                )
-            event = str(record.pop("event"))
-            t = float(record.pop("t", 0.0))
             if event == "ledger_open":
                 run += 1
             if run < 0:

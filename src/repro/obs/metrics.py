@@ -20,8 +20,8 @@ can fan out per bank or per stream without inventing name suffixes.
 
 Three on-disk forms are supported (see :func:`to_prometheus`,
 :func:`write_metrics_jsonl` / :func:`load_metrics_jsonl`, and
-:func:`write_metrics_csv`); JSONL round-trips exactly, which the
-``repro-metrics`` CLI relies on.
+:func:`write_metrics_csv`); JSONL round-trips exactly, which
+``repro-obs list``/``dump``/``plot`` rely on.
 """
 
 from __future__ import annotations
@@ -562,31 +562,48 @@ def metrics_records(registry: MetricsRegistry) -> List[Dict[str, object]]:
 def registry_from_records(
     records: Iterable[Mapping[str, object]]
 ) -> MetricsRegistry:
-    """Rebuild a :class:`MetricsRegistry` from :func:`metrics_records`."""
+    """Rebuild a :class:`MetricsRegistry` from :func:`metrics_records`.
+
+    Raises:
+        ObservabilityError: If a record lacks a field its kind needs or
+            holds a value of the wrong shape; the message gives the
+            record's 1-based position.
+    """
     registry = MetricsRegistry()
-    for record in records:
-        kind = record.get("type")
-        cls = _KINDS.get(str(kind))
-        if cls is None:
-            continue  # unknown record types are skipped; format can grow
-        name = str(record["name"])
-        labels = {
-            str(k): str(v)
-            for k, v in (record.get("labels") or {}).items()  # type: ignore[union-attr]
-        }
-        help_text = str(record.get("help", ""))
-        if cls is Histogram:
-            metric = registry.histogram(
-                name, bounds=record["bounds"], help=help_text, **labels  # type: ignore[arg-type]
-            )
-        elif cls is Counter:
-            metric = registry.counter(name, help=help_text, **labels)
-        elif cls is Gauge:
-            metric = registry.gauge(name, help=help_text, **labels)
-        else:
-            metric = registry.series(name, help=help_text, **labels)
-        metric.restore(record)
+    for number, record in enumerate(records, start=1):
+        try:
+            _restore_record(registry, record)
+        except ObservabilityError.MALFORMED as error:
+            raise ObservabilityError.malformed(
+                f"record {number}", "metrics record", error
+            ) from None
     return registry
+
+
+def _restore_record(
+    registry: MetricsRegistry, record: Mapping[str, object]
+) -> None:
+    kind = record.get("type")
+    cls = _KINDS.get(str(kind))
+    if cls is None:
+        return  # unknown record types are skipped; format can grow
+    name = str(record["name"])
+    labels = {
+        str(k): str(v)
+        for k, v in (record.get("labels") or {}).items()  # type: ignore[union-attr]
+    }
+    help_text = str(record.get("help", ""))
+    if cls is Histogram:
+        metric = registry.histogram(
+            name, bounds=record["bounds"], help=help_text, **labels  # type: ignore[arg-type]
+        )
+    elif cls is Counter:
+        metric = registry.counter(name, help=help_text, **labels)
+    elif cls is Gauge:
+        metric = registry.gauge(name, help=help_text, **labels)
+    else:
+        metric = registry.series(name, help=help_text, **labels)
+    metric.restore(record)
 
 
 def write_metrics_jsonl(path: str, registry: MetricsRegistry) -> int:
@@ -609,7 +626,12 @@ def write_metrics_jsonl(path: str, registry: MetricsRegistry) -> int:
 
 
 def load_metrics_jsonl(path: str) -> MetricsRegistry:
-    """Read a :func:`write_metrics_jsonl` file back into a registry."""
+    """Read a :func:`write_metrics_jsonl` file back into a registry.
+
+    Raises:
+        ObservabilityError: If the file cannot be read or a line is not
+            a metrics record; the message names the file and line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -617,18 +639,20 @@ def load_metrics_jsonl(path: str) -> MetricsRegistry:
         raise ObservabilityError(
             f"cannot read metrics file: {error}"
         ) from None
-    records = []
+    except UnicodeDecodeError as error:
+        raise ObservabilityError.malformed(path, "text file", error) from None
+    registry = MetricsRegistry()
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as error:
-            raise ObservabilityError(
-                f"{path}:{number}: not a JSONL metrics record ({error})"
+            _restore_record(registry, json.loads(line))
+        except ObservabilityError.MALFORMED as error:
+            raise ObservabilityError.malformed(
+                f"{path}:{number}", "JSONL metrics record", error
             ) from None
-    return registry_from_records(records)
+    return registry
 
 
 def write_metrics_csv(path: str, registry: MetricsRegistry) -> int:

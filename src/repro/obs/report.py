@@ -1,4 +1,4 @@
-"""Self-contained HTML run reports, installed as ``repro-report``.
+"""Self-contained HTML run reports, rendered by ``repro-obs report``.
 
 Renders any combination of a run ledger (:mod:`repro.obs.ledger`), a
 metrics dump (:func:`repro.obs.metrics.write_metrics_jsonl`), and
@@ -7,8 +7,8 @@ JSON) into **one static HTML file**: no server, no scripts, no
 external assets — every chart is inline SVG, so the artifact opens
 anywhere a browser does and can be attached to a CI run::
 
-    repro-report --ledger run.jsonl --metrics metrics.jsonl \\
-                 --traffic traffic.json --out report.html
+    repro-obs report --ledger run.jsonl --metrics metrics.jsonl \\
+                     --traffic traffic.json --out report.html
 
 Charts follow one set of rules: a single accent hue for series marks,
 a single-hue light-to-dark blue ramp for heatmap magnitude, text in
@@ -18,13 +18,10 @@ swap via CSS custom properties.
 
 from __future__ import annotations
 
-import argparse
 import html
-import json
-import sys
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ObservabilityError, ReproError
+from repro.errors import ObservabilityError
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import (
     Counter,
@@ -32,7 +29,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     Series,
-    load_metrics_jsonl,
 )
 
 #: Sequential single-hue blue ramp, light (near zero) to dark (max).
@@ -507,88 +503,3 @@ def render_report(
         + "".join(sections)
         + "</body></html>\n"
     )
-
-
-# ---------------------------------------------------------------------------
-# CLI
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-report",
-        description=(
-            "Render a run ledger, metrics dump, and/or traffic "
-            "results into one self-contained HTML report."
-        ),
-    )
-    parser.add_argument(
-        "--ledger", metavar="FILE",
-        help="run ledger JSONL (execution(ledger=...) / --ledger)",
-    )
-    parser.add_argument(
-        "--metrics", metavar="FILE",
-        help="metrics JSONL (write_metrics_jsonl / repro-metrics)",
-    )
-    parser.add_argument(
-        "--traffic", metavar="FILE", action="append", default=[],
-        help="TrafficResult JSON (to_dict form); repeatable",
-    )
-    parser.add_argument(
-        "--title", default="repro run report", help="report title"
-    )
-    parser.add_argument(
-        "--out", metavar="FILE", default="repro-report.html",
-        help="output HTML path (default repro-report.html)",
-    )
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        ledger = Ledger.load(args.ledger) if args.ledger else None
-        metrics = (
-            load_metrics_jsonl(args.metrics) if args.metrics else None
-        )
-        traffic = [_load_traffic(path) for path in args.traffic]
-        text = render_report(
-            ledger=ledger,
-            metrics=metrics,
-            traffic=traffic,
-            title=args.title,
-        )
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except ReproError as error:
-        sys.stderr.write(f"error: {error}\n")
-        return 1
-    except OSError as error:
-        sys.stderr.write(f"error: {error}\n")
-        return 1
-    sys.stdout.write(f"wrote {args.out}\n")
-    return 0
-
-
-def _load_traffic(path: str):
-    from repro.traffic.driver import TrafficResult
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise ObservabilityError(
-            f"cannot read traffic result: {error}"
-        ) from None
-    except json.JSONDecodeError as error:
-        raise ObservabilityError(
-            f"{path}: not a TrafficResult JSON file ({error})"
-        ) from None
-    if not isinstance(data, Mapping) or "organization" not in data:
-        raise ObservabilityError(
-            f"{path}: not a TrafficResult (missing 'organization')"
-        )
-    return TrafficResult.from_dict(data)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

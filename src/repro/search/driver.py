@@ -24,8 +24,8 @@ mutations of the elites.
 
 Each generation is framed in the active run ledger with a
 ``generation`` event carrying the generation index, population and
-the best genome/score, so ``repro-report`` timelines show the search
-converging.
+the best genome/score, so ``repro-obs report`` timelines show the
+search converging.
 """
 
 from __future__ import annotations

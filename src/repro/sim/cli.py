@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--telemetry", type=int, default=None, metavar="N",
                         help="sample telemetry every N cycles into "
                              "windowed time series (inspect with "
-                             "repro-metrics)")
+                             "repro-obs list/plot/dump)")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the run's metrics registry as JSONL "
                              "(implies --telemetry 256 when no window "

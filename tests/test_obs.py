@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -17,13 +21,8 @@ from repro.obs import (
     Instrumentation,
     attribute_stalls,
 )
-from repro.obs.cli import main as trace_main
-from repro.obs.export import (
-    load_trace_file,
-    rebuild_instrumentation,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.cli import main as obs_main
+from repro.obs.export import load_trace_file, write_chrome_trace, write_jsonl
 from repro.sim.cli import main as simulate_main
 from repro.sim.engine import run_smc
 from repro.sim.metrics import measure_trace
@@ -163,10 +162,11 @@ class TestExportRoundTrip:
         assert document.stalls["buckets"]["turnaround"] == (
             stalls.buckets["turnaround"]
         )
-        rebuilt = rebuild_instrumentation(document)
-        assert rebuilt.counters == obs.counters
-        assert rebuilt.tracer == obs.tracer
-        assert rebuilt.meta == obs.meta
+        assert document.counters == obs.counters.counters
+        assert document.gauges == obs.counters.gauges
+        assert document.spans == obs.tracer.spans
+        assert document.instants == obs.tracer.instants
+        assert document.meta == obs.meta
 
     def test_chrome_trace_is_valid_trace_event_json(self, tmp_path):
         obs, __ = run_instrumented("copy", "cli", length=128, depth=16)
@@ -227,7 +227,7 @@ class TestSimulateCliModes:
         assert simulate_main(["daxpy", "--org", "pi", "--length", "128",
                               "--trace-out", path]) == 0
         capsys.readouterr()
-        assert trace_main([path, "--stalls"]) == 0
+        assert obs_main(["trace", path, "--stalls"]) == 0
         out = capsys.readouterr().out
         assert "stall attribution" in out
         assert "run cycles" in out
@@ -237,7 +237,7 @@ class TestSimulateCliModes:
         assert simulate_main(["copy", "--length", "128",
                               "--trace-out", path]) == 0
         capsys.readouterr()
-        assert trace_main([path, "--counters"]) == 0
+        assert obs_main(["trace", path, "--counters"]) == 0
         assert "device.data_packets" in capsys.readouterr().out
 
 
@@ -246,22 +246,91 @@ class TestTraceCli:
         path = str(tmp_path / "run.json")
         simulate_main(["vaxpy", "--length", "128", "--trace-out", path])
         capsys.readouterr()
-        assert trace_main([path]) == 0
+        assert obs_main(["trace", path]) == 0
         out = capsys.readouterr().out
         assert "kernel" in out and "events" in out
-        assert trace_main([path, "--spans", "5"]) == 0
+        assert obs_main(["trace", path, "--spans", "5"]) == 0
         assert "msu" in capsys.readouterr().out
 
     def test_missing_file_is_clean_error(self, capsys, tmp_path):
-        assert trace_main([str(tmp_path / "none.json")]) == 1
+        assert obs_main(["trace", str(tmp_path / "none.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_stalls_flag_without_embedded_stalls(self, capsys, tmp_path):
         obs, __ = run_instrumented("copy", "cli", length=128, depth=16)
         path = str(tmp_path / "bare.json")
         write_chrome_trace(path, obs)
-        assert trace_main([path, "--stalls"]) == 1
+        assert obs_main(["trace", path, "--stalls"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_span_count_rejected(self, capsys, tmp_path):
+        obs, __ = run_instrumented("copy", "cli", length=128, depth=16)
+        path = str(tmp_path / "run.json")
+        write_chrome_trace(path, obs)
+        assert obs_main(["trace", path, "--spans", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--spans" in captured.err
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        obs, __ = run_instrumented("copy", "cli", length=128, depth=16)
+        path = str(tmp_path / "run.json")
+        write_chrome_trace(path, obs)
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        reader, writer = os.pipe()
+        os.close(reader)  # every write to stdout now fails with EPIPE
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.obs.cli", "trace", path,
+                 "--spans", "100000"],
+                stdout=writer,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)},
+                timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert completed.stderr == b""
+        assert completed.returncode == 0
+
+
+class TestMalformedInputs:
+    """Bad input files fail with one ``error:`` line naming the file."""
+
+    @pytest.mark.parametrize("command, name, content", [
+        ("trace", "t.jsonl", b"[1, 2]\n"),
+        ("trace", "t.jsonl", b'{"type": "span"}\n'),
+        ("trace", "t.json", b'{"traceEvents": [1]}'),
+        ("trace", "t.json", b"\xff\xfe"),
+        ("list", "m.jsonl", b'{"type": "counter"}\n'),
+        ("list", "m.jsonl", b'{"type": "histogram", "name": "h"}\n'),
+        ("list", "m.jsonl",
+         b'{"type": "series", "name": "s", "samples": [[1]]}\n'),
+        ("list", "t.jsonl", None),  # a repro-simulate --trace-out export
+        ("report --traffic", "traffic.json", b'{"organization": "x"}'),
+        ("report --ledger", "run.jsonl",
+         b'{"event": "ledger_open", "t": "soon"}\n'),
+    ])
+    def test_exits_with_one_error_line(
+        self, command, name, content, tmp_path, capsys
+    ):
+        path = tmp_path / name
+        if content is None:
+            assert simulate_main(["copy", "--length", "128",
+                                  "--trace-out", str(path)]) == 0
+            capsys.readouterr()
+        else:
+            path.write_bytes(content)
+        subcommand, *flag = command.split()
+        argv = [subcommand, *flag, str(path)]
+        if subcommand == "report":
+            argv += ["--out", str(tmp_path / "report.html")]
+        assert obs_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err
 
 
 class TestRequireTrace:

@@ -15,7 +15,8 @@ from repro.errors import ObservabilityError
 from repro.exec import execution, run_specs
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry, write_metrics_jsonl
-from repro.obs.report import main, render_report
+from repro.obs.cli import main as obs_main
+from repro.obs.report import render_report
 from repro.sim.runner import RunSpec
 from repro.traffic import TrafficWorkload, run_traffic
 
@@ -101,7 +102,8 @@ class TestCli:
         traffic_path.write_text(json.dumps(result.to_dict()))
         out = tmp_path / "report.html"
 
-        assert main([
+        assert obs_main([
+            "report",
             "--ledger", str(ledger_path),
             "--metrics", str(metrics_path),
             "--traffic", str(traffic_path),
@@ -114,20 +116,22 @@ class TestCli:
         assert str(out) in capsys.readouterr().out
 
     def test_missing_input_is_an_error(self, tmp_path, capsys):
-        assert main([
+        assert obs_main([
+            "report",
             "--ledger", str(tmp_path / "absent.jsonl"),
             "--out", str(tmp_path / "report.html"),
         ]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_no_inputs_is_an_error(self, tmp_path, capsys):
-        assert main(["--out", str(tmp_path / "report.html")]) == 1
+        assert obs_main(["report", "--out", str(tmp_path / "report.html")]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_bad_traffic_json_is_an_error(self, tmp_path, capsys):
         bogus = tmp_path / "traffic.json"
         bogus.write_text("[1, 2, 3]")
-        assert main([
+        assert obs_main([
+            "report",
             "--traffic", str(bogus),
             "--out", str(tmp_path / "report.html"),
         ]) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -27,11 +28,12 @@ from repro.obs.metrics import (
     write_metrics_csv,
     write_metrics_jsonl,
 )
-from repro.obs.metrics_cli import main as metrics_main
+from repro.obs.cli import main as obs_main
 from repro.obs.telemetry import build_windowed_series
 from repro.exec.pool import run_specs
 from repro.exec.stats import SweepStats
 from repro.sim.engine import run_smc
+from repro.sim.cli import main as simulate_main
 from repro.sim.runner import RunSpec, simulate
 
 
@@ -387,19 +389,19 @@ class TestMetricsCli:
 
     def test_list(self, tmp_path, capsys):
         path = self.write_file(tmp_path)
-        assert metrics_main(["list", str(path)]) == 0
+        assert obs_main(["list", str(path)]) == 0
         out = capsys.readouterr().out
         assert "telemetry.data_bus_utilization" in out
         assert "8 samples" in out
 
     def test_dump_prometheus(self, tmp_path, capsys):
         path = self.write_file(tmp_path)
-        assert metrics_main(["dump", str(path)]) == 0
+        assert obs_main(["dump", str(path)]) == 0
         assert "repro_hits 3" in capsys.readouterr().out
 
     def test_plot_series(self, tmp_path, capsys):
         path = self.write_file(tmp_path)
-        code = metrics_main(
+        code = obs_main(
             ["plot", str(path), "telemetry.data_bus_utilization"]
         )
         assert code == 0
@@ -407,18 +409,23 @@ class TestMetricsCli:
 
     def test_plot_unknown_metric_errors(self, tmp_path, capsys):
         path = self.write_file(tmp_path)
-        assert metrics_main(["plot", str(path), "nope"]) == 1
+        assert obs_main(["plot", str(path), "nope"]) == 1
         assert "known names" in capsys.readouterr().err
 
-    def test_run_subcommand(self, tmp_path, capsys):
+    def test_simulate_metrics_out(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
-        code = metrics_main(
-            ["run", "copy", "--length", "256", "--window", "64",
-             "--out", str(out)]
+        code = simulate_main(
+            ["copy", "--length", "256", "--telemetry", "64",
+             "--metrics-out", str(out)]
         )
         assert code == 0
+        windows = re.search(
+            r"telemetry +: (\d+) windows", capsys.readouterr().out
+        )
         registry = load_metrics_jsonl(out)
         assert "telemetry.busy_cycles" in registry.names()
+        busy = registry.series("telemetry.busy_cycles")
+        assert len(busy.samples) == int(windows.group(1))
 
 
 # ------------------------------------------------------------ bench compare
