@@ -24,15 +24,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import StreamError
-from repro.core.msu import MemorySchedulingUnit
-from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
-from repro.core.sbu import StreamBufferUnit
-from repro.core.smc import SmcSystem
+from repro.core.policies import SchedulingPolicy
+from repro.core.smc import SmcSystem, build_smc_system
 from repro.cpu.kernels import Kernel
-from repro.cpu.processor import MATCHED_ACCESS_INTERVAL, StreamProcessor
+from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
 from repro.cpu.streams import Direction, StreamSpec
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
-from repro.rdram.channel import make_memory
 from repro.sim.results import SimulationResult
 
 
@@ -106,7 +103,9 @@ def build_gather_system(
     """Wire indexed and/or dense streams into an SMC system.
 
     All descriptors must have equal length (the processor touches one
-    element of each per iteration, as in the paper's loop model).
+    element of each per iteration, as in the paper's loop model).  The
+    system is :func:`~repro.core.smc.build_smc_system`'s, on the same
+    memory, page manager and address mapping a dense kernel gets.
 
     Args:
         descriptors: Placed stream descriptors, indexed or dense, in
@@ -138,22 +137,15 @@ def build_gather_system(
             for d in descriptors
         ),
     )
-    device = make_memory(
-        timing=config.timing,
-        geometry=config.geometry,
+    return build_smc_system(
+        kernel,
+        config,
+        length=length,
+        fifo_depth=fifo_depth,
+        policy=policy,
+        access_interval=access_interval,
         record_trace=record_trace,
-    )
-    sbu = StreamBufferUnit.from_descriptors(descriptors, config, fifo_depth)
-    msu = MemorySchedulingUnit(device, sbu, policy or RoundRobinPolicy())
-    processor = StreamProcessor(kernel, length, access_interval=access_interval)
-    return SmcSystem(
-        kernel=kernel,
-        config=config,
         descriptors=descriptors,
-        device=device,
-        sbu=sbu,
-        msu=msu,
-        processor=processor,
     )
 
 

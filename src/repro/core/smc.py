@@ -2,12 +2,14 @@
 
 Wires a kernel, a memory-system configuration and the SMC parameters
 (FIFO depth, scheduling policy, data placement) into the component
-graph of Figure 3: CPU -> SBU (FIFOs) -> MSU -> Direct RDRAM.
+graph of Figure 3: CPU -> SBU (FIFOs) -> MSU -> Direct RDRAM, on the
+memory :func:`~repro.rdram.channel.make_memory` builds from the
+configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.cpu.kernels import Kernel
@@ -16,12 +18,10 @@ from repro.cpu.streams import Alignment, StreamDescriptor, place_streams
 from repro.core.msu import MemorySchedulingUnit
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
 from repro.core.sbu import StreamBufferUnit
-from repro.memsys.address import AddressMapping, get_address_mapping
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
 from repro.rdram.channel import make_memory
 from repro.rdram.device import RdramDevice
-from repro.rdram.fabric import FabricRefreshEngine, MemoryFabric
+from repro.rdram.fabric import channel_memories
 from repro.rdram.refresh import RefreshEngine
 
 
@@ -33,12 +33,15 @@ class SmcSystem:
         kernel: The inner loop being executed.
         config: Memory-system configuration.
         descriptors: Placed streams, in kernel order.
-        device: The Direct RDRAM device model.
+        device: The memory :func:`~repro.rdram.channel.make_memory`
+            built: a device, a multi-device channel or a fabric, with
+            the address mapping the access plans were built with
+            attached as ``device.mapping``.
         sbu: Stream buffer unit (FIFOs).
         msu: Memory scheduling unit.
         processor: Natural-order element access generator.
-        address_map: The address mapping the access plans were built
-            with (shared, possibly a registry override).
+        refresh: One background :class:`RefreshEngine` per channel
+            memory (empty when refresh is off).
     """
 
     kernel: Kernel
@@ -48,8 +51,7 @@ class SmcSystem:
     sbu: StreamBufferUnit
     msu: MemorySchedulingUnit
     processor: StreamProcessor
-    refresh: Optional[RefreshEngine] = None
-    address_map: Optional[AddressMapping] = None
+    refresh: List[RefreshEngine] = field(default_factory=list)
 
 
 def build_smc_system(
@@ -67,6 +69,11 @@ def build_smc_system(
 ) -> SmcSystem:
     """Build an SMC system ready for :func:`repro.sim.engine.run_smc`.
 
+    The memory comes from :func:`~repro.rdram.channel.make_memory`,
+    and the access plans use its address mapping and, on one channel,
+    its page manager.  Indexed streams enter through ``descriptors``
+    (see :func:`repro.core.gather.build_gather_system`).
+
     Args:
         kernel: Inner loop to execute.
         config: Memory organization (CLI/PI, page policy, sizes).
@@ -83,8 +90,9 @@ def build_smc_system(
             auditing/timelines; slows long runs).
         descriptors: Pre-placed streams, overriding automatic
             placement (must match the kernel's stream order).
-        refresh: Attach a background :class:`RefreshEngine` (the paper
-            ignores refresh; this quantifies that assumption).
+        refresh: Attach a background :class:`RefreshEngine` per
+            channel (the paper ignores refresh; this quantifies that
+            assumption).
 
     Returns:
         The wired system.
@@ -99,35 +107,16 @@ def build_smc_system(
         )
     else:
         placed = list(descriptors)
-    page_manager = make_page_manager(config)
-    address_map = get_address_mapping(config)
-    device = make_memory(
-        timing=config.timing,
-        geometry=config.geometry,
-        record_trace=record_trace,
-        page_manager=(
-            None if config.topology.channels > 1 else page_manager
-        ),
-        topology=config.topology if not config.topology.single else None,
-        page_manager_factory=lambda: make_page_manager(config),
-    )
-    device.mapping = address_map
+    device = make_memory(config, record_trace=record_trace)
     sbu = StreamBufferUnit.from_descriptors(
         placed,
         config,
         fifo_depth,
-        page_manager=page_manager,
-        address_map=address_map,
+        page_manager=device.page_manager,
+        address_map=device.mapping,
     )
     msu = MemorySchedulingUnit(device, sbu, policy or RoundRobinPolicy())
     processor = StreamProcessor(kernel, length, access_interval=access_interval)
-    refresh_engine = None
-    if refresh:
-        refresh_engine = (
-            FabricRefreshEngine(device)
-            if isinstance(device, MemoryFabric)
-            else RefreshEngine(device)
-        )
     return SmcSystem(
         kernel=kernel,
         config=config,
@@ -136,6 +125,9 @@ def build_smc_system(
         sbu=sbu,
         msu=msu,
         processor=processor,
-        refresh=refresh_engine,
-        address_map=address_map,
+        refresh=(
+            [RefreshEngine(memory) for memory in channel_memories(device)]
+            if refresh
+            else []
+        ),
     )

@@ -3,8 +3,9 @@
 The natural-order baseline, its cache-realistic variant, the random
 cacheline driver and the L2 streamer differ in *which* lines they move
 and when, but not in how: each moves whole cachelines through one
-memory wired to the configured page manager and address mapping, next
-to an optional background refresh engine, on one kernel run.
+memory from :func:`~repro.rdram.channel.make_memory`, which carries
+the configured page manager and address mapping, next to an optional
+background refresh engine, on one kernel run.
 :class:`LineController` owns those three pieces so each controller
 keeps only its own transaction order and tallies.
 """
@@ -14,9 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
 from repro.rdram.channel import make_memory
 from repro.rdram.packets import BusDirection
 from repro.rdram.refresh import RefreshEngine
@@ -30,10 +29,15 @@ class LineController:
     """Whole-cacheline transactions on one RDRAM device or channel.
 
     Args:
-        config: Memory organization (geometry may be a channel).
+        config: Memory organization (geometry, or the topology's
+            ``devices_per_channel``, may make it a channel).
         record_trace: Record the device packet trace for auditing.
         refresh: Run a background :class:`RefreshEngine` alongside the
             controller's run.
+
+    Raises:
+        ConfigurationError: If the topology has several channels; a
+            line controller drives one channel's buses.
     """
 
     def __init__(
@@ -42,16 +46,15 @@ class LineController:
         record_trace: bool = False,
         refresh: bool = False,
     ) -> None:
+        if config.topology.channels > 1:
+            raise ConfigurationError(
+                f"{type(self).__name__} drives one channel's buses, not "
+                f"a {config.topology.describe()} fabric; run "
+                "multi-channel topologies through simulate() or "
+                "run_traffic()"
+            )
         self.config = config
-        self.page_manager = make_page_manager(config)
-        self.device = make_memory(
-            timing=config.timing,
-            geometry=config.geometry,
-            record_trace=record_trace,
-            page_manager=self.page_manager,
-        )
-        self.address_map = get_address_mapping(config)
-        self.device.mapping = self.address_map
+        self.device = make_memory(config, record_trace=record_trace)
         self.refresh = refresh
         self.refreshes_issued = 0
 
@@ -72,10 +75,10 @@ class LineController:
             packet end, precharges forced by bank conflicts, page hits,
             page misses).
         """
-        decompose = self.address_map.decompose
+        decompose = self.device.mapping.decompose
         issue_access = self.device.issue_access
         last = self.config.packets_per_cacheline - 1
-        plans_precharge = self.page_manager.plans_precharge
+        plans_precharge = self.device.page_manager.plans_precharge
         forced = 0
         hits = 0
         for offset in range(last + 1):

@@ -33,7 +33,8 @@ class RandomAccessDriver(LineController):
     """Issues independent random cacheline transactions.
 
     Args:
-        config: Memory organization (geometry may be a channel).
+        config: Memory organization (geometry, or the topology's
+            ``devices_per_channel``, may make it a channel).
         queue_depth: Maximum outstanding transactions; defaults to the
             device pipeline depth, scaled by the experiment if needed.
         record_trace: Record packets for auditing.
@@ -127,7 +128,7 @@ class RandomAccessDriver(LineController):
         """
         rng = random.Random(seed)
         line_bytes = self.config.cacheline_bytes
-        total_lines = self.config.geometry.capacity_bytes // line_bytes
+        total_lines = self.device.geometry.capacity_bytes // line_bytes
         outstanding: Deque[int] = deque()
 
         for __ in range(num_transactions):

@@ -6,7 +6,7 @@ per-bank sense-amp state machine, the packetized channel model with an
 earliest-legal-issue interface, and an independent protocol auditor.
 """
 
-from repro.rdram.audit import AuditReport, audit_trace
+from repro.rdram.audit import AuditReport, audit_memory, audit_trace
 from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
 from repro.rdram.device import (
@@ -40,6 +40,7 @@ from repro.rdram.timing import (
 
 __all__ = [
     "AuditReport",
+    "audit_memory",
     "audit_trace",
     "Bank",
     "ChannelGeometry",

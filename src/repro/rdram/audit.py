@@ -5,14 +5,15 @@ trace a device recorded, *without* reusing the device's scheduling
 logic.  Any run of the simulator can therefore be checked end-to-end:
 if the device or a controller ever schedules an illegal packet, the
 audit raises :class:`~repro.errors.ProtocolError` naming the violated
-rule.  Tests and the ``audit=True`` debug switch of the simulation
-runner use this.
+rule.  Tests, the ``audit=True`` debug switch of the simulation
+runner and ``repro-simulate --audit`` use this; :func:`audit_memory`
+audits each channel of a memory against that channel's own geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.rdram.bank import NEVER
@@ -243,6 +244,37 @@ def audit_trace(
 
     report.banks_touched = len(touched)
     return report
+
+
+def audit_memory(memory) -> List[AuditReport]:
+    """Audit each channel's packet trace against its own geometry.
+
+    Args:
+        memory: A memory built with ``record_trace=True`` (see
+            :func:`~repro.rdram.channel.make_memory`): a device, a
+            multi-device channel, or a fabric, whose channels have
+            independent buses and so are audited one by one.
+
+    Returns:
+        One :class:`AuditReport` per channel, in channel order.
+
+    Raises:
+        ProtocolError: If any channel's trace breaks the protocol.
+    """
+    from repro.rdram.fabric import channel_memories
+
+    return [
+        audit_trace(
+            channel.trace,
+            timing=channel.timing,
+            num_banks=channel.geometry.num_banks,
+            doubled_banks=channel.geometry.doubled_banks,
+            banks_per_device=getattr(
+                channel.geometry, "device", channel.geometry
+            ).num_banks,
+        )
+        for channel in channel_memories(memory)
+    ]
 
 
 def _get_bank(banks: Dict[int, _BankReplay], index: int) -> _BankReplay:

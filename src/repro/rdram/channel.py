@@ -12,9 +12,14 @@ indices (device d's bank b is global index ``d * banks_per_device +
 b``), and :class:`~repro.rdram.device.RdramDevice` is the one bus
 model for any device count: it keeps t_RR per device and everything
 else channel-wide.  So every controller in the library — the SMC and
-the natural-order baseline — runs unmodified against a channel; pair
-a :class:`ChannelGeometry` with the memory-system configuration and
-the address map spreads interleave units across all devices' banks.
+the line controllers — runs unmodified against a channel, and the
+address map spreads interleave units across all devices' banks.
+
+:func:`make_memory` is the one place a memory-system configuration
+becomes memory: a device or a channel for each channel of the
+config's topology, each with its own page manager, several channels
+wrapped in a :class:`~repro.rdram.fabric.MemoryFabric`, and the
+config's address mapping attached.
 """
 
 from __future__ import annotations
@@ -116,78 +121,34 @@ class ChannelGeometry:
         )
 
 
-def make_memory(
-    timing: Optional[RdramTiming] = None,
-    geometry=None,
-    record_trace: bool = True,
-    explicit_retire: bool = False,
-    page_manager=None,
-    topology=None,
-    page_manager_factory=None,
-):
-    """Build the right memory model for a geometry and topology.
+def make_memory(config, *, record_trace: bool = False):
+    """Build the memory a configuration describes.
 
-    A :class:`ChannelGeometry` yields a :class:`RambusChannel`; an
-    :class:`~repro.rdram.device.RdramGeometry` (or None) yields a
-    single :class:`~repro.rdram.device.RdramDevice`.  Both are the same
-    bus model, so controllers are agnostic.  An optional
-    :class:`~repro.memsys.pagemanager.PageManager` is attached for the
-    ``issue_access`` path to consult.
-
-    A :class:`~repro.memsys.config.MemoryTopology` widens the build:
-    ``devices_per_channel > 1`` wraps the per-device geometry in a
-    :class:`ChannelGeometry`, and ``channels > 1`` yields a
-    :class:`~repro.rdram.fabric.MemoryFabric` of independent channels.
-    Page managers hold per-bank state keyed by channel-local bank
-    index, so a fabric needs one manager *per channel*: pass
-    ``page_manager_factory`` (called once per channel) instead of a
-    shared ``page_manager``.
+    This is the one place a
+    :class:`~repro.memsys.config.MemorySystemConfig` becomes memory.
+    Each channel of ``config.channel_geometry`` is an
+    :class:`~repro.rdram.device.RdramDevice`, or a
+    :class:`RambusChannel` when that geometry holds several devices,
+    with its own page manager: managers keep per-bank state keyed by
+    channel-local bank index.  Several channels are wrapped in a
+    :class:`~repro.rdram.fabric.MemoryFabric`.  The config's address
+    mapping is attached either way.
     """
-    if topology is not None and not topology.single:
-        if isinstance(geometry, ChannelGeometry):
-            raise ConfigurationError(
-                "pass the per-device geometry alongside a topology; a "
-                "ChannelGeometry already encodes device multiplicity"
-            )
-        if topology.channels > 1:
-            from repro.rdram.fabric import MemoryFabric
+    from repro.memsys.address import get_address_mapping
+    from repro.memsys.pagemanager import make_page_manager
+    from repro.rdram.fabric import MemoryFabric
 
-            if page_manager is not None and page_manager_factory is None:
-                raise ConfigurationError(
-                    "a multi-channel fabric needs a page_manager_factory "
-                    "(one manager per channel); a shared page_manager "
-                    "would collide on channel-local bank indices"
-                )
-            return MemoryFabric(
-                timing=timing,
-                channels=topology.channels,
-                channel_geometry=(
-                    ChannelGeometry(
-                        num_devices=topology.devices_per_channel,
-                        device=geometry or RdramGeometry(),
-                    )
-                    if topology.devices_per_channel > 1
-                    else geometry or RdramGeometry()
-                ),
-                record_trace=record_trace,
-                explicit_retire=explicit_retire,
-                page_manager_factory=page_manager_factory,
-            )
-        geometry = ChannelGeometry(
-            num_devices=topology.devices_per_channel,
-            device=geometry or RdramGeometry(),
-        )
-
+    geometry = config.channel_geometry
     model = RambusChannel if isinstance(geometry, ChannelGeometry) else RdramDevice
-    memory = model(
-        timing=timing,
-        geometry=geometry,
-        record_trace=record_trace,
-        explicit_retire=explicit_retire,
-    )
-    if page_manager is None and page_manager_factory is not None:
-        page_manager = page_manager_factory()
-    memory.page_manager = page_manager
+    memories = []
+    for _ in range(config.topology.channels):
+        channel = model(
+            timing=config.timing, geometry=geometry, record_trace=record_trace
+        )
+        channel.page_manager = make_page_manager(config)
+        memories.append(channel)
+    memory = memories[0] if len(memories) == 1 else MemoryFabric(memories)
+    memory.mapping = get_address_mapping(config)
     return memory
 
 

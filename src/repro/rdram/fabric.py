@@ -12,27 +12,25 @@ Every controller in the library therefore runs unmodified against a
 fabric, and accesses routed to different channels overlap in time
 because nothing below the controller is shared.
 
-Page managers hold per-bank state keyed by channel-local indices, so
-the fabric owns one manager per channel (built by the
-``page_manager_factory`` given to it); likewise refresh walks each
-channel's devices independently through one
-:class:`~repro.rdram.refresh.RefreshEngine` per channel, aggregated by
-:class:`FabricRefreshEngine`.
+:func:`~repro.rdram.channel.make_memory` builds the fabric from its
+channel memories, each with its own page manager (managers hold
+per-bank state keyed by channel-local indices).  Whatever walks the
+banks channel by channel — refresh, with one
+:class:`~repro.rdram.refresh.RefreshEngine` per channel, and the
+protocol audit — takes the memories from :func:`channel_memories`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.bank import Bank
-from repro.rdram.channel import ChannelGeometry, make_memory
+from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import AccessIssue, RdramDevice, RdramGeometry
 from repro.rdram.packets import BusDirection, RowPacket
-from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
-from repro.rdram.timing import RdramTiming
 
 
 @dataclass(frozen=True)
@@ -121,45 +119,23 @@ class MemoryFabric:
     """N independent channels behind the RdramDevice interface.
 
     Args:
-        timing: Shared timing parameters (each channel runs its own
-            copy of the bus-state machine under them).
-        channels: Channel count.
-        channel_geometry: Per-channel geometry.
-        record_trace: Record packets on every channel for auditing.
-        explicit_retire: Model write-buffer retires as COL RET packets.
-        page_manager_factory: Called once per channel to build that
-            channel's page manager (None leaves channels unmanaged).
+        channel_memories: One memory per channel, in channel order,
+            sharing one geometry and one timing (built by
+            :func:`~repro.rdram.channel.make_memory`).
     """
 
-    def __init__(
-        self,
-        timing: Optional[RdramTiming] = None,
-        channels: int = 2,
-        channel_geometry=None,
-        record_trace: bool = True,
-        explicit_retire: bool = False,
-        page_manager_factory: Optional[Callable[[], object]] = None,
-    ) -> None:
-        self.timing = timing or RdramTiming()
+    def __init__(self, channel_memories: Sequence[RdramDevice]) -> None:
+        if not channel_memories:
+            raise ConfigurationError("a fabric needs at least one channel")
+        self.channel_memories: List[RdramDevice] = list(channel_memories)
+        self.timing = self.channel_memories[0].timing
         self.geometry = FabricGeometry(
-            channels=channels,
-            channel=channel_geometry or RdramGeometry(),
+            channels=len(self.channel_memories),
+            channel=self.channel_memories[0].geometry,
         )
-        self.record_trace = record_trace
-        self.explicit_retire = explicit_retire
         self._obs: Optional[Instrumentation] = None
         self._gap_log: Optional[List[DataBusGap]] = None
         self._mapping = None
-        self.channel_memories: List[RdramDevice] = [
-            make_memory(
-                timing=self.timing,
-                geometry=self.geometry.channel,
-                record_trace=record_trace,
-                explicit_retire=explicit_retire,
-                page_manager_factory=page_manager_factory,
-            )
-            for _ in range(channels)
-        ]
         #: Flat global-bank view across channels (telemetry samples it).
         self.banks: List[Bank] = [
             bank for memory in self.channel_memories for bank in memory.banks
@@ -218,7 +194,7 @@ class MemoryFabric:
         if manager is not None:
             raise ConfigurationError(
                 "a MemoryFabric holds one page manager per channel "
-                "(pass page_manager_factory when building it); a single "
+                "(make_memory gives each channel its own); a single "
                 "shared manager would collide on local bank indices"
             )
 
@@ -339,59 +315,6 @@ class MemoryFabric:
             memory.reset()
 
 
-class FabricRefreshEngine:
-    """Per-channel refresh, aggregated behind the background protocol.
-
-    Each channel gets its own :class:`~repro.rdram.refresh.RefreshEngine`
-    walking that channel's devices on the standard retention cadence;
-    because the channels' buses are independent, the engines refresh in
-    parallel exactly as independent memory controllers would.  The
-    aggregate satisfies the kernel's
-    :class:`~repro.sim.kernel.BackgroundEngine` protocol so one
-    :class:`~repro.sim.kernel.BackgroundComponent` drives all channels.
-    """
-
-    def __init__(
-        self,
-        fabric: MemoryFabric,
-        interval: int = DEFAULT_INTERVAL_CYCLES,
-        force_after: int = 8,
-    ) -> None:
-        self.fabric = fabric
-        self.engines = [
-            RefreshEngine(memory, interval=interval, force_after=force_after)
-            for memory in fabric.channel_memories
-        ]
-        self._obs: Optional[Instrumentation] = None
-
-    @property
-    def obs(self) -> Optional[Instrumentation]:
-        return self._obs
-
-    @obs.setter
-    def obs(self, obs: Optional[Instrumentation]) -> None:
-        self._obs = obs
-        for engine in self.engines:
-            engine.obs = obs
-
-    @property
-    def refreshes_issued(self) -> int:
-        return sum(engine.refreshes_issued for engine in self.engines)
-
-    @property
-    def deferrals(self) -> int:
-        return sum(engine.deferrals for engine in self.engines)
-
-    @property
-    def forced_precharges(self) -> int:
-        return sum(engine.forced_precharges for engine in self.engines)
-
-    @property
-    def next_action_cycle(self) -> int:
-        return min(engine.next_action_cycle for engine in self.engines)
-
-    def tick(self, cycle: int) -> bool:
-        fired = False
-        for engine in self.engines:
-            fired = engine.tick(cycle) or fired
-        return fired
+def channel_memories(memory) -> List[RdramDevice]:
+    """A fabric's per-channel memories, or ``[memory]`` for one channel."""
+    return memory.channel_memories if isinstance(memory, MemoryFabric) else [memory]

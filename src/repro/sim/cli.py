@@ -37,7 +37,7 @@ from repro.naturalorder.controller import NaturalOrderController
 from repro.obs import AccessMix, Instrumentation, access_mix, attribute_stalls
 from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.metrics import write_metrics_jsonl
-from repro.rdram.audit import audit_trace
+from repro.rdram.audit import audit_memory
 from repro.rdram.tracefmt import render_trace
 from repro.exec import execution
 from repro.sim.batch import ENGINES, list_engines
@@ -293,17 +293,11 @@ def _run(args) -> int:
             channels=args.channels, devices_per_channel=args.devices
         )
         config = dataclasses.replace(config, topology=topology)
-        if args.baseline:
+        if args.metrics or need_obs:
             raise ConfigurationError(
-                "--channels/--devices run through the SMC path; the "
-                "baseline controllers model a single channel"
-            )
-        if args.metrics or args.audit or need_obs:
-            raise ConfigurationError(
-                "multi-channel runs support the plain report and "
-                "--gantt only: trace metrics, protocol auditing, "
-                "instrumentation and telemetry assume a single "
-                "channel's buses"
+                "multi-channel runs support the plain report, --gantt "
+                "and --audit only: trace metrics, instrumentation and "
+                "telemetry assume a single channel's buses"
             )
 
     if args.baseline:
@@ -321,7 +315,7 @@ def _run(args) -> int:
             engine=args.engine,
             **extra,
         )
-        trace = controller.device.trace
+        memory = controller.device
     elif not need_trace and not need_obs:
         # Trace-free, uninstrumented SMC runs go through the RunSpec
         # front door, where --cache can satisfy them instantly.
@@ -340,7 +334,7 @@ def _run(args) -> int:
         )
         with execution(cache=args.cache):
             result = simulate(spec)
-        trace = None
+        memory = None
     else:
         if args.engine == "batch":
             raise ConfigurationError(
@@ -361,7 +355,8 @@ def _run(args) -> int:
             refresh=args.refresh,
         )
         result = run_smc(system, obs=obs)
-        trace = system.device.trace
+        memory = system.device
+    trace = memory.trace if memory is not None else None
 
     stalls = attribute_stalls(obs) if obs is not None else None
     metrics_written = None
@@ -480,15 +475,11 @@ def _run(args) -> int:
               f"asymptotic {smc.percent_asymptotic_limit:.2f}%)")
 
     if args.audit:
-        geometry = config.geometry
-        report = audit_trace(
-            _require_trace(trace, "--audit"),
-            config.timing,
-            num_banks=geometry.num_banks,
-            doubled_banks=geometry.doubled_banks,
-        )
-        print(f"audit        : OK ({report.col_packets} col packets, "
-              f"{report.turnarounds} turnarounds)")
+        _require_trace(trace, "--audit")
+        reports = audit_memory(memory)
+        print(f"audit        : OK "
+              f"({sum(r.col_packets for r in reports)} col packets, "
+              f"{sum(r.turnarounds for r in reports)} turnarounds)")
 
     if args.metrics:
         metrics = measure_trace(_require_trace(trace, "--metrics"), config.timing)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.core.msu import ArrivalEvent, IDLE, MemorySchedulingUnit
 from repro.core.sbu import StreamBufferUnit
 from repro.core.smc import SmcSystem
@@ -29,7 +28,7 @@ from repro.memsys.config import ELEMENT_BYTES
 from repro.obs.core import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import finalize_telemetry
-from repro.rdram.audit import audit_trace
+from repro.rdram.audit import audit_memory
 from repro.sim.kernel import (
     BackgroundComponent,
     Component,
@@ -144,7 +143,7 @@ def run_smc(
             :func:`repro.core.smc.build_smc_system`.
         max_cycles: Watchdog limit; defaults to a generous bound
             derived from the total traffic.
-        audit: After completion, replay the device's packet trace
+        audit: After completion, replay each channel's packet trace
             through the independent protocol auditor (requires the
             system to have been built with ``record_trace=True``).
         dense: Visit every cycle instead of skipping to the next
@@ -170,14 +169,14 @@ def run_smc(
         max_cycles = 10_000 + 100 * total_units
 
     wake = _WakeFlag()
-    components: List[Component] = []
-    if system.refresh is not None:
-        def _refresh_fired() -> None:
-            wake.fired = True
 
-        components.append(
-            BackgroundComponent(system.refresh, on_fire=_refresh_fired)
-        )
+    def _refresh_fired() -> None:
+        wake.fired = True
+
+    components: List[Component] = [
+        BackgroundComponent(engine, on_fire=_refresh_fired)
+        for engine in system.refresh
+    ]
     components.append(_MsuComponent(system, wake))
     components.append(_CpuComponent(processor, sbu, msu))
 
@@ -207,22 +206,7 @@ def run_smc(
         _record_meta(system, obs, end_cycle)
         finalize_telemetry(obs)
     if audit:
-        if system.config.topology.channels > 1:
-            raise ConfigurationError(
-                "packet-trace auditing assumes a single channel's buses; "
-                "audit per-channel runs instead of a "
-                f"{system.config.topology.describe()} fabric"
-            )
-        geometry = system.config.geometry
-        audit_trace(
-            system.device.trace,
-            timing=system.config.timing,
-            num_banks=geometry.num_banks,
-            doubled_banks=geometry.doubled_banks,
-            banks_per_device=getattr(
-                geometry, "device", geometry
-            ).num_banks,
-        )
+        audit_memory(system.device)
     useful = sum(fifo.descriptor.length for fifo in sbu) * ELEMENT_BYTES
     builder = ResultBuilder(
         kernel=system.kernel.name,
@@ -248,9 +232,7 @@ def run_smc(
         cpu_stall_cycles=processor.stall_cycles,
         fifo_switches=msu.fifo_switches,
         speculative_activations=msu.speculative_activations,
-        refreshes=(
-            system.refresh.refreshes_issued if system.refresh else 0
-        ),
+        refreshes=sum(engine.refreshes_issued for engine in system.refresh),
     )
 
 
@@ -278,14 +260,11 @@ def _record_meta(
 def _alignment_name(system: SmcSystem) -> str:
     """Classify the actual placement by inspecting base banks.
 
-    Uses the address mapping the system was built with (which may be a
-    registry override like ``swizzle``), not a freshly derived one, so
-    the classification reflects the banks the run actually touched.
+    Uses the address mapping attached to the system's memory (which may
+    be a registry override like ``swizzle``), not a freshly derived
+    one, so the classification reflects the banks the run actually
+    touched.
     """
-    address_map = system.address_map
-    if address_map is None:  # hand-assembled SmcSystem
-        from repro.memsys.address import get_address_mapping
-
-        address_map = get_address_mapping(system.config)
-    banks = {address_map.bank_of(d.base) for d in system.descriptors}
+    mapping = system.device.mapping
+    banks = {mapping.bank_of(d.base) for d in system.descriptors}
     return "aligned" if len(banks) == 1 else "staggered"

@@ -631,18 +631,11 @@ def simulate(
                 channels=spec.channels, devices_per_channel=spec.devices
             ),
         )
-    if config.topology.channels > 1:
-        if spec.audit:
-            raise ConfigurationError(
-                "packet-trace auditing assumes a single channel's buses; "
-                "audit per-channel runs instead of a "
-                f"{config.topology.describe()} fabric"
-            )
-        if obs is not None:
-            raise ConfigurationError(
-                "stall attribution and telemetry assume a single DATA "
-                "bus; run multi-channel specs without instrumentation"
-            )
+    if config.topology.channels > 1 and obs is not None:
+        raise ConfigurationError(
+            "stall attribution and telemetry assume a single DATA "
+            "bus; run multi-channel specs without instrumentation"
+        )
     resolved = resolve_engine(
         choice,
         config,

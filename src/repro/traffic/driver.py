@@ -63,14 +63,12 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, ObservabilityError
-from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
-from repro.memsys.pagemanager import make_page_manager
 from repro.obs.attribution import CONTROLLER, partition_gap
 from repro.obs.core import DataBusGap
 from repro.obs.metrics import MetricsRegistry
 from repro.rdram.channel import make_memory
-from repro.rdram.fabric import MemoryFabric
+from repro.rdram.fabric import channel_memories
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
 from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.sim.kernel import BackgroundComponent, Simulation
@@ -835,30 +833,12 @@ def run_traffic(
                 "per-channel state); pass the registry name instead"
             )
         scheduler_for = lambda index: instance  # noqa: E731
-    mapping = get_address_mapping(config)
-    memory = make_memory(
-        timing=config.timing,
-        geometry=config.geometry,
-        record_trace=False,
-        topology=config.topology if not config.topology.single else None,
-        page_manager=(
-            make_page_manager(config) if config.topology.channels == 1 else None
-        ),
-        page_manager_factory=lambda: make_page_manager(config),
-    )
-    # Attach the mapping so stateful mappings (dream) are fed every
-    # issued access; static mappings cost one branch per access.
-    memory.mapping = mapping
-    channel_memories = (
-        memory.channel_memories
-        if isinstance(memory, MemoryFabric)
-        else [memory]
-    )
-    banks_per_channel = (
-        memory.geometry.banks_per_channel
-        if isinstance(memory, MemoryFabric)
-        else memory.geometry.num_banks
-    )
+    # The memory carries the mapping, so stateful mappings (dream) are
+    # fed every issued access; static mappings cost one branch per
+    # access.
+    memory = make_memory(config)
+    mapping = memory.mapping
+    memories = channel_memories(memory)
     latency = registry.histogram(
         "traffic.latency_cycles",
         bounds=LATENCY_BUCKETS,
@@ -882,12 +862,12 @@ def run_traffic(
             memory=channel_memory,
             mapping=mapping,
             config=config,
-            bank_offset=index * banks_per_channel,
+            bank_offset=index * channel_memory.geometry.num_banks,
             regulator=regulator,
             window=telemetry_window,
             scheduler=scheduler_for(index),
         )
-        for index, channel_memory in enumerate(channel_memories)
+        for index, channel_memory in enumerate(memories)
     ]
     # Each channel's refresh engine hands every refresh it issues to
     # that channel's server, for the refresh_blocked component.
@@ -963,7 +943,7 @@ def run_traffic(
             client_bytes[client] = client_bytes.get(client, 0) + served
         for pair, served in server.client_bank_bytes.items():
             client_bank_bytes[pair] = client_bank_bytes.get(pair, 0) + served
-    channel_bytes = tuple(m.bytes_transferred for m in channel_memories)
+    channel_bytes = tuple(m.bytes_transferred for m in memories)
     cycles = max(server.last_data_end for server in servers)
     for server in servers:
         server.finalize_windows(registry, cycles)

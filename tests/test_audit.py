@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.smc import build_smc_system
+from repro.cpu.kernels import DAXPY
 from repro.errors import ProtocolError
-from repro.rdram.audit import audit_trace
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
+from repro.rdram.audit import audit_memory, audit_trace
+from repro.rdram.fabric import channel_memories
 from repro.rdram.packets import (
     BusDirection,
     ColCommand,
@@ -14,6 +18,7 @@ from repro.rdram.packets import (
     RowCommand,
     RowPacket,
 )
+from repro.sim.engine import run_smc
 
 
 def act(bank, row, start):
@@ -173,3 +178,40 @@ class TestViolations:
     def test_bank_out_of_range(self):
         with pytest.raises(ProtocolError, match="outside"):
             audit_trace([act(99, 0, 0)])
+
+
+class TestAuditMemory:
+    """Each channel is audited against its own geometry."""
+
+    @staticmethod
+    def _fabric():
+        config = MemorySystemConfig.cli(
+            topology=MemoryTopology(channels=2, devices_per_channel=2)
+        )
+        system = build_smc_system(
+            DAXPY, config, length=256, fifo_depth=32, record_trace=True,
+            refresh=True,
+        )
+        run_smc(system)
+        return system.device
+
+    def test_one_report_per_channel(self):
+        reports = audit_memory(self._fabric())
+        assert len(reports) == 2
+        assert all(report.col_packets > 0 for report in reports)
+
+    def test_catches_t_rcd_on_channel_one(self):
+        memory = self._fabric()
+        channel = channel_memories(memory)[1]
+        bank = next(
+            index
+            for index in range(channel.geometry.num_banks)
+            if not channel.bank(index).is_open
+        )
+        later = max(packet.start for packet in channel.trace) + 1000
+        activate = channel.issue_act(bank, 0, later)
+        channel.trace.append(
+            col(bank, 0, 0, activate.start + channel.timing.t_rcd - 1)
+        )
+        with pytest.raises(ProtocolError, match="t_RCD"):
+            audit_memory(memory)

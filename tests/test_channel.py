@@ -50,9 +50,11 @@ class TestChannelGeometry:
 
 class TestMakeMemory:
     def test_dispatches_on_geometry(self):
-        assert isinstance(make_memory(geometry=ChannelGeometry()), RambusChannel)
-        assert isinstance(make_memory(geometry=RdramGeometry()), RdramDevice)
-        assert isinstance(make_memory(), RdramDevice)
+        channel = MemorySystemConfig(geometry=ChannelGeometry())
+        assert isinstance(make_memory(channel), RambusChannel)
+        device = MemorySystemConfig(geometry=RdramGeometry())
+        assert type(make_memory(device)) is RdramDevice
+        assert type(make_memory(MemorySystemConfig())) is RdramDevice
 
 
 class TestChannelTiming:

@@ -13,6 +13,8 @@ from repro.core.gather import (
     simulate_gather,
 )
 from repro.cpu.streams import Direction, StreamDescriptor
+from repro.memsys.config import MemorySystemConfig
+from repro.memsys.pagemanager import PAGE_POLICIES
 from repro.sim.engine import run_smc
 
 
@@ -110,3 +112,34 @@ class TestGatherBehavior:
             [0, 0, 1, 1, 2, 2, 3, 3], cli_config, fifo_depth=8
         )
         assert result.useful_bytes == 2 * 8 * 8
+
+
+def _random_indices():
+    rng = random.Random(3)
+    return [rng.randrange(8192) for __ in range(1024)]
+
+
+class TestGatherPagePolicy:
+    """A gather runs under the configured page policy, runtime ones too."""
+
+    @pytest.mark.parametrize("policy", ["closed", "open", "timeout", "hybrid"])
+    def test_memory_carries_the_configured_manager(self, policy):
+        gather = IndexedStreamDescriptor(
+            "g", 0, tuple(range(16)), Direction.READ
+        )
+        config = MemorySystemConfig.pi(page_policy=policy)
+        system = build_gather_system([gather], config, fifo_depth=8)
+        assert type(system.device.page_manager) is PAGE_POLICIES[policy]
+
+    def test_runtime_policies_change_the_result(self):
+        indices = _random_indices()
+        results = {
+            policy: simulate_gather(
+                indices, MemorySystemConfig.pi(page_policy=policy),
+                fifo_depth=64,
+            ).to_dict()
+            for policy in ("open", "timeout", "hybrid")
+        }
+        assert results["timeout"] != results["open"]
+        assert results["hybrid"] != results["open"]
+        assert results["timeout"]["cycles"] < results["open"]["cycles"]

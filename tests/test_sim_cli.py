@@ -85,6 +85,28 @@ class TestOptions:
         assert "kernel       : loop" in capsys.readouterr().out
 
 
+class TestTopology:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--devices", "2", "--audit"],
+            ["--channels", "2", "--devices", "2", "--audit"],
+            ["--baseline", "natural-order", "--devices", "2", "--audit"],
+        ],
+    )
+    def test_audits_each_channel(self, capsys, flags):
+        assert main(["daxpy", "--length", "256", "--refresh", *flags]) == 0
+        assert "audit        : OK" in capsys.readouterr().out
+
+    def test_baseline_rejects_multi_channel(self, capsys):
+        assert main(
+            ["daxpy", "--baseline", "natural-order", "--channels", "2"]
+        ) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: NaturalOrderController")
+
+
 class TestErrors:
     def test_unknown_kernel_reports_error(self, capsys):
         assert main(["fft", "--length", "64"]) == 1

@@ -34,7 +34,8 @@ from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
-from repro.rdram.channel import ChannelGeometry, make_memory
+from repro.rdram.audit import audit_memory
+from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
 from repro.rdram.device import RdramGeometry
 from repro.rdram.fabric import FabricGeometry, MemoryFabric
 from repro.rdram.timing import DATA_PACKET_BYTES
@@ -198,6 +199,9 @@ class TestChannelStriping:
         assert mapping.channel_of(0) == 0
 
 
+_TWO_CHANNELS = MemorySystemConfig(topology=MemoryTopology(channels=2))
+
+
 class TestMemoryFabric:
     def test_fabric_geometry_validation(self):
         with pytest.raises(ConfigurationError):
@@ -221,13 +225,15 @@ class TestMemoryFabric:
 
     def test_make_memory_builds_fabric(self):
         memory = make_memory(
-            topology=MemoryTopology(channels=2, devices_per_channel=1)
+            MemorySystemConfig(
+                topology=MemoryTopology(channels=2, devices_per_channel=1)
+            )
         )
         assert isinstance(memory, MemoryFabric)
         assert len(memory.channel_memories) == 2
 
     def test_routing_isolates_channels(self):
-        fabric = make_memory(topology=MemoryTopology(channels=2))
+        fabric = make_memory(_TWO_CHANNELS)
         per_channel = fabric.geometry.banks_per_channel
         from repro.rdram.packets import BusDirection
 
@@ -240,12 +246,12 @@ class TestMemoryFabric:
     def test_out_of_range_bank_rejected(self):
         from repro.errors import ProtocolError
 
-        fabric = make_memory(topology=MemoryTopology(channels=2))
+        fabric = make_memory(_TWO_CHANNELS)
         with pytest.raises(ProtocolError):
             fabric.bank(fabric.geometry.num_banks)
 
     def test_shared_page_manager_rejected(self):
-        fabric = make_memory(topology=MemoryTopology(channels=2))
+        fabric = make_memory(_TWO_CHANNELS)
         with pytest.raises(ConfigurationError):
             fabric.page_manager = object()
 
@@ -283,18 +289,6 @@ class TestRunSpecTopology:
         with pytest.raises(ConfigurationError):
             RunSpec(kernel=DAXPY, organization=config, length=64, channels=4)
 
-    def test_multi_channel_refuses_audit(self):
-        with pytest.raises(ConfigurationError):
-            simulate(
-                RunSpec(
-                    kernel=DAXPY,
-                    organization="cli",
-                    length=64,
-                    channels=2,
-                    audit=True,
-                )
-            )
-
     def test_multi_channel_refuses_instrumentation(self):
         from repro.obs import Instrumentation
 
@@ -305,6 +299,69 @@ class TestRunSpecTopology:
                 ),
                 obs=Instrumentation(),
             )
+
+
+class TestPerChannelAudit:
+    """``audit=True`` audits each channel against its own geometry."""
+
+    @pytest.mark.parametrize("org", ["cli", "pi"])
+    @pytest.mark.parametrize(
+        "channels,devices", [(1, 2), (1, 4), (2, 1), (2, 2)]
+    )
+    def test_simulate_audits_each_channel(self, org, channels, devices):
+        result = simulate(
+            RunSpec(
+                kernel=DAXPY,
+                organization=org,
+                length=1024,
+                channels=channels,
+                devices=devices,
+                audit=True,
+                refresh=True,
+            )
+        )
+        assert result.refreshes > 0
+
+
+def _kernel_run(controller):
+    return controller.run(DAXPY, length=512)
+
+
+#: Each line controller class, with a short run of it.
+LINE_CONTROLLERS = {
+    "natural-order": (NaturalOrderController, _kernel_run),
+    "cached-natural-order": (CachedNaturalOrderController, _kernel_run),
+    "l2-streaming": (L2StreamingController, _kernel_run),
+    "random-access": (
+        RandomAccessDriver,
+        lambda driver: driver.run(512, write_fraction=0.4, seed=3),
+    ),
+}
+
+
+class TestLineControllersOnTopology:
+    @pytest.mark.parametrize("org", ["cli", "pi"])
+    @pytest.mark.parametrize("name", sorted(LINE_CONTROLLERS))
+    def test_runs_on_a_multi_device_channel(self, name, org):
+        cls, run = LINE_CONTROLLERS[name]
+        config = getattr(MemorySystemConfig, org)(
+            topology=MemoryTopology(devices_per_channel=2)
+        )
+        controller = cls(config, record_trace=True, refresh=True)
+        assert isinstance(controller.device, RambusChannel)
+        assert run(controller).transferred_bytes > 0
+        assert controller.refreshes_issued > 0
+        (report,) = audit_memory(controller.device)
+        assert report.col_packets > 0
+
+    @pytest.mark.parametrize("name", sorted(LINE_CONTROLLERS))
+    def test_multi_channel_rejected(self, name):
+        cls, _ = LINE_CONTROLLERS[name]
+        config = MemorySystemConfig.cli(topology=MemoryTopology(channels=2))
+        with pytest.raises(ConfigurationError, match=cls.__name__) as error:
+            cls(config)
+        assert "simulate()" in str(error.value)
+        assert "run_traffic()" in str(error.value)
 
 
 class TestEngineGates:

@@ -363,15 +363,11 @@ def _server(
     scheduler,
     regulator: Optional[BankBudgetRegulator] = None,
 ) -> ChannelServer:
-    mapping = get_address_mapping(config)
-    memory = make_memory(
-        timing=config.timing, geometry=config.geometry, record_trace=False
-    )
-    memory.mapping = mapping
+    memory = make_memory(config)
     return ChannelServer(
         index=0,
         memory=memory,
-        mapping=mapping,
+        mapping=memory.mapping,
         config=config,
         bank_offset=0,
         regulator=regulator,
