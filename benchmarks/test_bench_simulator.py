@@ -22,9 +22,13 @@ def test_device_issue_throughput(benchmark):
     def burst():
         device = RdramDevice(record_trace=False)
         device.issue_act(0, 0, 0)
+        t_pack = device.timing.t_pack
         now = 0
         for column in range(64):
-            now = device.issue_col(0, 0, column, now, BusDirection.READ).col.end
+            col_start, _, _ = device.issue_col(
+                0, 0, column, now, BusDirection.READ
+            )
+            now = col_start + t_pack
         return device.bytes_transferred
 
     assert benchmark(burst) == 64 * 16

@@ -141,34 +141,33 @@ class MemorySchedulingUnit:
         location = unit.location
         direction = BusDirection.READ if fifo.is_read else BusDirection.WRITE
         # The open/conflict/precharge decision lives in the device's
-        # access path (perform_access), shared with every controller.
-        outcome = self.device.issue_access(
-            location.bank,
-            location.row,
-            location.column,
-            cycle,
-            direction,
-            precharge=unit.precharge_after,
+        # access path (issue_access), shared with every controller.
+        _, col_start, _, data_end, conflicts, page_hit = (
+            self.device.issue_access(
+                location.bank,
+                location.row,
+                location.column,
+                cycle,
+                direction,
+                precharge=unit.precharge_after,
+            )
         )
-        access = outcome.access
-        self.bank_conflicts += outcome.conflicts
-        if outcome.activated:
-            self.activations += 1
-        if outcome.page_hit:
+        self.bank_conflicts += conflicts
+        if page_hit:
             self.page_hits += 1
         else:
+            # A miss issues exactly one ACT.
+            self.activations += 1
             self.page_misses += 1
         if self.obs is not None:
             self.obs.counters.incr("msu.decisions")
-            if outcome.conflicts:
-                self.obs.counters.incr(
-                    "msu.bank_conflicts", outcome.conflicts
-                )
+            if conflicts:
+                self.obs.counters.incr("msu.bank_conflicts", conflicts)
             self.obs.tracer.add_span(
                 "msu",
                 f"{'RD' if fifo.is_read else 'WR'} {fifo.descriptor.name}",
-                access.col.start,
-                access.data.end,
+                col_start,
+                data_end,
                 bank=location.bank,
                 row=location.row,
                 column=location.column,
@@ -176,15 +175,15 @@ class MemorySchedulingUnit:
             )
         fifo.note_issue()
         self.packets_issued += 1
-        self.last_data_end = max(self.last_data_end, access.data.end)
+        self.last_data_end = max(self.last_data_end, data_end)
         self.next_decision = max(
-            cycle + 1, self.policy.pace(access, cycle, self.device.timing)
+            cycle + 1, self.policy.pace(col_start, cycle, self.device.timing)
         )
         self.policy.speculate(self, cycle, choice, unit)
         if fifo.is_read:
             return (
                 ArrivalEvent(
-                    cycle=access.data.end,
+                    cycle=data_end,
                     fifo_index=choice,
                     elements=unit.elements,
                 ),

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.fifo import AccessUnit
 from repro.core.sbu import StreamBufferUnit
-from repro.rdram.device import RdramDevice, ScheduledAccess
+from repro.rdram.device import RdramDevice
 from repro.rdram.timing import RdramTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -50,13 +50,12 @@ class SchedulingPolicy:
         """Pick the FIFO to issue the next access for, or None to idle."""
         raise NotImplementedError
 
-    def pace(
-        self, access: ScheduledAccess, cycle: int, timing: RdramTiming
-    ) -> int:
+    def pace(self, col_start: int, cycle: int, timing: RdramTiming) -> int:
         """Cycle at which the MSU makes its next decision.
 
+        ``col_start`` is the just-issued access's COL packet start.
         The default lets the controller prepare its next access up to
-        t_RCD cycles before the previous COL packet goes out — enough
+        t_RCD cycles before that COL packet goes out — enough
         command pipelining for the next cacheline's ROW ACT to overlap
         the current line's data transfer (Figure 5 shows ACT packets
         paced by t_RR while data flows), and consistent with the
@@ -66,7 +65,7 @@ class SchedulingPolicy:
         FIFO's bank, which is the paper's stated round-robin
         deficiency.
         """
-        return max(cycle + 1, access.col.start - timing.t_rcd)
+        return max(cycle + 1, col_start - timing.t_rcd)
 
     def speculate(
         self,

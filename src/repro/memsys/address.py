@@ -34,8 +34,7 @@ further wiring (see ``docs/architecture.md``).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import List, Type
+from typing import List, NamedTuple, Type
 
 from repro.errors import ConfigurationError
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
@@ -43,9 +42,11 @@ from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.registry import Registry
 
 
-@dataclass(frozen=True, order=True)
-class Location:
+class Location(NamedTuple):
     """A DATA-packet-granularity location on the RDRAM device.
+
+    A named tuple: cheap to build on every :meth:`AddressMapping.decompose`
+    call, immutable, and ordered by (bank, row, column).
 
     Attributes:
         bank: Bank index.
@@ -173,8 +174,9 @@ class AddressMapping:
     def observe_access(self, bank: int, row: int, now: int) -> int:
         """Feed one issued access to the mapping's monitor state.
 
-        Called from :func:`repro.rdram.device.perform_access` when the
-        mapping is attached to the memory model and ``stateful``.
+        Called from :meth:`repro.rdram.device.RdramDevice.issue_access`
+        when the mapping is attached to the memory model and
+        ``stateful``.
 
         Returns:
             Number of re-arrangement (remap) events this observation

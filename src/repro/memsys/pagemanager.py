@@ -6,7 +6,7 @@ access-plan builder, the MSU, the natural-order controller, the L2
 streamer and the random driver each branched on it.  This module makes
 the decision a first-class strategy: a :class:`PageManager` owns the
 precharge policy and the device model consults it in exactly one place
-(:func:`repro.rdram.device.perform_access`).
+(:meth:`repro.rdram.device.RdramDevice.issue_access`).
 
 A manager can act at two points:
 

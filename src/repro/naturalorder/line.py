@@ -64,10 +64,10 @@ class LineController:
         """Issue one full-cacheline transaction, no earlier than ``start_at``.
 
         Each DATA packet of the line routes through the device's shared
-        access path (:func:`repro.rdram.device.perform_access`), which
-        owns the open/conflict decision and consults the page manager;
-        the plan-time precharge flag goes on the last packet of the
-        line when the manager plants precharges (the closed-page
+        access path (:meth:`repro.rdram.device.RdramDevice.issue_access`),
+        which owns the open/conflict decision and consults the page
+        manager; the plan-time precharge flag goes on the last packet of
+        the line when the manager plants precharges (the closed-page
         policy).
 
         Returns:
@@ -83,7 +83,7 @@ class LineController:
         hits = 0
         for offset in range(last + 1):
             location = decompose(line_address + offset * 16)
-            outcome = issue_access(
+            cmd, _, data_start, data_end, conflicts, page_hit = issue_access(
                 location.bank,
                 location.row,
                 location.column,
@@ -91,20 +91,13 @@ class LineController:
                 direction,
                 precharge=plans_precharge and offset == last,
             )
-            forced += outcome.conflicts
-            if outcome.page_hit:
+            forced += conflicts
+            if page_hit:
                 hits += 1
             if offset == 0:
-                first_cmd = outcome.first_cmd
-                first_data = outcome.access.data.start
-        return (
-            first_cmd,
-            first_data,
-            outcome.access.data.end,
-            forced,
-            hits,
-            last + 1 - hits,
-        )
+                first_cmd = cmd
+                first_data = data_start
+        return first_cmd, first_data, data_end, forced, hits, last + 1 - hits
 
     def _drive(
         self,

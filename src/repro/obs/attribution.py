@@ -123,11 +123,12 @@ class AccessMix:
     """Row-buffer outcome rates for an instrumented run.
 
     Every column access the device issues is classified at the shared
-    access path (:func:`repro.rdram.device.perform_access`): a *page
-    hit* found its row already open, a *page miss* had to activate,
-    and a miss that additionally had to precharge a different open row
-    first is also a *bank conflict*.  The page-management policy layer
-    exists to move these rates, so they are first-class observables.
+    access path (:meth:`repro.rdram.device.RdramDevice.issue_access`):
+    a *page hit* found its row already open, a *page miss* had to
+    activate, and a miss that additionally had to precharge a different
+    open row first is also a *bank conflict*.  The page-management
+    policy layer exists to move these rates, so they are first-class
+    observables.
 
     Attributes:
         page_hits: Accesses whose row was already open.

@@ -9,13 +9,7 @@ earliest-legal-issue interface, and an independent protocol auditor.
 from repro.rdram.audit import AuditReport, audit_memory, audit_trace
 from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
-from repro.rdram.device import (
-    AccessIssue,
-    RdramDevice,
-    RdramGeometry,
-    ScheduledAccess,
-    perform_access,
-)
+from repro.rdram.device import RdramDevice, RdramGeometry
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
 from repro.rdram.tracefmt import render_trace, render_trace_wrapped
 from repro.rdram.packets import (
@@ -46,11 +40,8 @@ __all__ = [
     "ChannelGeometry",
     "RambusChannel",
     "make_memory",
-    "AccessIssue",
     "RdramDevice",
     "RdramGeometry",
-    "ScheduledAccess",
-    "perform_access",
     "DEFAULT_INTERVAL_CYCLES",
     "RefreshEngine",
     "render_trace",

@@ -6,12 +6,15 @@ sense amplifiers (eight on the paper's single device).  Controllers
 drive it through an *earliest-legal-issue* interface: for each command
 the model computes the first cycle at or after the requested cycle at
 which every datasheet constraint is satisfied, reserves the buses,
-updates bank state, and returns the scheduled packet.
+updates bank state, and returns the scheduled cycles as plain ints.
+Packet records (:mod:`repro.rdram.packets`) are built only when the
+device records a trace.
 
 Constraints enforced here (bank-local rules live in
 :mod:`repro.rdram.bank`):
 
-* each sub-bus carries one packet per t_PACK window,
+* each sub-bus carries one packet per t_PACK window, so a DATA packet
+  starting at cycle s ends at s + t_PACK,
 * t_RR between consecutive ROW ACT packets to the same device,
 * read DATA follows its COL RD by t_CAC + t_RDLY; write DATA follows
   its COL WR by t_CAC (no round-trip delay for writes),
@@ -192,126 +195,6 @@ def record_bank_close(
     )
 
 
-@dataclass
-class ScheduledAccess:
-    """Result of issuing a column access.
-
-    Attributes:
-        col: The COL command packet as scheduled.
-        data: The DATA packet the access produces or consumes.
-        precharged: True if the COL packet carried a precharge flag.
-    """
-
-    col: ColPacket
-    data: DataPacket
-    precharged: bool
-
-
-@dataclass
-class AccessIssue:
-    """Result of one full stream access through :func:`perform_access`.
-
-    Attributes:
-        access: The scheduled COL/DATA packets.
-        first_cmd: Start cycle of the first command the access needed
-            (a forced PRER, the ACT, or the COL packet on a page hit).
-        activated: True if the access issued a ROW ACT.
-        conflicts: Precharges forced by open banks holding other rows
-            (the target bank and, on double-bank cores, neighbors).
-        page_hit: True if the needed row was already open.
-    """
-
-    access: ScheduledAccess
-    first_cmd: int
-    activated: bool
-    conflicts: int
-    page_hit: bool
-
-
-def perform_access(
-    memory,
-    bank_index: int,
-    row: int,
-    column: int,
-    now: int,
-    direction: BusDirection,
-    precharge: bool = False,
-) -> AccessIssue:
-    """Issue one stream access, opening the row as needed.
-
-    This is the single place the open/conflict/precharge decision is
-    made: every controller (MSU, natural-order, L2 streamer, random
-    driver) routes its accesses through here via
-    ``memory.issue_access``.  The sequence is the historical one —
-    precharge the target bank if it holds the wrong row, precharge any
-    open double-bank neighbors, activate, then the COL packet — so the
-    paper's CLI+closed and PI+open pairings are bit-identical to the
-    pre-registry code.
-
-    The memory's attached :class:`~repro.memsys.pagemanager.PageManager`
-    is consulted when it has runtime behavior: due timeouts are
-    materialized before the bank is inspected, the access is fed to
-    the predictor, and the manager may add a precharge flag to the COL
-    packet.  ``precharge=True`` from the caller (a plan-time flag) is
-    always honored.
-    """
-    manager = memory.page_manager
-    runtime = manager is not None and manager.runtime
-    if runtime:
-        manager.sync(memory, bank_index, now)
-        for neighbor in memory.geometry.neighbors(bank_index):
-            manager.sync(memory, neighbor, now)
-    bank_obj = memory.bank(bank_index)
-    page_hit = bank_obj.open_row == row
-    first_cmd: Optional[int] = None
-    conflicts = 0
-    activated = False
-    if not page_hit:
-        if bank_obj.is_open:
-            conflicts += 1
-            packet = memory.issue_prer(bank_index, now)
-            first_cmd = packet.start
-        for neighbor in memory.geometry.neighbors(bank_index):
-            # Double-bank cores: an adjacent open bank shares the
-            # sense amps and must be precharged first.
-            if memory.bank(neighbor).is_open:
-                conflicts += 1
-                packet = memory.issue_prer(neighbor, now)
-                if first_cmd is None:
-                    first_cmd = packet.start
-        packet = memory.issue_act(bank_index, row, now)
-        if first_cmd is None:
-            first_cmd = packet.start
-        activated = True
-    if runtime:
-        manager.observe(memory, bank_index, row)
-        if not precharge:
-            precharge = manager.close_after(memory, bank_index, row)
-    access = memory.issue_col(
-        bank_index, row, column, now, direction, precharge=precharge
-    )
-    if first_cmd is None:
-        first_cmd = access.col.start
-    mapping = getattr(memory, "mapping", None)
-    if mapping is not None and mapping.stateful:
-        remaps = mapping.observe_access(bank_index, row, now)
-        if remaps and memory.obs is not None:
-            memory.obs.counters.incr("device.remap_events", remaps)
-    if memory.obs is not None:
-        memory.obs.counters.incr(
-            "device.page_hits" if page_hit else "device.page_misses"
-        )
-        if conflicts:
-            memory.obs.counters.incr("device.bank_conflicts", conflicts)
-    return AccessIssue(
-        access=access,
-        first_cmd=first_cmd,
-        activated=activated,
-        conflicts=conflicts,
-        page_hit=page_hit,
-    )
-
-
 class RdramDevice:
     """The Direct RDRAM devices on one Rambus channel.
 
@@ -329,7 +212,8 @@ class RdramDevice:
         geometry: Bank/page geometry, of one device or of a channel.
         record_trace: When True (default) every scheduled packet is
             appended to :attr:`trace` for auditing and timeline
-            rendering.  Disable for long benchmark sweeps.
+            rendering.  Disable for long benchmark sweeps: an untraced
+            device builds no packet objects at all.
     """
 
     def __init__(
@@ -362,16 +246,22 @@ class RdramDevice:
         #: default) costs one branch per COL packet.
         self.gap_log: Optional[List[DataBusGap]] = None
         #: Optional page-management strategy consulted by
-        #: :func:`perform_access`; None behaves like the open policy
+        #: :meth:`issue_access`; None behaves like the open policy
         #: (callers decide precharge flags themselves).
         self.page_manager = None
         #: Optional attached address mapping; a *stateful* mapping
         #: (``mapping.stateful``) is fed every access by
-        #: :func:`perform_access` so it can re-arrange at epoch
+        #: :meth:`issue_access` so it can re-arrange at epoch
         #: boundaries.  None or a static mapping costs one branch.
         self.mapping = None
+        # The geometry is frozen: read its shape once, not per issue.
+        geometry = self.geometry
+        self._num_banks = geometry.num_banks
+        self._rows_per_bank = geometry.rows_per_bank
+        self._packets_per_page = geometry.packets_per_page
+        self._neighbors = [geometry.neighbors(b) for b in range(self._num_banks)]
         self.banks: List[Bank] = [
-            Bank(index=i, timing=self.timing) for i in range(self.geometry.num_banks)
+            Bank(index=i, timing=self.timing) for i in range(self._num_banks)
         ]
         self.trace: List[object] = []
         # COL-to-DATA delay per direction; the timing is frozen.
@@ -380,14 +270,12 @@ class RdramDevice:
             BusDirection.WRITE: self.timing.write_data_delay(),
         }
         # t_RR spaces ACTs per device; a plain RdramGeometry is one.
-        self._banks_per_device = getattr(
-            self.geometry, "device", self.geometry
-        ).num_banks
+        self._banks_per_device = getattr(geometry, "device", geometry).num_banks
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
         self._last_act_by_device = [NEVER] * (
-            self.geometry.num_banks // self._banks_per_device
+            self._num_banks // self._banks_per_device
         )
         self._last_write_data_end = NEVER
         self._last_data_dir: Optional[BusDirection] = None
@@ -403,9 +291,9 @@ class RdramDevice:
 
     def bank(self, index: int) -> Bank:
         """The bank object at ``index`` (bounds-checked)."""
-        if not 0 <= index < self.geometry.num_banks:
+        if not 0 <= index < self._num_banks:
             raise ProtocolError(
-                f"bank index {index} out of range 0..{self.geometry.num_banks - 1}"
+                f"bank index {index} out of range 0..{self._num_banks - 1}"
             )
         return self.banks[index]
 
@@ -425,7 +313,7 @@ class RdramDevice:
             self._last_act_by_device[bank // self._banks_per_device]
             + self.timing.t_rr,
         )
-        for neighbor in self.geometry.neighbors(bank):
+        for neighbor in self._neighbors[bank]:
             neighbor_bank = self.banks[neighbor]
             if neighbor_bank.is_open:
                 raise ProtocolError(
@@ -471,40 +359,43 @@ class RdramDevice:
     # ------------------------------------------------------------------
     # issue operations
 
-    def issue_act(self, bank: int, row: int, now: int) -> RowPacket:
+    def issue_act(self, bank: int, row: int, now: int) -> int:
         """Issue a ROW ACT opening ``row`` in ``bank`` at the earliest
         legal cycle at or after ``now``.
 
         Returns:
-            The scheduled ROW packet.
+            The ACT packet's start cycle.
         """
-        if not 0 <= row < self.geometry.rows_per_bank:
+        if not 0 <= row < self._rows_per_bank:
             raise ProtocolError(
-                f"row {row} out of range 0..{self.geometry.rows_per_bank - 1}"
+                f"row {row} out of range 0..{self._rows_per_bank - 1}"
             )
         start = self.earliest_act(bank, now)
         if self.obs is not None:
             self.obs.counters.incr("device.row_act")
-        self.bank(bank).apply_act(start, row)
+        self.banks[bank].apply_act(start, row)
         self._row_bus_free = start + self.timing.t_pack
         self._last_act_by_device[bank // self._banks_per_device] = start
-        packet = RowPacket(command=RowCommand.ACT, bank=bank, row=row, start=start)
         if self.record_trace:
-            self.trace.append(packet)
-        return packet
+            self.trace.append(RowPacket(RowCommand.ACT, bank, row, start))
+        return start
 
-    def issue_prer(self, bank: int, now: int) -> RowPacket:
-        """Issue a ROW PRER closing ``bank`` at the earliest legal cycle."""
+    def issue_prer(self, bank: int, now: int) -> int:
+        """Issue a ROW PRER closing ``bank`` at the earliest legal cycle.
+
+        Returns:
+            The PRER packet's start cycle.
+        """
         start = self.earliest_prer(bank, now)
+        bank_obj = self.banks[bank]
         if self.obs is not None:
             self.obs.counters.incr("device.row_prer")
-            record_bank_close(self.obs, self.bank(bank), bank, start)
-        self.bank(bank).apply_prer(start)
+            record_bank_close(self.obs, bank_obj, bank, start)
+        bank_obj.apply_prer(start)
         self._row_bus_free = start + self.timing.t_pack
-        packet = RowPacket(command=RowCommand.PRER, bank=bank, row=None, start=start)
         if self.record_trace:
-            self.trace.append(packet)
-        return packet
+            self.trace.append(RowPacket(RowCommand.PRER, bank, None, start))
+        return start
 
     def issue_col(
         self,
@@ -514,7 +405,7 @@ class RdramDevice:
         now: int,
         direction: BusDirection,
         precharge: bool = False,
-    ) -> ScheduledAccess:
+    ) -> Tuple[int, int, int]:
         """Issue a COL RD/WR moving one DATA packet.
 
         Args:
@@ -527,17 +418,21 @@ class RdramDevice:
                 the bank-local precharge constraints allow.
 
         Returns:
-            The scheduled COL and DATA packets.
+            ``(col_start, data_start, data_end)``: the COL packet's
+            start, and the DATA packet's start and end.  The DATA
+            packet holds the bus until ``data_start + t_PACK``.
         """
-        if not 0 <= column < self.geometry.packets_per_page:
+        if not 0 <= column < self._packets_per_page:
             raise ProtocolError(
                 f"column {column} out of range "
-                f"0..{self.geometry.packets_per_page - 1}"
+                f"0..{self._packets_per_page - 1}"
             )
         start = self.earliest_col(bank, row, now, direction)
         # earliest_col bounds-checked the bank.
         bank_obj = self.banks[bank]
         delay = self._data_delay[direction]
+        t_pack = self.timing.t_pack
+        reading = direction is BusDirection.READ
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
         if self.gap_log is not None:
@@ -552,38 +447,33 @@ class RdramDevice:
                 start,
                 delay,
             )
-        if (
-            direction is BusDirection.READ
-            and self.explicit_retire
-            and self._retire_pending
-        ):
-            retire = ColPacket(
-                command=ColCommand.RET,
-                bank=bank,
-                row=row,
-                column=0,
-                start=start - self.timing.t_pack,
-            )
+        if reading and self.explicit_retire and self._retire_pending:
             if self.record_trace:
-                self.trace.append(retire)
+                self.trace.append(
+                    ColPacket(ColCommand.RET, bank, row, 0, start - t_pack)
+                )
             self._retire_pending = False
         bank_obj.apply_col(start, row)
-        self._col_bus_free = start + self.timing.t_pack
+        self._col_bus_free = start + t_pack
         data_start = start + delay
-        data = DataPacket(
-            direction=direction, bank=bank, start=data_start, source_col_start=start
-        )
-        self._data_bus_free = data_start + self.timing.t_pack
+        data_end = data_start + t_pack
+        self._data_bus_free = data_end
         self._last_data_dir = direction
-        if direction is BusDirection.WRITE:
-            self._last_write_data_end = data_start + self.timing.t_pack
+        if not reading:
+            self._last_write_data_end = data_end
             self._retire_pending = True
         self._data_packets_moved += 1
-        cmd = ColCommand.RD if direction is BusDirection.READ else ColCommand.WR
-        col = ColPacket(command=cmd, bank=bank, row=row, column=column, start=start)
         if self.record_trace:
-            self.trace.append(col)
-            self.trace.append(data)
+            self.trace.append(
+                ColPacket(
+                    ColCommand.RD if reading else ColCommand.WR,
+                    bank,
+                    row,
+                    column,
+                    start,
+                )
+            )
+            self.trace.append(DataPacket(direction, bank, data_start, start))
         if precharge:
             # The precharge rides the COL packet: it takes effect at the
             # earliest bank-legal cycle at or after the COL packet, with
@@ -596,15 +486,9 @@ class RdramDevice:
             bank_obj.apply_prer(prer_start)
             if self.record_trace:
                 self.trace.append(
-                    RowPacket(
-                        command=RowCommand.PRER,
-                        bank=bank,
-                        row=None,
-                        start=prer_start,
-                        via_col=True,
-                    )
+                    RowPacket(RowCommand.PRER, bank, None, prer_start, True)
                 )
-        return ScheduledAccess(col=col, data=data, precharged=precharge)
+        return start, data_start, data_end
 
     def issue_access(
         self,
@@ -614,11 +498,83 @@ class RdramDevice:
         now: int,
         direction: BusDirection,
         precharge: bool = False,
-    ) -> AccessIssue:
-        """Issue one full stream access (see :func:`perform_access`)."""
-        return perform_access(
-            self, bank, row, column, now, direction, precharge=precharge
+    ) -> Tuple[int, int, int, int, int, bool]:
+        """Issue one stream access, opening the row as needed.
+
+        This is the single place the open/conflict/precharge decision
+        is made: every controller (MSU, natural-order, L2 streamer,
+        random driver, traffic server) routes its accesses through
+        here.  The sequence is the historical one — precharge the
+        target bank if it holds the wrong row, precharge any open
+        double-bank neighbors, activate, then the COL packet — so the
+        paper's CLI+closed and PI+open pairings are bit-identical to
+        the pre-registry code.
+
+        The attached :class:`~repro.memsys.pagemanager.PageManager` is
+        consulted when it has runtime behavior: due timeouts are
+        materialized before the bank is inspected, the access is fed
+        to the predictor, and the manager may add a precharge flag to
+        the COL packet.  ``precharge=True`` from the caller (a
+        plan-time flag) is always honored.  A stateful attached
+        mapping is fed the access afterwards.
+
+        Returns:
+            ``(first_cmd, col_start, data_start, data_end, conflicts,
+            page_hit)``: the start of the first command the access
+            needed (a forced PRER, the ACT, or the COL packet on a page
+            hit); the COL and DATA cycles of :meth:`issue_col`; the
+            precharges forced by open banks holding other rows (the
+            target bank and, on double-bank cores, neighbors); and
+            whether the needed row was already open.  A miss issues
+            exactly one ACT.
+        """
+        bank_obj = self.bank(bank)
+        neighbors = self._neighbors[bank]
+        manager = self.page_manager
+        runtime = manager is not None and manager.runtime
+        if runtime:
+            manager.sync(self, bank, now)
+            for neighbor in neighbors:
+                manager.sync(self, neighbor, now)
+        page_hit = bank_obj.open_row == row
+        first_cmd: Optional[int] = None
+        conflicts = 0
+        if not page_hit:
+            if bank_obj.is_open:
+                conflicts += 1
+                first_cmd = self.issue_prer(bank, now)
+            for neighbor in neighbors:
+                # Double-bank cores: an adjacent open bank shares the
+                # sense amps and must be precharged first.
+                if self.banks[neighbor].is_open:
+                    conflicts += 1
+                    start = self.issue_prer(neighbor, now)
+                    if first_cmd is None:
+                        first_cmd = start
+            start = self.issue_act(bank, row, now)
+            if first_cmd is None:
+                first_cmd = start
+        if runtime:
+            manager.observe(self, bank, row)
+            if not precharge:
+                precharge = manager.close_after(self, bank, row)
+        col_start, data_start, data_end = self.issue_col(
+            bank, row, column, now, direction, precharge
         )
+        if first_cmd is None:
+            first_cmd = col_start
+        mapping = self.mapping
+        if mapping is not None and mapping.stateful:
+            remaps = mapping.observe_access(bank, row, now)
+            if remaps and self.obs is not None:
+                self.obs.counters.incr("device.remap_events", remaps)
+        if self.obs is not None:
+            self.obs.counters.incr(
+                "device.page_hits" if page_hit else "device.page_misses"
+            )
+            if conflicts:
+                self.obs.counters.incr("device.bank_conflicts", conflicts)
+        return first_cmd, col_start, data_start, data_end, conflicts, page_hit
 
     def sync_bank(self, index: int, now: int) -> None:
         """Materialize any page-manager action due on a bank.
@@ -646,15 +602,7 @@ class RdramDevice:
             record_bank_close(self.obs, bank_obj, bank, start, via_col=True)
         bank_obj.apply_prer(start)
         if self.record_trace:
-            self.trace.append(
-                RowPacket(
-                    command=RowCommand.PRER,
-                    bank=bank,
-                    row=None,
-                    start=start,
-                    via_col=True,
-                )
-            )
+            self.trace.append(RowPacket(RowCommand.PRER, bank, None, start, True))
 
     def finish_observation(self, end_cycle: int) -> None:
         """Close any still-open "row open" spans at the end of a run."""

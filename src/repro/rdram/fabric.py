@@ -29,8 +29,8 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry
-from repro.rdram.device import AccessIssue, RdramDevice, RdramGeometry
-from repro.rdram.packets import BusDirection, RowPacket
+from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.rdram.packets import BusDirection
 
 
 @dataclass(frozen=True)
@@ -261,11 +261,11 @@ class MemoryFabric:
     # ------------------------------------------------------------------
     # issue operations (RdramDevice interface)
 
-    def issue_act(self, bank: int, row: int, now: int) -> RowPacket:
+    def issue_act(self, bank: int, row: int, now: int) -> int:
         memory, local = self._route(bank)
         return memory.issue_act(local, row, now)
 
-    def issue_prer(self, bank: int, now: int) -> RowPacket:
+    def issue_prer(self, bank: int, now: int) -> int:
         memory, local = self._route(bank)
         return memory.issue_prer(local, now)
 
@@ -277,7 +277,7 @@ class MemoryFabric:
         now: int,
         direction: BusDirection,
         precharge: bool = False,
-    ):
+    ) -> Tuple[int, int, int]:
         memory, local = self._route(bank)
         return memory.issue_col(local, row, column, now, direction, precharge)
 
@@ -289,8 +289,12 @@ class MemoryFabric:
         now: int,
         direction: BusDirection,
         precharge: bool = False,
-    ) -> AccessIssue:
-        """Issue one full stream access on the owning channel."""
+    ) -> Tuple[int, int, int, int, int, bool]:
+        """Issue one full stream access on the owning channel.
+
+        Returns the channel's :meth:`RdramDevice.issue_access` tuple
+        unchanged.
+        """
         memory, local = self._route(bank)
         return memory.issue_access(
             local, row, column, now, direction, precharge=precharge

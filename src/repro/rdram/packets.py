@@ -1,18 +1,24 @@
 """Command and data packet types for the Direct RDRAM channel.
 
-All communication with a Direct RDRAM happens in four-cycle packets on
-three sub-buses: a ROW command bus (ACT / PRER packets), a COL command
-bus (RD / WR packets, plus retires folded into the turnaround model),
-and the 16-bit dual-edge DATA bus.  This module defines the command
-vocabulary and the trace records the device emits, which the protocol
-auditor and the experiment timelines consume.
+All communication with a Direct RDRAM happens in t_PACK-cycle packets
+on three sub-buses: a ROW command bus (ACT / PRER packets), a COL
+command bus (RD / WR packets, plus retires folded into the turnaround
+model), and the 16-bit dual-edge DATA bus.  This module defines the
+command vocabulary and the trace records a device emits when it
+records a trace, which the protocol auditor and the experiment
+timelines consume.
+
+The records are named tuples: cheap to build, immutable and hashable.
+Each one's first field is of its own enum type (:class:`RowCommand`,
+:class:`ColCommand`, :class:`BusDirection`), so packets of different
+kinds never compare equal.  A packet occupies its bus from ``start``
+for the device timing's t_PACK cycles.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class RowCommand(enum.Enum):
@@ -48,8 +54,7 @@ class BusDirection(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class RowPacket:
+class RowPacket(NamedTuple):
     """A ROW command packet occupying the row bus for t_PACK cycles.
 
     Attributes:
@@ -68,18 +73,12 @@ class RowPacket:
     start: int
     via_col: bool = False
 
-    @property
-    def end(self) -> int:
-        """First cycle after the packet (start + 4 for a t_PACK of 4)."""
-        return self.start + 4
 
-
-@dataclass(frozen=True)
-class ColPacket:
+class ColPacket(NamedTuple):
     """A COL command packet occupying the col bus for t_PACK cycles.
 
     Attributes:
-        command: RD or WR.
+        command: RD, WR or RET.
         bank: Target bank index.
         row: Row the access is served from (the open row).
         column: Column address, in DATA-packet units within the row.
@@ -92,13 +91,8 @@ class ColPacket:
     column: int
     start: int
 
-    @property
-    def end(self) -> int:
-        return self.start + 4
 
-
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     """A 16-byte DATA packet occupying the data bus for t_PACK cycles.
 
     Attributes:
@@ -113,7 +107,3 @@ class DataPacket:
     bank: int
     start: int
     source_col_start: int
-
-    @property
-    def end(self) -> int:
-        return self.start + 4

@@ -119,12 +119,9 @@ class RefreshEngine:
         activate = self.device.issue_act(
             self._bank_cursor, self._row_cursor, cycle
         )
-        prer = self.device.issue_prer(self._bank_cursor, activate.start)
+        prer = self.device.issue_prer(self._bank_cursor, activate)
         self.refreshes_issued += 1
-        self.last_refresh = (
-            activate.start,
-            prer.start + self.device.timing.t_rp,
-        )
+        self.last_refresh = (activate, prer + self.device.timing.t_rp)
         if self.obs is not None:
             self.obs.counters.incr("refresh.issued")
             self.obs.tracer.add_span(

@@ -584,14 +584,12 @@ def run_smc_batch(
                 col_start = data_start - delay
                 bank_col_end[bank] = col_start + t_pack
                 col_bus_free = col_start + t_pack
-                data_bus_free = data_start + t_pack
+                data_end = data_start + t_pack
+                data_bus_free = data_end
                 last_dir_write = not reading
                 if last_dir_write:
-                    last_write_end = data_start + t_pack
+                    last_write_end = data_end
                 packets_moved += 1
-                # DataPacket.end is start + 4 regardless of t_pack;
-                # replicated for bit-identity with the event engine.
-                data_end = data_start + 4
                 if precharge:
                     prer = col_start
                     bound = bank_act[bank] + t_ras

@@ -432,18 +432,17 @@ class ChannelServer:
         for offset, (bank, local, row, column) in enumerate(packets):
             if offset == 0:
                 first_bank = bank
-            data = issue_access(
+            _, _, data_start, data_end, _, _ = issue_access(
                 local,
                 row,
                 column,
                 cycle,
                 direction,
                 precharge=plans and offset == last,
-            ).access.data
-            data_end = data.end
-            transfer += data_end - data.start
+            )
+            transfer += data_end - data_start
             if window:
-                self._note_window(bank, data.start, data_end)
+                self._note_window(bank, data_start, data_end)
             bank_bytes[bank] = bank_bytes.get(bank, 0) + DATA_PACKET_BYTES
         self.busy_cycles += transfer
         self._attribute(request, cycle, data_end, transfer)

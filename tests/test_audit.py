@@ -211,7 +211,7 @@ class TestAuditMemory:
         later = max(packet.start for packet in channel.trace) + 1000
         activate = channel.issue_act(bank, 0, later)
         channel.trace.append(
-            col(bank, 0, 0, activate.start + channel.timing.t_rcd - 1)
+            col(bank, 0, 0, activate + channel.timing.t_rcd - 1)
         )
         with pytest.raises(ProtocolError, match="t_RCD"):
             audit_memory(memory)

@@ -63,24 +63,28 @@ class TestChannelTiming:
         first = channel.issue_act(0, 0, 0)   # device 0
         second = channel.issue_act(8, 0, 0)  # device 1: only row bus binds
         third = channel.issue_act(1, 0, 0)   # device 0 again: t_RR binds
-        assert second.start == first.start + timing.t_pack
-        assert third.start == first.start + timing.t_rr
+        assert second == first + timing.t_pack
+        assert third == first + timing.t_rr
 
     def test_shared_data_bus(self, timing):
         channel = RambusChannel(geometry=ChannelGeometry(num_devices=2))
         channel.issue_act(0, 0, 0)
         channel.issue_act(8, 0, 0)
-        a = channel.issue_col(0, 0, 0, 0, BusDirection.READ)
-        b = channel.issue_col(8, 0, 0, 0, BusDirection.READ)
-        assert b.data.start == a.data.end
+        _, _, a_end = channel.issue_col(0, 0, 0, 0, BusDirection.READ)
+        _, b_data, _ = channel.issue_col(8, 0, 0, 0, BusDirection.READ)
+        assert b_data == a_end
 
     def test_turnaround_is_channel_global(self, timing):
         channel = RambusChannel(geometry=ChannelGeometry(num_devices=2))
         channel.issue_act(0, 0, 0)
         channel.issue_act(8, 0, 0)
-        write = channel.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        read = channel.issue_col(8, 0, 0, write.col.end, BusDirection.READ)
-        assert read.data.start >= write.data.end + timing.t_rw
+        write_col, _, write_end = channel.issue_col(
+            0, 0, 0, 0, BusDirection.WRITE
+        )
+        _, read_data, _ = channel.issue_col(
+            8, 0, 0, write_col + timing.t_pack, BusDirection.READ
+        )
+        assert read_data >= write_end + timing.t_rw
 
     def test_bank_bounds(self):
         channel = RambusChannel(geometry=ChannelGeometry(num_devices=2))
@@ -92,7 +96,7 @@ class TestChannelTiming:
         channel.issue_act(0, 0, 0)
         channel.reset()
         assert channel.bytes_transferred == 0
-        assert channel.issue_act(0, 0, 0).start == 0
+        assert channel.issue_act(0, 0, 0) == 0
 
 
 class TestChannelAudit:

@@ -38,24 +38,26 @@ class TestGeometry:
 
 class TestRowCommands:
     def test_act_at_requested_time(self, device):
-        packet = device.issue_act(0, 5, 3)
-        assert packet.start == 3
+        start = device.issue_act(0, 5, 3)
+        assert start == 3
+        packet = device.trace[-1]
         assert packet.command is RowCommand.ACT
+        assert packet == RowPacket(RowCommand.ACT, bank=0, row=5, start=3)
         assert device.bank(0).open_row == 5
 
     def test_t_rr_between_acts_on_device(self, device, timing):
         device.issue_act(0, 0, 0)
         second = device.issue_act(1, 0, 0)
-        assert second.start == timing.t_rr
+        assert second == timing.t_rr
 
     def test_row_bus_occupancy_for_prer(self, device, timing):
         device.issue_act(0, 0, 0)
         device.issue_col(0, 0, 0, 0, BusDirection.READ)
         prer = device.issue_prer(0, 0)
-        assert prer.start >= timing.t_ras
+        assert prer >= timing.t_ras
         # A following ACT cannot share the row bus with the PRER packet.
-        act = device.issue_act(1, 0, prer.start)
-        assert act.start >= prer.start + timing.t_pack
+        act = device.issue_act(1, 0, prer)
+        assert act >= prer + timing.t_pack
 
     def test_act_row_out_of_range(self, device):
         with pytest.raises(ProtocolError, match="row"):
@@ -69,21 +71,25 @@ class TestRowCommands:
 class TestColumnCommands:
     def test_read_data_follows_col_by_cac_plus_rdly(self, device, timing):
         act = device.issue_act(0, 0, 0)
-        access = device.issue_col(0, 0, 0, 0, BusDirection.READ)
-        assert access.col.start == act.start + timing.t_rcd
-        assert access.data.start == access.col.start + timing.t_cac + timing.t_rdly
+        col, data, data_end = device.issue_col(0, 0, 0, 0, BusDirection.READ)
+        assert col == act + timing.t_rcd
+        assert data == col + timing.t_cac + timing.t_rdly
+        assert data_end == data + timing.t_pack
 
     def test_write_data_follows_col_by_cac(self, device, timing):
         device.issue_act(0, 0, 0)
-        access = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        assert access.data.start == access.col.start + timing.t_cac
+        col, data, data_end = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
+        assert data == col + timing.t_cac
+        assert data_end == data + timing.t_pack
 
     def test_col_bus_serializes_packets(self, device, timing):
         device.issue_act(0, 0, 0)
-        first = device.issue_col(0, 0, 0, 0, BusDirection.READ)
-        second = device.issue_col(0, 0, 1, 0, BusDirection.READ)
-        assert second.col.start == first.col.start + timing.t_pack
-        assert second.data.start == first.data.start + timing.t_pack
+        first_col, first_data, _ = device.issue_col(0, 0, 0, 0, BusDirection.READ)
+        second_col, second_data, _ = device.issue_col(
+            0, 0, 1, 0, BusDirection.READ
+        )
+        assert second_col == first_col + timing.t_pack
+        assert second_data == first_data + timing.t_pack
 
     def test_column_out_of_range(self, device):
         device.issue_act(0, 0, 0)
@@ -99,25 +105,31 @@ class TestColumnCommands:
 class TestTurnaround:
     def test_write_to_read_pays_t_rw(self, device, timing):
         device.issue_act(0, 0, 0)
-        write = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        read = device.issue_col(0, 0, 1, write.col.end, BusDirection.READ)
-        assert read.data.start >= write.data.end + timing.t_rw
+        write_col, _, write_end = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
+        _, read_data, _ = device.issue_col(
+            0, 0, 1, write_col + timing.t_pack, BusDirection.READ
+        )
+        assert read_data >= write_end + timing.t_rw
 
     def test_read_to_write_has_no_turnaround(self, device, timing):
         device.issue_act(0, 0, 0)
-        read = device.issue_col(0, 0, 0, 0, BusDirection.READ)
-        write = device.issue_col(0, 0, 1, read.col.end, BusDirection.WRITE)
+        read_col, _, read_end = device.issue_col(0, 0, 0, 0, BusDirection.READ)
+        _, write_data, _ = device.issue_col(
+            0, 0, 1, read_col + timing.t_pack, BusDirection.WRITE
+        )
         # Write data may start as soon as the data bus frees.
-        assert write.data.start == read.data.end
+        assert write_data == read_end
 
     def test_back_to_back_reads_saturate_bus(self, device, timing):
         device.issue_act(0, 0, 0)
-        previous = None
+        previous_end = None
         for column in range(8):
-            access = device.issue_col(0, 0, column, 0, BusDirection.READ)
-            if previous is not None:
-                assert access.data.start == previous.data.end
-            previous = access
+            _, data, data_end = device.issue_col(
+                0, 0, column, 0, BusDirection.READ
+            )
+            if previous_end is not None:
+                assert data == previous_end
+            previous_end = data_end
 
 
 class TestColCarriedPrecharge:
@@ -132,7 +144,7 @@ class TestColCarriedPrecharge:
         # The very next ACT elsewhere is limited only by t_RR, not by a
         # row-bus PRER packet.
         act = device.issue_act(1, 0, 0)
-        assert act.start == timing.t_rr
+        assert act == timing.t_rr
 
     def test_precharge_trace_marks_via_col(self, device):
         device.issue_act(0, 0, 0)
@@ -166,7 +178,7 @@ class TestAccounting:
         assert device.bytes_transferred == 0
         assert device.trace == []
         assert not device.bank(0).is_open
-        assert device.issue_act(0, 0, 0).start == 0
+        assert device.issue_act(0, 0, 0) == 0
 
     def test_earliest_queries_do_not_mutate(self, device, timing):
         device.issue_act(0, 0, 0)

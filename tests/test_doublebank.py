@@ -41,14 +41,14 @@ class TestDeviceRules:
         device = RdramDevice(geometry=doubled)
         device.issue_act(4, 0, 0)
         prer = device.issue_prer(4, 0)
-        act = device.issue_act(5, 0, prer.start)
-        assert act.start >= prer.start + timing.t_rp
+        act = device.issue_act(5, 0, prer)
+        assert act >= prer + timing.t_rp
 
     def test_non_adjacent_banks_independent(self, doubled):
         device = RdramDevice(geometry=doubled)
         device.issue_act(4, 0, 0)
         act = device.issue_act(6, 0, 0)  # not adjacent: only t_RR binds
-        assert act.start == 8
+        assert act == 8
 
 
 class TestAddressPermutation:

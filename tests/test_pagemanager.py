@@ -30,7 +30,7 @@ from repro.memsys.pagemanager import (
 )
 from repro.naturalorder.controller import NaturalOrderController
 from repro.rdram.device import RdramDevice
-from repro.rdram.packets import BusDirection
+from repro.rdram.packets import BusDirection, RowCommand, RowPacket
 from repro.rdram.timing import RdramTiming
 from repro.sim.engine import run_smc
 
@@ -83,7 +83,9 @@ class TestTimeout:
     def test_idle_bank_closes_after_the_timeout(self):
         device = RdramDevice(timing=RdramTiming())
         device.page_manager = TimeoutPageManager(timeout=50)
-        outcome = device.issue_access(0, 3, 0, 0, BusDirection.READ)
+        first_cmd, *_, page_hit = device.issue_access(
+            0, 3, 0, 0, BusDirection.READ
+        )
         bank = device.bank(0)
         assert bank.is_open and bank.open_row == 3
         due = max(bank.last_act_start, bank.last_col_end) + 50
@@ -91,16 +93,19 @@ class TestTimeout:
         assert bank.is_open
         device.sync_bank(0, due)
         assert not bank.is_open
-        assert outcome.activated and not outcome.page_hit
+        assert not page_hit
+        assert device.trace[0] == RowPacket(
+            RowCommand.ACT, bank=0, row=3, start=first_cmd
+        )
 
     def test_retouch_within_the_timeout_keeps_the_page_open(self):
         device = RdramDevice(timing=RdramTiming())
         device.page_manager = TimeoutPageManager(timeout=500)
         device.issue_access(0, 3, 0, 0, BusDirection.READ)
-        second = device.issue_access(
+        *_, page_hit = device.issue_access(
             0, 3, 1, device.bank(0).last_col_end + 100, BusDirection.READ
         )
-        assert second.page_hit
+        assert page_hit
 
     def test_timeout_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="positive"):

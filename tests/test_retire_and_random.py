@@ -17,14 +17,17 @@ class TestExplicitRetire:
     def test_ret_packet_emitted_between_wr_and_rd(self, timing):
         device = RdramDevice(explicit_retire=True)
         device.issue_act(0, 0, 0)
-        write = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        read = device.issue_col(0, 0, 1, write.col.end, BusDirection.READ)
+        write_col, _, _ = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
+        write_col_end = write_col + timing.t_pack
+        read_col, _, _ = device.issue_col(
+            0, 0, 1, write_col_end, BusDirection.READ
+        )
         rets = [
             p for p in device.trace
             if isinstance(p, ColPacket) and p.command is ColCommand.RET
         ]
         assert len(rets) == 1
-        assert write.col.end <= rets[0].start <= read.col.start - timing.t_pack
+        assert write_col_end <= rets[0].start <= read_col - timing.t_pack
         audit_trace(device.trace, timing)
 
     def test_data_timing_matches_folded_model(self, timing):
@@ -35,9 +38,9 @@ class TestExplicitRetire:
         for device in (explicit, folded):
             device.issue_act(0, 0, 0)
             device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        e = explicit.issue_col(0, 0, 1, 0, BusDirection.READ)
-        f = folded.issue_col(0, 0, 1, 0, BusDirection.READ)
-        assert e.data.start == f.data.start
+        _, e_data, _ = explicit.issue_col(0, 0, 1, 0, BusDirection.READ)
+        _, f_data, _ = folded.issue_col(0, 0, 1, 0, BusDirection.READ)
+        assert e_data == f_data
 
     def test_no_ret_between_consecutive_writes(self):
         device = RdramDevice(explicit_retire=True)
