@@ -27,11 +27,21 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.fifo import AccessUnit
 from repro.core.sbu import StreamBufferUnit
-from repro.rdram.device import RdramDevice
+from repro.rdram.device import BankState, RdramDevice
 from repro.rdram.timing import RdramTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.msu import MemorySchedulingUnit
+
+
+def _act_ready(bank: BankState, cycle: int, timing: RdramTiming) -> int:
+    """Earliest cycle >= ``cycle`` the closed ``bank`` allows an ACT:
+    t_RP after its last PRER and t_RC after its last ACT."""
+    return max(
+        cycle,
+        bank.last_prer_start + timing.t_rp,
+        bank.last_act_start + timing.t_rc,
+    )
 
 
 class SchedulingPolicy:
@@ -101,10 +111,12 @@ class SchedulingPolicy:
         device.sync_bank(unit.location.bank, cycle)
         bank = device.bank(unit.location.bank)
         if bank.open_row == unit.location.row:
-            return bank.earliest_col(cycle, unit.location.row) <= cycle + slack
-        if not bank.is_open:
-            return bank.earliest_act(cycle) <= cycle + slack
-        return False
+            ready = max(cycle, bank.last_act_start + device.timing.t_rcd)
+        elif not bank.is_open:
+            ready = _act_ready(bank, cycle, device.timing)
+        else:
+            return False
+        return ready <= cycle + slack
 
 
 class RoundRobinPolicy(SchedulingPolicy):
@@ -165,10 +177,15 @@ class BankAwarePolicy(SchedulingPolicy):
         device.sync_bank(location.bank, cycle)
         bank = device.bank(location.bank)
         if bank.open_row == location.row:
-            return bank.earliest_col(cycle, location.row)
+            return max(cycle, bank.last_act_start + timing.t_rcd)
         if not bank.is_open:
-            return bank.earliest_act(cycle) + timing.t_rcd
-        return bank.earliest_prer(cycle) + timing.t_rp + timing.t_rcd
+            return _act_ready(bank, cycle, timing) + timing.t_rcd
+        precharge = max(
+            cycle,
+            bank.last_act_start + timing.t_ras,
+            bank.last_col_end - timing.t_cpol,
+        )
+        return precharge + timing.t_rp + timing.t_rcd
 
     def choose(
         self,
@@ -226,18 +243,18 @@ class SpeculativePrechargePolicy(RoundRobinPolicy):
             if target == here:
                 continue
             msu.device.sync_bank(upcoming.bank, cycle)
-            bank = msu.device.bank(upcoming.bank)
-            if bank.open_row == upcoming.row:
+            open_row = msu.device.open_row(upcoming.bank)
+            if open_row == upcoming.row:
                 return
             if any(
-                msu.device.bank(neighbor).is_open
+                msu.device.open_row(neighbor) is not None
                 for neighbor in msu.device.geometry.neighbors(upcoming.bank)
             ):
                 # Double-bank core with a busy neighbor: speculating
                 # would force a precharge on live data; leave it to the
                 # demand path.
                 return
-            if bank.is_open:
+            if open_row is not None:
                 msu.device.issue_prer(upcoming.bank, cycle)
             msu.device.issue_act(upcoming.bank, upcoming.row, cycle)
             msu.speculative_activations += 1

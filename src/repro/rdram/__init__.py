@@ -2,14 +2,15 @@
 
 Everything needed to model a single Direct Rambus DRAM at the level the
 paper analyzes it: datasheet timing parameters (Figures 1 and 2), the
-per-bank sense-amp state machine, the packetized channel model with an
-earliest-legal-issue interface, and an independent protocol auditor.
+packetized channel model with an earliest-legal-issue interface (it
+keeps each bank's sense-amp state and hands out immutable
+:class:`BankState` snapshots of it), and an independent protocol
+auditor.
 """
 
 from repro.rdram.audit import AuditReport, audit_memory, audit_trace
-from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
-from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.rdram.device import BankState, RdramDevice, RdramGeometry
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
 from repro.rdram.tracefmt import render_trace, render_trace_wrapped
 from repro.rdram.packets import (
@@ -36,7 +37,7 @@ __all__ = [
     "AuditReport",
     "audit_memory",
     "audit_trace",
-    "Bank",
+    "BankState",
     "ChannelGeometry",
     "RambusChannel",
     "make_memory",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError
-from repro.rdram.bank import NEVER
+from repro.rdram.device import NEVER
 from repro.rdram.packets import (
     BusDirection,
     ColCommand,

@@ -27,9 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.core import DataBusGap, Instrumentation
-from repro.rdram.bank import Bank
 from repro.rdram.channel import ChannelGeometry
-from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.rdram.device import BankState, RdramDevice, RdramGeometry
 from repro.rdram.packets import BusDirection
 
 
@@ -136,10 +135,6 @@ class MemoryFabric:
         self._obs: Optional[Instrumentation] = None
         self._gap_log: Optional[List[DataBusGap]] = None
         self._mapping = None
-        #: Flat global-bank view across channels (telemetry samples it).
-        self.banks: List[Bank] = [
-            bank for memory in self.channel_memories for bank in memory.banks
-        ]
 
     # ------------------------------------------------------------------
     # routing
@@ -239,10 +234,15 @@ class MemoryFabric:
         merged.sort(key=lambda packet: packet.start)
         return merged
 
-    def bank(self, index: int) -> Bank:
-        """Global bank ``index`` (bounds-checked)."""
+    def bank(self, index: int) -> BankState:
+        """A snapshot of global bank ``index`` (bounds-checked)."""
         memory, local = self._route(index)
         return memory.bank(local)
+
+    def open_row(self, index: int) -> Optional[int]:
+        """The row open in global bank ``index``, or None."""
+        memory, local = self._route(index)
+        return memory.open_row(local)
 
     def earliest_act(self, bank: int, now: int) -> int:
         memory, local = self._route(bank)

@@ -52,8 +52,7 @@ from repro.memsys.address import MAPPINGS, get_address_mapping
 from repro.registry import Registry
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.memsys.pagemanager import make_page_manager
-from repro.rdram.bank import NEVER
-from repro.rdram.device import RdramGeometry
+from repro.rdram.device import NEVER, RdramGeometry
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RETRY_CYCLES
 from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.sim.kernel import Component, ResultBuilder

@@ -89,8 +89,11 @@ class _MsuComponent:
                 help="FIFO occupancy in elements at window boundaries",
                 stream=fifo.descriptor.name,
             ).sample(cycle, float(fifo.occupancy))
+        device = self.system.device
         open_banks = sum(
-            1 for bank in self.system.device.banks if bank.is_open
+            1
+            for index in range(device.geometry.num_banks)
+            if device.bank(index).is_open
         )
         metrics.series(
             "telemetry.banks_open",

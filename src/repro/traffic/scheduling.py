@@ -184,7 +184,7 @@ class FrFcfsScheduler(Scheduler):
         bank, row = server.bank_row(request)
         local = bank - server.bank_offset
         server.memory.sync_bank(local, cycle)
-        return server.memory.bank(local).open_row == row
+        return server.memory.open_row(local) == row
 
     def pick(self, server: "ChannelServer", cycle: int) -> Optional["Request"]:
         queue = server.queue

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.rdram.device import RdramDevice, RdramGeometry
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
+from repro.rdram.channel import make_memory
+from repro.rdram.device import NEVER, BankState, RdramDevice, RdramGeometry
 from repro.rdram.packets import BusDirection, RowCommand, RowPacket
 
 
@@ -185,3 +187,40 @@ class TestAccounting:
         before = device.earliest_col(0, 0, 0, BusDirection.READ)
         after = device.earliest_col(0, 0, 0, BusDirection.READ)
         assert before == after == timing.t_rcd
+
+
+class TestBankReads:
+    def test_bank_is_a_snapshot(self, device, timing):
+        device.issue_act(2, 5, 0)
+        before = device.bank(2)
+        assert before == BankState(5, 0, NEVER, NEVER)
+        device.issue_col(2, 5, 0, 0, BusDirection.READ, precharge=True)
+        # The snapshot keeps the state it was taken in.
+        assert before.is_open and before.last_col_end == NEVER
+        after = device.bank(2)
+        assert not after.is_open
+        assert after.last_col_end == timing.t_rcd + timing.t_pack
+        with pytest.raises(AttributeError):
+            after.open_row = 5
+
+    def test_open_row_reads_without_a_snapshot(self, device):
+        assert device.open_row(3) is None
+        device.issue_act(3, 9, 0)
+        assert device.open_row(3) == 9 == device.bank(3).open_row
+
+    @pytest.mark.parametrize("read", ["bank", "open_row"])
+    def test_reads_are_bounds_checked(self, device, read):
+        for index in (-1, 8):
+            with pytest.raises(ProtocolError, match="bank index"):
+                getattr(device, read)(index)
+
+    def test_fabric_forwards_reads_by_global_bank(self):
+        config = MemorySystemConfig.cli(topology=MemoryTopology(channels=2))
+        fabric = make_memory(config)
+        banks = fabric.geometry.banks_per_channel
+        fabric.issue_act(banks + 1, 4, 0)
+        assert fabric.open_row(banks + 1) == 4
+        assert fabric.bank(banks + 1) == fabric.channel_memories[1].bank(1)
+        assert fabric.open_row(1) is None
+        with pytest.raises(ProtocolError, match="global bank"):
+            fabric.open_row(fabric.geometry.num_banks)

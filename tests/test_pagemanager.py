@@ -90,9 +90,9 @@ class TestTimeout:
         assert bank.is_open and bank.open_row == 3
         due = max(bank.last_act_start, bank.last_col_end) + 50
         device.sync_bank(0, due - 1)
-        assert bank.is_open
+        assert device.bank(0).is_open
         device.sync_bank(0, due)
-        assert not bank.is_open
+        assert not device.bank(0).is_open
         assert not page_hit
         assert device.trace[0] == RowPacket(
             RowCommand.ACT, bank=0, row=3, start=first_cmd

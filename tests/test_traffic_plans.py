@@ -543,7 +543,8 @@ def _build_pick_server(scenario) -> ChannelServer:
         instance._active_batch = active
     server = _server(MemorySystemConfig.pi(), instance, regulator)
     for bank, row in enumerate(open_rows):
-        server.memory.banks[bank].open_row = row
+        if row is not None:
+            server.memory.issue_act(bank, row, 0)
     line_bytes = server.config.cacheline_bytes
     server.queue = deque(
         Request(
