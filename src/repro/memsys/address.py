@@ -184,6 +184,15 @@ class AddressMapping:
         """
         return 0
 
+    def reset(self) -> None:
+        """Return the monitor state to its power-on value.
+
+        Called from :meth:`repro.rdram.device.RdramDevice.reset`, so a
+        controller that resets its memory at the start of each run
+        starts every run from the same map.  Static mappings hold no
+        state.
+        """
+
     # -- strategy hooks -------------------------------------------------
 
     def _decompose(self, address: int) -> Location:
@@ -262,6 +271,10 @@ class ChannelStriping(AddressMapping):
         events = self.base.observe_access(bank, row, now)
         self.remap_events = self.base.remap_events
         return events
+
+    def reset(self) -> None:
+        self.base.reset()
+        self.remap_events = self.base.remap_events
 
     def channel_of(self, address: int) -> int:
         if not 0 <= address < self._capacity:
@@ -450,9 +463,13 @@ class DreamInterleaving(AddressMapping):
     def __init__(self, config: MemorySystemConfig) -> None:
         super().__init__(config)
         self.epoch_accesses = config.remap_epoch_accesses
+        self.reset()
+
+    def reset(self) -> None:
         self._shift = 0
         self._observed = 0
         self._slot_hits = [0] * self._num_banks
+        self.remap_events = 0
 
     def _twist(self, rank: int, row: int) -> int:
         if self._num_banks & (self._num_banks - 1) == 0:

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analytic.cache import natural_order_bound
+from repro.cache.controller import CachedNaturalOrderController
+from repro.core.l2stream import L2StreamingController
 from repro.cpu.kernels import COPY, DAXPY, PAPER_KERNELS, TRIAD, VAXPY, get_kernel
 from repro.memsys.config import MemorySystemConfig
 from repro.naturalorder.controller import MAX_OUTSTANDING, NaturalOrderController
+from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.rdram.audit import audit_trace
 from repro.rdram.packets import RowCommand, RowPacket
 
@@ -106,3 +109,39 @@ class TestAgainstAnalyticBounds:
         copy = NaturalOrderController(config).run(COPY, length=1024)
         vaxpy = NaturalOrderController(config).run(VAXPY, length=1024)
         assert vaxpy.percent_of_peak > copy.percent_of_peak
+
+
+
+def _run_kernel(controller):
+    return controller.run(VAXPY, length=256)
+
+
+#: The four cacheline controllers: ``name -> (class, one run)``.
+LINE_CONTROLLERS = {
+    "natural-order": (NaturalOrderController, _run_kernel),
+    "cached": (CachedNaturalOrderController, _run_kernel),
+    "l2-streaming": (L2StreamingController, _run_kernel),
+    "random-access": (RandomAccessDriver, lambda driver: driver.run(256, seed=1)),
+}
+
+
+class TestReusedController:
+    """A controller resets its memory at the start of every run, so a
+    second run on one instance equals a run on a fresh one.  DReAM's
+    short remap epoch makes its monitor re-arrange the map within the
+    first run; that state must not leak into the second."""
+
+    @pytest.mark.parametrize("mapping", ["default", "dream"])
+    @pytest.mark.parametrize("org", ["cli", "pi"])
+    @pytest.mark.parametrize("name", sorted(LINE_CONTROLLERS))
+    def test_second_run_equals_a_fresh_one(self, name, org, mapping):
+        overrides = {}
+        if mapping == "dream":
+            overrides = {"interleaving": "dream", "remap_epoch_accesses": 64}
+        config = getattr(MemorySystemConfig, org)(**overrides)
+        cls, run = LINE_CONTROLLERS[name]
+        reused = cls(config)
+        first, second = run(reused), run(reused)
+        fresh = run(cls(config))
+        assert first == fresh
+        assert second == fresh

@@ -45,7 +45,7 @@ from repro.experiments.multi_client import (
     SCALING_WORKLOAD,
 )
 from repro.memsys.address import get_address_mapping
-from repro.memsys.config import MemorySystemConfig
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.obs.ledger import Ledger
@@ -425,6 +425,33 @@ class TestDreamMapping:
         # Still bijective through the striping composition.
         for address in range(0, striped.capacity_bytes, 256):
             assert striped.compose(striped.decompose(address)) == address
+
+    def test_reset_restores_the_power_on_map(self):
+        config = MemorySystemConfig(
+            geometry=RdramGeometry(
+                num_banks=8, page_bytes=256, rows_per_bank=4
+            ),
+            interleaving="dream",
+            page_policy="open",
+            remap_epoch_accesses=16,
+            topology=MemoryTopology(channels=2),
+        )
+        striped = get_address_mapping(config)
+        addresses = range(0, striped.capacity_bytes, 64)
+        power_on = [striped.decompose(a) for a in addresses]
+        hot = striped.base.decompose(0)
+        for cycle in range(40):
+            striped.observe_access(hot.bank, hot.row, now=cycle)
+        assert striped.remap_events > 0
+        assert [striped.decompose(a) for a in addresses] != power_on
+        striped.reset()
+        assert striped.remap_events == striped.base.remap_events == 0
+        assert [striped.decompose(a) for a in addresses] == power_on
+        # The monitor restarts too: the same history remaps the same way.
+        for cycle in range(16):
+            assert striped.observe_access(hot.bank, hot.row, now=cycle) == (
+                cycle == 15
+            )
 
     def test_epoch_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="remap_epoch"):
