@@ -20,6 +20,11 @@ a sha256 digest of the device packet trace.  One more case pins an
 instrumented natural-order run: its counters, and digests of its
 DATA-bus gaps and tracer spans.
 
+The ``cli+timeout/refresh`` entries of natural-order, random-q1 and
+random-q4 were re-captured when the refresh engine began applying
+page-manager closes that are due before it reads which banks are
+open; nothing else moved.
+
 Every comparison is on canonical JSON text, so an int that turned
 into a float (or the reverse) fails even though the two compare equal
 in Python.

@@ -16,6 +16,10 @@ gather
     ``simulate_gather(...).to_dict()`` on CLI (closed pages) and PI
     (open pages) with 1024 random indices, sorted and unsorted.
 
+The 40 ``.../timeout/refresh`` entries were re-captured when the
+refresh engine began applying page-manager closes that are due before
+it reads which banks are open; nothing else moved.
+
 Every comparison is on canonical JSON text, so an int that turned
 into a float (or the reverse) fails even though the two compare equal
 in Python.

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.memsys.pagemanager import TimeoutPageManager
 from repro.rdram.audit import audit_trace
+from repro.rdram.packets import BusDirection, RowCommand, RowPacket
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
 from repro.sim.runner import RunSpec, simulate
 
@@ -53,6 +55,17 @@ class TestEngineMechanics:
         assert engine.tick(engine.next_action_cycle + 30)
         assert engine.forced_precharges == 1
         assert engine.refreshes_issued == 1
+        audit_trace(device.trace)
+
+    def test_due_page_manager_close_counts_before_deferring(self, device):
+        device.page_manager = TimeoutPageManager(timeout=50)
+        device.issue_access(0, 3, 0, 0, BusDirection.READ)
+        # The COL packet ends at cycle 15, so the timeout closed bank 0
+        # at 65, long before the refresh comes due.
+        engine = RefreshEngine(device, interval=1000)
+        assert engine.tick(1000)
+        assert engine.deferrals == engine.forced_precharges == 0
+        assert RowPacket(RowCommand.PRER, 0, None, 65, True) in device.trace
         audit_trace(device.trace)
 
     def test_invalid_interval(self, device):
