@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.errors import ProtocolError
+from repro.sim import cli
 from repro.sim.cli import main
 
 
@@ -45,6 +47,22 @@ class TestOptions:
         out = capsys.readouterr().out
         assert "audit        : OK" in out
         assert "bus load" in out
+
+    def test_json_report_is_audited(self, capsys, monkeypatch):
+        flags = ["daxpy", "--org", "pi", "--length", "256", "--refresh",
+                 "--page-policy", "timeout", "--json", "--audit"]
+        assert main(flags) == 0
+        audit = json.loads(capsys.readouterr().out)["audit"]
+        assert audit["channels"] == 1 and audit["col_packets"] > 0
+
+        def reject(memory):
+            raise ProtocolError("t_RCD violated")
+
+        monkeypatch.setattr(cli, "audit_memory", reject)
+        assert main(flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == "error: t_RCD violated"
 
     def test_gantt(self, capsys):
         assert main(["copy", "--length", "64", "--gantt", "80"]) == 0
