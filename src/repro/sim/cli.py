@@ -82,8 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="memory organization (default cli)")
     parser.add_argument("--channels", type=int, default=1, metavar="N",
                         help="independent Rambus channels (default 1); "
-                             "multi-channel runs use the event kernel "
-                             "and the plain report")
+                             "multi-channel runs print the plain report")
     parser.add_argument("--devices", type=int, default=1, metavar="M",
                         help="RDRAM devices per channel (default 1)")
     parser.add_argument("--length", type=int, default=1024,

@@ -20,6 +20,11 @@ The 40 ``.../timeout/refresh`` entries were re-captured when the
 refresh engine began applying page-manager closes that are due before
 it reads which banks are open; nothing else moved.
 
+The entries were captured from event-kernel runs.  The 80 with a
+static mapping (the organization's own or ``swizzle``) and the
+organization's own page policy now run on the batch engine under
+``engine="auto"`` and still match; the rest stay on the event kernel.
+
 Every comparison is on canonical JSON text, so an int that turned
 into a float (or the reverse) fails even though the two compare equal
 in Python.
@@ -35,7 +40,8 @@ from typing import Callable, Dict, Optional, Tuple
 import pytest
 
 from repro import RunSpec, simulate, simulate_gather
-from repro.memsys.config import MemorySystemConfig
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
+from repro.sim.batch import resolve_engine
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_memory_builder.json"
 
@@ -125,6 +131,30 @@ class TestPinnedMemoryBuilder:
 
     def test_fixture_covers_every_case(self, pinned):
         assert sorted(pinned) == sorted(CASES)
+
+    def test_static_default_policy_cases_take_the_batch_engine(self):
+        on_batch = []
+        for key in CASES:
+            if not key.startswith("simulate/"):
+                continue
+            _, _, organization, topology, interleaving, policy, _ = (
+                key.split("/")
+            )
+            channels, devices = map(int, topology.split("x"))
+            overrides = {
+                name: value
+                for name, value in (
+                    ("interleaving", interleaving), ("page_policy", policy)
+                )
+                if value != "default"
+            }
+            config = getattr(MemorySystemConfig, organization)(
+                topology=MemoryTopology(channels, devices), **overrides
+            )
+            if resolve_engine("auto", config) == "batch":
+                on_batch.append((interleaving, policy))
+        assert len(on_batch) == 80
+        assert set(on_batch) == {("default", "default"), ("swizzle", "default")}
 
     def test_refresh_cases_refresh(self, pinned):
         for key, record in pinned.items():

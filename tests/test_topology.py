@@ -6,7 +6,8 @@ hypothesis bijection properties over random topologies), the
 :class:`~repro.rdram.fabric.MemoryFabric` routing layer, the
 :class:`~repro.sim.runner.RunSpec` topology fields (including
 canonical-cache-key stability for the default topology), and the
-engine gates that keep multi-channel runs on the event kernel.
+engine gate that lets multi-device and multi-channel SMC runs take the
+batch engine, with results equal to the event kernel's.
 
 ``tests/data/pinned_topology_identity.json`` was captured from the
 simulator *before* the topology refactor: every result field for all
@@ -39,7 +40,7 @@ from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
 from repro.rdram.device import RdramGeometry
 from repro.rdram.fabric import FabricGeometry, MemoryFabric
 from repro.rdram.timing import DATA_PACKET_BYTES
-from repro.sim.batch import batch_unsupported_reason
+from repro.sim.batch import batch_unsupported_reason, resolve_engine
 from repro.sim.engine import run_smc
 from repro.sim.runner import RunSpec, simulate
 
@@ -365,12 +366,20 @@ class TestLineControllersOnTopology:
 
 
 class TestEngineGates:
-    def test_batch_rejects_multi_channel(self):
-        config = MemorySystemConfig.cli(
-            topology=MemoryTopology(channels=2, devices_per_channel=2)
-        )
-        reason = batch_unsupported_reason(config)
-        assert reason is not None and "2ch x 2dev" in reason
+    def test_batch_runs_multi_device_and_multi_channel(self):
+        for channels, devices in ((2, 2), (1, 4)):
+            config = MemorySystemConfig.cli(
+                topology=MemoryTopology(channels, devices)
+            )
+            assert batch_unsupported_reason(config) is None
+            assert resolve_engine("auto", config) == "batch"
+            spec = RunSpec(
+                kernel=DAXPY, organization="cli", length=256,
+                channels=channels, devices=devices, refresh=True,
+            )
+            assert simulate(spec, engine="batch") == simulate(
+                spec, engine="event"
+            )
 
     def test_batch_accepts_default_topology(self, cli_config):
         assert batch_unsupported_reason(cli_config) is None
