@@ -5,8 +5,10 @@ Runs a small kernel x controller x engine matrix end-to-end and
 records best-of-N wall-clock and simulated cycles per second for each
 point.  Every controller is measured on both the shared discrete-event
 simulation kernel (``engine=event``) and the vectorized batch fast
-path (``engine=batch``); each point records which engine produced it
-so ``bench_compare.py`` never diffs one engine against the other.  CI
+path (``engine=batch``), on the paper's one-device system (topology
+``1x1``); the SMC is also measured on 2 channels x 2 devices
+(``2x2``).  Each point records which engine and topology produced it
+so ``bench_compare.py`` never diffs one against another.  CI
 runs this after the pytest-benchmark suites and uploads the JSON as a
 PR artifact so the cost of the simulation substrate is tracked over
 time.
@@ -26,13 +28,13 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.cache.controller import CachedNaturalOrderController
 from repro.core.l2stream import L2StreamingController
 from repro.core.smc import build_smc_system
 from repro.cpu.kernels import KERNELS
-from repro.memsys.config import MemorySystemConfig
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.sim.batch import run_smc_batch
@@ -54,19 +56,31 @@ def _git_sha() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def _controllers(length: int) -> Dict[str, Callable[[str, str, str], object]]:
-    """Map controller name -> callable(kernel, org, engine) -> result."""
+#: One controller on one topology: (controller name, topology
+#: ``"<channels>x<devices>"``, callable(kernel, org, engine) -> result).
+Controller = Tuple[str, str, Callable[[str, str, str], object]]
 
-    def smc(kernel: str, org: str, engine: str):
-        config = getattr(MemorySystemConfig, org)()
-        if engine == "batch":
-            return run_smc_batch(
+
+def _controllers(length: int) -> List[Controller]:
+    """Every measured (controller, topology) pair."""
+
+    def smc_on(topology: str) -> Callable[[str, str, str], object]:
+        channels, devices = (int(n) for n in topology.split("x"))
+
+        def smc(kernel: str, org: str, engine: str):
+            config = getattr(MemorySystemConfig, org)(
+                topology=MemoryTopology(channels, devices)
+            )
+            if engine == "batch":
+                return run_smc_batch(
+                    KERNELS[kernel], config, length=length, fifo_depth=64
+                )
+            system = build_smc_system(
                 KERNELS[kernel], config, length=length, fifo_depth=64
             )
-        system = build_smc_system(
-            KERNELS[kernel], config, length=length, fifo_depth=64
-        )
-        return run_smc(system)
+            return run_smc(system)
+
+        return smc
 
     def natural(kernel: str, org: str, engine: str):
         controller = NaturalOrderController(getattr(MemorySystemConfig, org)())
@@ -86,13 +100,14 @@ def _controllers(length: int) -> Dict[str, Callable[[str, str, str], object]]:
         driver = RandomAccessDriver(getattr(MemorySystemConfig, org)())
         return driver.run(length, seed=7, engine=engine)
 
-    return {
-        "smc": smc,
-        "natural-order": natural,
-        "cached-natural-order": cached,
-        "l2-streaming": l2stream,
-        "random-access": random,
-    }
+    return [
+        ("smc", "1x1", smc_on("1x1")),
+        ("smc", "2x2", smc_on("2x2")),
+        ("natural-order", "1x1", natural),
+        ("cached-natural-order", "1x1", cached),
+        ("l2-streaming", "1x1", l2stream),
+        ("random-access", "1x1", random),
+    ]
 
 
 def bench_point(
@@ -129,7 +144,7 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    for name, run in _controllers(args.length).items():
+    for name, topology, run in _controllers(args.length):
         for kernel in BENCH_KERNELS:
             for org in ("cli", "pi"):
                 for engine in BENCH_ENGINES:
@@ -137,10 +152,11 @@ def main(argv: List[str] | None = None) -> int:
                         run, kernel, org, engine, args.repeats
                     )
                     point["controller"] = name
+                    point["topology"] = topology
                     results.append(point)
                     print(
                         f"{name:22s} {kernel:8s} {org:4s} {engine:6s} "
-                        f"{point['wall_ms']:9.3f} ms  "
+                        f"{topology:5s} {point['wall_ms']:9.3f} ms  "
                         f"{point['cycles_per_second']:>10,} cyc/s"
                     )
 
