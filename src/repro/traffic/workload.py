@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isfinite, log
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, cast
 
 from repro.errors import ConfigurationError
 from repro.memsys.address import AddressMapping
@@ -128,7 +128,13 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
 def _client_hot_set(
     seed: int, client: int, hot_lines: int, total_lines: int
 ) -> Tuple[int, ...]:
-    """A client's private hot set, deterministic per (seed, client)."""
+    """The first ``hot_lines`` lines of a client's private hot set,
+    deterministic per (seed, client).
+
+    The set has its own generator, so its first k lines are the same
+    whatever depth is drawn: a shallower draw is a prefix of a deeper
+    one.
+    """
     rng = random.Random(seed * 1_000_003 + client * 7_919 + 17)
     getrandbits = rng.getrandbits
     return tuple([_randbelow(getrandbits, total_lines) for _ in range(hot_lines)])
@@ -144,6 +150,11 @@ def generate_requests(
     draws are those of ``Random.expovariate``, ``randrange`` and
     ``random`` made without their Python frames (see
     :func:`_randbelow`), so the stream is the one those calls give.
+
+    Hot requests are resolved once the stream is drawn: each client's
+    hot set is drawn only as deep as the deepest rank its requests
+    use.  Hot sets come from per-client generators, independent of the
+    stream's, so the lines are those of a full-depth set.
 
     Args:
         workload: Population parameters.
@@ -168,31 +179,51 @@ def generate_requests(
     clients = workload.clients
     hot_fraction = workload.hot_fraction
     write_fraction = workload.write_fraction
-    seed = workload.seed
     read, write = BusDirection.READ, BusDirection.WRITE
-    hot_sets: Dict[int, Tuple[int, ...]] = {}
-    requests: List[Request] = []
+    # Client -> hot-set depth its requests need (deepest rank + 1).
+    depths: Dict[int, int] = {}
+    # (index, client, rank, arrival, direction) of each hot request,
+    # whose slot in `requests` holds None until its line is known.
+    hot: List[Tuple[int, int, int, int, BusDirection]] = []
+    requests: List[Optional[Request]] = []
     append = requests.append
     clock = 0.0
-    for _ in range(workload.requests):
+    for index in range(workload.requests):
         clock += -log(1.0 - draw()) / lambd
         client = _randbelow(getrandbits, clients)
         if draw() < hot_fraction:
-            hot = hot_sets.get(client)
-            if hot is None:
-                hot = _client_hot_set(seed, client, hot_lines, total_lines)
-                hot_sets[client] = hot
             # bisect can land one past the end when rounding leaves
             # cdf[-1] marginally below 1.0; clamp to the coldest rank.
-            line = hot[min(bisect_left(cdf, draw()), last_rank)]
+            rank = min(bisect_left(cdf, draw()), last_rank)
+            if depths.get(client, 0) <= rank:
+                depths[client] = rank + 1
+            hot.append(
+                (
+                    index,
+                    client,
+                    rank,
+                    int(clock),
+                    write if draw() < write_fraction else read,
+                )
+            )
+            append(None)
         else:
             line = _randbelow(getrandbits, total_lines)
-        append(
-            Request(
-                int(clock),
-                client,
-                line * line_bytes,
-                write if draw() < write_fraction else read,
+            append(
+                Request(
+                    int(clock),
+                    client,
+                    line * line_bytes,
+                    write if draw() < write_fraction else read,
+                )
             )
+    seed = workload.seed
+    hot_sets = {
+        client: _client_hot_set(seed, client, depth, total_lines)
+        for client, depth in depths.items()
+    }
+    for index, client, rank, arrival, direction in hot:
+        requests[index] = Request(
+            arrival, client, hot_sets[client][rank] * line_bytes, direction
         )
-    return requests
+    return cast(List[Request], requests)

@@ -242,6 +242,42 @@ class TestDrawIdentity:
                 7, client, 64, total_lines
             ) == _reference_hot_set(7, client, 64, total_lines)
 
+    @pytest.mark.parametrize("total_lines", [3, 192_000, 262_144])
+    def test_shallow_hot_set_is_a_prefix(self, total_lines):
+        # generate_requests draws each hot set only as deep as it is
+        # used; that is bit-identical only if depth k gives the first
+        # k lines of the full set.
+        for seed, client in ((1, 0), (7, 851)):
+            full = _client_hot_set(seed, client, 64, total_lines)
+            for depth in range(1, 65):
+                assert _client_hot_set(
+                    seed, client, depth, total_lines
+                ) == full[:depth]
+
+    def test_coldest_rank_is_drawn(self):
+        # Uniform ranks over four lines: some client's request uses
+        # rank 3, so its hot set is drawn to the full depth.
+        mapping = DRAW_MAPPINGS[0]
+        workload = TrafficWorkload(
+            clients=8,
+            requests=200,
+            zipf_s=0.0,
+            hot_lines=4,
+            hot_fraction=1.0,
+            seed=3,
+        )
+        requests = generate_requests(workload, mapping)
+        assert requests == _reference_requests(workload, mapping)
+        line_bytes = mapping.config.cacheline_bytes
+        total_lines = mapping.capacity_bytes // line_bytes
+        coldest = []
+        for request in requests:
+            hot = _reference_hot_set(workload.seed, request.client, 4, total_lines)
+            line = request.address // line_bytes
+            if line == hot[3] and line not in hot[:3]:
+                coldest.append(request)
+        assert coldest
+
 
 class TestArrivalOrder:
     def test_out_of_order_requests_raise(self, cli_config):
