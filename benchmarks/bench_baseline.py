@@ -1,16 +1,17 @@
 #!/usr/bin/env python
 """Produce ``BENCH_core.json``: simulator throughput per controller.
 
-Runs a small kernel x controller x engine matrix end-to-end and
-records best-of-N wall-clock and simulated cycles per second for each
-point.  Every controller is measured on both the shared discrete-event
-simulation kernel (``engine=event``) and the vectorized batch fast
-path (``engine=batch``), on the paper's one-device system (topology
-``1x1``); the SMC is also measured on 2 channels x 2 devices
-(``2x2``).  Each point records which engine and topology produced it
-so ``bench_compare.py`` never diffs one against another.  CI
-runs this after the pytest-benchmark suites and uploads the JSON as a
-PR artifact so the cost of the simulation substrate is tracked over
+Runs a small kernel x controller matrix end-to-end and records
+best-of-N wall-clock and simulated cycles per second for each point.
+The SMC is measured on both loops, the discrete-event kernel
+(``engine=event``) and the vectorized batch loop (``engine=batch``),
+on the paper's one-device system (topology ``1x1``) and on 2 channels
+x 2 devices (``2x2``).  Each line controller is measured once, on the
+loop the library picks for an uninstrumented run (``lean_run``, so
+``engine=batch``).  Each point records which loop and topology
+produced it so ``bench_compare.py`` never diffs one against another.
+CI runs this after the pytest-benchmark suites and uploads the JSON as
+a PR artifact so the cost of the simulation substrate is tracked over
 time.
 
 Usage::
@@ -41,7 +42,6 @@ from repro.sim.batch import run_smc_batch
 from repro.sim.engine import run_smc
 
 BENCH_KERNELS = ("copy", "daxpy", "vaxpy")
-BENCH_ENGINES = ("event", "batch")
 
 
 def _git_sha() -> str:
@@ -57,8 +57,15 @@ def _git_sha() -> str:
 
 
 #: One controller on one topology: (controller name, topology
-#: ``"<channels>x<devices>"``, callable(kernel, org, engine) -> result).
-Controller = Tuple[str, str, Callable[[str, str, str], object]]
+#: ``"<channels>x<devices>"``, the loops it is measured on,
+#: callable(kernel, org, engine) -> result).
+Controller = Tuple[
+    str, str, Tuple[str, ...], Callable[[str, str, str], object]
+]
+
+#: Both SMC loops; a line controller's plain run takes ``lean_run``.
+SMC_LOOPS = ("event", "batch")
+LINE_LOOP = ("batch",)
 
 
 def _controllers(length: int) -> List[Controller]:
@@ -84,29 +91,29 @@ def _controllers(length: int) -> List[Controller]:
 
     def natural(kernel: str, org: str, engine: str):
         controller = NaturalOrderController(getattr(MemorySystemConfig, org)())
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+        return controller.run(KERNELS[kernel], length=length)
 
     def cached(kernel: str, org: str, engine: str):
         controller = CachedNaturalOrderController(
             getattr(MemorySystemConfig, org)()
         )
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+        return controller.run(KERNELS[kernel], length=length)
 
     def l2stream(kernel: str, org: str, engine: str):
         controller = L2StreamingController(getattr(MemorySystemConfig, org)())
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+        return controller.run(KERNELS[kernel], length=length)
 
     def random(kernel: str, org: str, engine: str):
         driver = RandomAccessDriver(getattr(MemorySystemConfig, org)())
-        return driver.run(length, seed=7, engine=engine)
+        return driver.run(length, seed=7)
 
     return [
-        ("smc", "1x1", smc_on("1x1")),
-        ("smc", "2x2", smc_on("2x2")),
-        ("natural-order", "1x1", natural),
-        ("cached-natural-order", "1x1", cached),
-        ("l2-streaming", "1x1", l2stream),
-        ("random-access", "1x1", random),
+        ("smc", "1x1", SMC_LOOPS, smc_on("1x1")),
+        ("smc", "2x2", SMC_LOOPS, smc_on("2x2")),
+        ("natural-order", "1x1", LINE_LOOP, natural),
+        ("cached-natural-order", "1x1", LINE_LOOP, cached),
+        ("l2-streaming", "1x1", LINE_LOOP, l2stream),
+        ("random-access", "1x1", LINE_LOOP, random),
     ]
 
 
@@ -144,10 +151,10 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    for name, topology, run in _controllers(args.length):
+    for name, topology, loops, run in _controllers(args.length):
         for kernel in BENCH_KERNELS:
             for org in ("cli", "pi"):
-                for engine in BENCH_ENGINES:
+                for engine in loops:
                     point = bench_point(
                         run, kernel, org, engine, args.repeats
                     )

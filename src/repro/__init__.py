@@ -16,10 +16,9 @@ Quickstart::
                    length=1024, fifo_depth=64)
     print(simulate(spec).percent_of_peak)
 
-:func:`simulate` is the single simulation entry point.  It runs on a
-selectable engine — ``engine="event"`` (the discrete-event kernel),
-``"batch"`` (a bit-identical vectorized fast path), or ``"auto"`` (the
-default: batch whenever the spec supports it).
+:func:`simulate` is the single simulation entry point.  It runs a
+spec on a bit-identical vectorized fast path whenever the spec
+supports it, and on the discrete-event kernel otherwise.
 """
 
 from repro.cache import (
@@ -96,7 +95,6 @@ from repro.rdram import (
     audit_trace,
 )
 from repro.sim import (
-    ENGINES,
     EventScheduler,
     ResultBuilder,
     RunSpec,
@@ -105,12 +103,9 @@ from repro.sim import (
     Sweep,
     TraceMetrics,
     bank_imbalance,
-    default_engine,
-    list_engines,
     measure_trace,
     pivot,
     run_smc,
-    set_default_engine,
     simulate,
     sweep,
 )
@@ -180,7 +175,6 @@ __all__ = [
     "RdramGeometry",
     "RdramTiming",
     "audit_trace",
-    "ENGINES",
     "EventScheduler",
     "ResultBuilder",
     "RunSpec",
@@ -189,12 +183,9 @@ __all__ = [
     "Sweep",
     "TraceMetrics",
     "bank_imbalance",
-    "default_engine",
-    "list_engines",
     "measure_trace",
     "pivot",
     "run_smc",
-    "set_default_engine",
     "simulate",
     "sweep",
     "ResultCache",

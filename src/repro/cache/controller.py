@@ -75,7 +75,6 @@ class CachedNaturalOrderController(NaturalOrderController):
         descriptors: Optional[List[StreamDescriptor]] = None,
         flush_at_end: bool = True,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel through the cache.
 
@@ -90,8 +89,6 @@ class CachedNaturalOrderController(NaturalOrderController):
                 computation would observe it).
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :meth:`~repro.naturalorder.line.LineController._drive`).
 
         Returns:
             The result; ``bank_conflicts`` reports device-level
@@ -126,7 +123,6 @@ class CachedNaturalOrderController(NaturalOrderController):
             label=f"{self.POLICY}: kernel={kernel.name}, "
             f"org={self.config.describe()}",
             dense=dense,
-            engine=engine,
         )
 
         useful = len(descriptors) * length * ELEMENT_BYTES

@@ -128,7 +128,7 @@ def simulate_loop(
         alignment: Vector placement.
         index: Loop induction variable name.
         **simulate_kwargs: Extra :class:`~repro.sim.runner.RunSpec`
-            fields (policy, audit, refresh, engine, ...) plus an
+            fields (policy, audit, refresh, ...) plus an
             optional ``obs`` instrumentation, forwarded to
             :func:`repro.sim.runner.simulate`.
 

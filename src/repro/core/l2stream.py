@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.cache.model import CacheConfig, CacheModel
 from repro.cpu.kernels import Kernel
 from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
@@ -74,8 +74,10 @@ class L2StreamingController(LineController):
         record_trace: bool = False,
         refresh: bool = False,
     ) -> None:
-        if prefetch_window < 1:
-            raise ConfigurationError("prefetch window must be at least 1")
+        if require_int("prefetch_window", prefetch_window) < 1:
+            raise ConfigurationError(
+                f"prefetch_window must be at least 1, got {prefetch_window}"
+            )
         super().__init__(config, record_trace=record_trace, refresh=refresh)
         self.l2_config = l2_config or CacheConfig(
             size_bytes=64 * 1024,
@@ -101,7 +103,6 @@ class L2StreamingController(LineController):
         alignment: Alignment = Alignment.STAGGERED,
         max_cycles: Optional[int] = None,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel, streaming through the L2.
 
@@ -114,8 +115,6 @@ class L2StreamingController(LineController):
                 from the line traffic.
             dense: Visit every cycle in the simulation kernel instead
                 of skipping ahead while waiting on line arrivals.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :meth:`LineController._drive`).
 
         Returns:
             The result; ``fifo_depth`` reports the prefetch window and
@@ -167,7 +166,6 @@ class L2StreamingController(LineController):
                 f"org={self.config.describe()}"
             ),
             dense=dense,
-            engine=engine,
         )
 
         # Stream out the remaining dirty lines.

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
-from repro.errors import ConfigurationError, StreamError
+from repro.errors import ConfigurationError, StreamError, require_int
 from repro.memsys.config import ELEMENT_BYTES, Interleaving, MemorySystemConfig
 
 
@@ -73,6 +73,18 @@ class StreamSpec:
     stride_factor: int = 1
 
 
+def _check_extent(name: str, length: object, stride: object) -> None:
+    """Reject a length or stride of stream ``name`` that is not a positive int.
+
+    Raises:
+        StreamError: Naming the stream and the bad field.
+    """
+    if require_int(f"stream {name}: stride", stride, StreamError) <= 0:
+        raise StreamError(f"stream {name}: stride must be positive")
+    if require_int(f"stream {name}: length", length, StreamError) <= 0:
+        raise StreamError(f"stream {name}: length must be positive")
+
+
 @dataclass(frozen=True)
 class StreamDescriptor:
     """A placed stream: what the compiler transmits to the SMC.
@@ -101,10 +113,7 @@ class StreamDescriptor:
                 f"stream {self.name}: base {self.base:#x} not aligned to "
                 f"{ELEMENT_BYTES}-byte elements"
             )
-        if self.stride <= 0:
-            raise StreamError(f"stream {self.name}: stride must be positive")
-        if self.length <= 0:
-            raise StreamError(f"stream {self.name}: length must be positive")
+        _check_extent(self.name, self.length, self.stride)
 
     def element_address(self, index: int) -> int:
         """Byte address of element ``index``.
@@ -160,6 +169,10 @@ def place_streams(
         ConfigurationError: If the placement exceeds device capacity.
     """
     specs = list(specs)
+    if specs:
+        # The placement arithmetic below needs int extents; check them
+        # first, as the first stream's descriptor would.
+        _check_extent(specs[0].name, length, stride)
     num_banks = config.geometry.num_banks
     rotation = num_banks * config.geometry.page_bytes
     max_factor = max((spec.stride_factor for spec in specs), default=1)

@@ -6,6 +6,8 @@ callers can catch one type to handle any library failure.
 
 from __future__ import annotations
 
+from typing import Type
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro package."""
@@ -18,6 +20,22 @@ class ConfigurationError(ReproError):
     multiple of the DATA packet size, or when the RDRAM page size is not
     an integer multiple of the cacheline size (Section 4.1).
     """
+
+
+def require_int(
+    name: str, value: object, error: Type[ReproError] = ConfigurationError
+) -> int:
+    """``value`` if it is an int; a bool is not one.
+
+    Callers keep their own range check, so this checks the type only.
+
+    Raises:
+        ReproError: ``error`` (a :class:`ConfigurationError` unless
+            given), saying that ``name`` must be an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class ProtocolError(ReproError):

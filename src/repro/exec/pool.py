@@ -22,7 +22,6 @@ simulator object graph is ever pickled.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -148,18 +147,6 @@ def run_specs(
             serializable for transport.
     """
     specs = list(specs)
-    # Worker processes do not inherit the parent's ambient engine
-    # default (set_default_engine), so pin it onto "auto" specs before
-    # they are serialized for transport.  Cache keys are unaffected —
-    # the engine is excluded from RunSpec.canonical_key.
-    ambient = _runner.default_engine()
-    if ambient != "auto":
-        specs = [
-            dataclasses.replace(spec, engine=ambient)
-            if spec.engine == "auto"
-            else spec
-            for spec in specs
-        ]
     if workers is None:
         workers = _context.active_workers()
     cache = _context.coerce_cache(cache)

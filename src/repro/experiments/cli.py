@@ -117,21 +117,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--list-policies",
         action="store_true",
         help="list registered address mappings, page policies, MSU "
-             "scheduling policies, traffic schedulers, and simulation "
-             "engines, then exit",
-    )
-    parser.add_argument(
-        "--engine",
-        default="auto",
-        choices=("event", "batch", "auto"),
-        help="simulation engine for every run in the session: the "
-             "discrete-event kernel, the vectorized batch fast path, "
-             "or auto selection (default auto)",
-    )
-    parser.add_argument(
-        "--list-engines",
-        action="store_true",
-        help="list the simulation engines, then exit",
+             "scheduling policies and traffic schedulers, then exit",
     )
     parser.add_argument(
         "--interleaving",
@@ -154,11 +140,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.sim.cli import list_policies
 
         sys.stdout.write(list_policies() + "\n")
-        return 0
-    if args.list_engines:
-        from repro.sim.batch import list_engines
-
-        sys.stdout.write(list_engines() + "\n")
         return 0
     if args.list:
         for name in list_experiments():
@@ -186,10 +167,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         except ConfigurationError as error:
             raise SystemExit(str(error)) from None
-    if args.engine != "auto":
-        from repro.sim.runner import set_default_engine
-
-        set_default_engine(args.engine)
     started = time.time()
     live = (
         sys.stderr.isatty()

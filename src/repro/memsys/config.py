@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.rdram.device import RdramGeometry
 from repro.rdram.timing import DATA_PACKET_BYTES, RdramTiming
 
@@ -92,19 +92,8 @@ class MemoryTopology:
     devices_per_channel: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.channels, bool) or not isinstance(
-            self.channels, int
-        ):
-            raise ConfigurationError(
-                f"channels must be an integer, got {self.channels!r}"
-            )
-        if isinstance(self.devices_per_channel, bool) or not isinstance(
-            self.devices_per_channel, int
-        ):
-            raise ConfigurationError(
-                "devices_per_channel must be an integer, got "
-                f"{self.devices_per_channel!r}"
-            )
+        require_int("channels", self.channels)
+        require_int("devices_per_channel", self.devices_per_channel)
         if not 1 <= self.channels <= 16:
             raise ConfigurationError(
                 f"channels must be in 1..16, got {self.channels}"

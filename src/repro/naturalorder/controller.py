@@ -72,20 +72,17 @@ class NaturalOrderController(LineController):
         label: str,
         dense: bool,
         obs: Optional[Instrumentation] = None,
-        engine: str = "auto",
     ) -> None:
         """Drive ``steps`` through a :class:`TransactionPump`.
 
         The pump resumes the controller's transaction generator at each
-        start cycle; :meth:`_drive` runs it on the kernel ``engine``
-        picks.
+        start cycle; :meth:`_drive` picks the kernel loop.
         """
         self._drive(
             TransactionPump(steps, on_attach_obs=self._attach_obs),
             max_cycles=20_000 + 500 * max(max_steps, 1),
             label=label,
             dense=dense,
-            engine=engine,
             obs=obs,
         )
 
@@ -102,7 +99,6 @@ class NaturalOrderController(LineController):
         descriptors: Optional[List[StreamDescriptor]] = None,
         obs: Optional[Instrumentation] = None,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel and report effective bandwidth.
 
@@ -118,8 +114,6 @@ class NaturalOrderController(LineController):
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start (the
                 property tests assert both modes agree).
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :meth:`LineController._drive`).
 
         Returns:
             The result; ``useful_bytes`` counts stream elements only,
@@ -151,7 +145,6 @@ class NaturalOrderController(LineController):
             f"org={self.config.describe()}",
             dense=dense,
             obs=obs,
-            engine=engine,
         )
 
         useful = len(descriptors) * length * ELEMENT_BYTES

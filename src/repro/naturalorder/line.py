@@ -106,26 +106,19 @@ class LineController:
         max_cycles: int,
         label: str,
         dense: bool,
-        engine: str,
         obs: Optional[Instrumentation] = None,
     ) -> int:
         """Run ``component`` until its ``done`` property holds.
 
         One kernel run per controller run: the optional background
-        refresh engine plus ``component``.  ``engine="event"`` runs the
-        discrete-event :class:`~repro.sim.kernel.Simulation`; the only
-        reasons a line controller needs it are instrumentation (``obs``)
-        and dense verification mode.  Otherwise ``"batch"`` and
-        ``"auto"`` drive the same components on the heapless
-        :func:`repro.sim.batch.lean_run` loop, and ``"batch"`` with
-        either reason raises.
+        refresh engine plus ``component``.  An instrumented run
+        (``obs``) or a dense one runs the discrete-event
+        :class:`~repro.sim.kernel.Simulation`; every other run drives
+        the same components on the heapless
+        :func:`repro.sim.batch.lean_run` loop.
 
         Returns:
             The final visited cycle.
-
-        Raises:
-            ConfigurationError: On an unknown engine name, or on
-                ``engine="batch"`` for an instrumented or dense run.
         """
         # Imported here, not at module scope: repro.sim.batch pulls in
         # repro.core for plan building, and repro.core's package imports
@@ -133,23 +126,13 @@ class LineController:
         from repro.sim import batch
         from repro.sim.kernel import BackgroundComponent, Simulation
 
-        choice = batch.canonical_engine(engine)
-        reason: Optional[str] = None
-        if obs is not None:
-            reason = "instrumented runs need the event engine"
-        elif dense:
-            reason = "dense verification mode needs the event engine"
-        if choice == "batch" and reason is not None:
-            raise ConfigurationError(
-                f"engine 'batch' cannot run this run: {reason}"
-            )
         self.refreshes_issued = 0
         components: List[Component] = []
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
             components.append(BackgroundComponent(refresh_engine))
         components.append(component)
-        if choice == "event" or reason is not None:
+        if obs is not None or dense:
             final_cycle = Simulation(
                 components,
                 done=lambda sim: component.done,

@@ -20,7 +20,7 @@ import random
 from collections import deque
 from typing import Deque, Iterator
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.memsys.config import MemorySystemConfig
 from repro.naturalorder.controller import MAX_OUTSTANDING
 from repro.naturalorder.line import LineController
@@ -49,8 +49,10 @@ class RandomAccessDriver(LineController):
         record_trace: bool = False,
         refresh: bool = False,
     ) -> None:
-        if queue_depth < 1:
-            raise ConfigurationError("queue depth must be at least 1")
+        if require_int("queue_depth", queue_depth) < 1:
+            raise ConfigurationError(
+                f"queue_depth must be at least 1, got {queue_depth}"
+            )
         super().__init__(config, record_trace=record_trace, refresh=refresh)
         self.queue_depth = queue_depth
 
@@ -60,7 +62,6 @@ class RandomAccessDriver(LineController):
         write_fraction: float = 0.0,
         seed: int = 1,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute random cacheline transactions and report bandwidth.
 
@@ -70,13 +71,16 @@ class RandomAccessDriver(LineController):
             seed: PRNG seed (runs are deterministic per seed).
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :meth:`LineController._drive`).
 
         Returns:
             A result whose ``percent_of_peak`` is the channel
             efficiency under this random load.
         """
+        if require_int("num_transactions", num_transactions) < 0:
+            raise ConfigurationError(
+                "num_transactions must be at least 0, got "
+                f"{num_transactions}"
+            )
         if not 0.0 <= write_fraction <= 1.0:
             raise ConfigurationError("write_fraction must be in [0, 1]")
         self.device.reset()
@@ -98,7 +102,6 @@ class RandomAccessDriver(LineController):
             max_cycles=20_000 + 500 * max(num_transactions, 1),
             label=f"random-q{self.queue_depth}: org={self.config.describe()}",
             dense=dense,
-            engine=engine,
         )
 
         moved = self.device.bytes_transferred

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -239,10 +239,10 @@ class Instrumentation:
     """
 
     def __init__(self, telemetry_window: Optional[int] = None) -> None:
-        if telemetry_window is not None and telemetry_window <= 0:
+        window = telemetry_window
+        if window is not None and require_int("telemetry window", window) < 1:
             raise ConfigurationError(
-                "telemetry window must be positive, got "
-                f"{telemetry_window}"
+                f"telemetry window must be positive, got {window}"
             )
         self.counters = CounterRegistry()
         self.tracer = EventTracer()

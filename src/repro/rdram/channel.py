@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.rdram.device import RdramDevice, RdramGeometry
 from repro.rdram.timing import RdramTiming
 
@@ -52,13 +52,7 @@ class ChannelGeometry:
     device: RdramGeometry = field(default_factory=RdramGeometry)
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_devices, bool) or not isinstance(
-            self.num_devices, int
-        ):
-            raise ConfigurationError(
-                f"num_devices must be an integer, got {self.num_devices!r}"
-            )
-        if not 1 <= self.num_devices <= 32:
+        if not 1 <= require_int("num_devices", self.num_devices) <= 32:
             raise ConfigurationError(
                 "a Rambus channel holds 1 to 32 devices, got "
                 f"{self.num_devices}"

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, require_int
 from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.packets import (
     BusDirection,
@@ -124,11 +124,7 @@ class RdramGeometry:
 
     def __post_init__(self) -> None:
         for name in ("num_banks", "page_bytes", "rows_per_bank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
+            require_int(name, getattr(self, name))
         if not isinstance(self.doubled_banks, bool):
             raise ConfigurationError(
                 f"doubled_banks must be a bool, got {self.doubled_banks!r}"

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ConfigurationError, ProtocolError, require_int
 from repro.obs.core import DataBusGap, Instrumentation
 from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import BankState, RdramDevice, RdramGeometry
@@ -52,13 +52,7 @@ class FabricGeometry:
     channel: object
 
     def __post_init__(self) -> None:
-        if isinstance(self.channels, bool) or not isinstance(
-            self.channels, int
-        ):
-            raise ConfigurationError(
-                f"channels must be an integer, got {self.channels!r}"
-            )
-        if self.channels < 1:
+        if require_int("channels", self.channels) < 1:
             raise ConfigurationError(
                 f"a fabric needs at least one channel, got {self.channels}"
             )

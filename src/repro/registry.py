@@ -1,10 +1,9 @@
 """The shared name -> entry registry behind every policy table.
 
-The address-mapping, page-policy, engine, and scheduler registries all
-follow the same protocol: entries register under a short name, callers
-test membership and look entries up like a dict, listings come back
-sorted (or in registration order for ordered registries like the
-engines), and resolving an unknown name raises a
+The address-mapping, page-policy and scheduler registries all follow
+the same protocol: entries register under a short name, callers test
+membership and look entries up like a dict, listings come back
+sorted, and resolving an unknown name raises a
 :class:`~repro.errors.ConfigurationError` that enumerates what *is*
 registered.  This module is the single implementation of that
 protocol; the per-kind modules instantiate it with their historical
@@ -19,12 +18,8 @@ messages) see no change:
     >>> "frob" in WIDGETS and WIDGETS["frob"] is Frob
     True
 
-Class entries register through :meth:`Registry.register` (a decorator
-reading the class's ``name`` attribute); value entries — the engine
-registry maps names to description strings — through
-:meth:`Registry.add`.  A registry equals the tuple of its names in
-registration order, preserving the historical ``ENGINES ==
-("event", "batch", "auto")`` contract.
+Entries register through :meth:`Registry.register`, a class
+decorator reading the class's ``name`` attribute.
 """
 
 from __future__ import annotations
@@ -57,9 +52,6 @@ class Registry(Generic[E]):
             registered names, joined) placeholders.
         default_name: The base class's placeholder name; registering
             a class still carrying it (or no name at all) is an error.
-        sort_listing: Whether :meth:`names` (and the ``{names}`` in
-            :meth:`unknown_error`) sort alphabetically; ordered
-            registries (the engines) keep registration order instead.
     """
 
     def __init__(
@@ -69,12 +61,10 @@ class Registry(Generic[E]):
         class_label: Optional[str] = None,
         unknown_template: Optional[str] = None,
         default_name: str = "base",
-        sort_listing: bool = True,
     ) -> None:
         self.kind = kind
         self.class_label = class_label or f"{kind} class"
         self.default_name = default_name
-        self.sort_listing = sort_listing
         self._unknown_template = unknown_template or (
             "unknown " + kind + " {name!r}; registered: {names}"
         )
@@ -102,13 +92,11 @@ class Registry(Generic[E]):
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Registry):
             return self._entries == other._entries
-        if isinstance(other, (tuple, list)):
-            return tuple(self._entries) == tuple(other)
         return NotImplemented
 
     # Registries are mutable singletons; identity hashing keeps them
     # usable as dict keys (e.g. in test parametrization) despite the
-    # sequence-comparing __eq__.
+    # entry-comparing __eq__.
     def __hash__(self) -> int:
         return id(self)
 
@@ -132,31 +120,10 @@ class Registry(Generic[E]):
         return tuple(self._entries.items())
 
     def names(self) -> List[str]:
-        """Registered names for listings (sorted unless ordered)."""
-        if self.sort_listing:
-            return sorted(self._entries)
-        return list(self._entries)
+        """Registered names, sorted, for listings."""
+        return sorted(self._entries)
 
     # -- registration ---------------------------------------------------
-
-    def add(self, name: str, entry: E) -> E:
-        """Register ``entry`` under an explicit ``name``.
-
-        Raises:
-            ConfigurationError: If the name is empty, the default
-                placeholder, or already registered.
-        """
-        if not name or name == self.default_name:
-            raise ConfigurationError(
-                f"{self.class_label} {type(entry).__name__} needs a "
-                "non-default name"
-            )
-        if name in self._entries:
-            raise ConfigurationError(
-                f"{self.kind} {name!r} registered twice"
-            )
-        self._entries[name] = entry
-        return entry
 
     def register(self, cls: E) -> E:
         """Class decorator registering ``cls`` under its ``name``."""

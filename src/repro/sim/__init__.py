@@ -1,10 +1,8 @@
-"""Simulation kernel, engine wiring, runner API, and result records."""
+"""Simulation kernel, SMC wiring, runner API, and result records."""
 
 from repro.sim.batch import (
-    ENGINES,
     batch_unsupported_reason,
     lean_run,
-    list_engines,
     run_smc_batch,
 )
 from repro.sim.engine import run_smc
@@ -23,23 +21,17 @@ from repro.sim.results import SimulationResult
 from repro.sim.runner import (
     ORGANIZATIONS,
     RunSpec,
-    default_engine,
     resolve_config,
     resolve_policy,
-    set_default_engine,
     simulate,
 )
 from repro.sim.sweep import Sweep, pivot, sweep
 
 __all__ = [
-    "ENGINES",
     "batch_unsupported_reason",
     "lean_run",
-    "list_engines",
     "run_smc_batch",
     "run_smc",
-    "default_engine",
-    "set_default_engine",
     "BackgroundComponent",
     "Component",
     "EventScheduler",

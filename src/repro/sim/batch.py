@@ -1,11 +1,10 @@
-"""Vectorized batch fast-path simulation engine.
+"""Vectorized batch fast-path simulation loops.
 
 The event kernel (:mod:`repro.sim.kernel`) dispatches every visited
 cycle through component adapters, an event heap, and the full device
 object model — flexible, but the per-cycle dispatch overhead caps SMC
-throughput well below what large sweeps need.  This module provides a
-*batch* engine that produces bit-identical results much faster, in two
-parts:
+throughput well below what large sweeps need.  This module provides
+two loops that produce bit-identical results much faster:
 
 * :func:`run_smc_batch` — a monomorphized replica of the SMC loop.
   Each stream's access schedule is precomputed as flat arrays (with
@@ -30,7 +29,7 @@ parts:
   components never post events: the four whole-cacheline controllers,
   whose one kernel run is
   :meth:`repro.naturalorder.line.LineController._drive` (that method
-  also decides between this loop and the event kernel for them).  It
+  runs the event kernel instead for instrumented and dense runs).  It
   drives the *same* component objects with the same visit set, minus
   the event-scheduler and observability machinery.
 
@@ -38,9 +37,10 @@ The batch SMC loop handles every topology (channels x devices, or a
 :class:`~repro.rdram.channel.ChannelGeometry`) under the round-robin
 policy, static address mappings and plan-time page policies
 (closed/open).  Runtime page managers, double-bank cores, stateful
-mappings, other scheduling policies, auditing, and instrumented runs
-fall back to the event kernel — :func:`batch_unsupported_reason` is
-the single place that gate lives.  Equivalence is enforced by the
+mappings, other scheduling policies and auditing need the event
+kernel — :func:`batch_unsupported_reason` is the single place that
+gate lives, and :func:`repro.sim.runner.simulate` also runs every
+instrumented run on the event kernel.  Equivalence is enforced by the
 event-vs-batch properties in ``tests/test_batch.py`` (over topologies
 and with refresh), mirroring the dense-vs-skip contract that
 validates the event kernel itself.
@@ -57,7 +57,6 @@ from repro.cpu.streams import Alignment, Direction, StreamDescriptor, place_stre
 from repro.core.fifo import build_access_units
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
 from repro.memsys.address import MAPPINGS, get_address_mapping
-from repro.registry import Registry
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.memsys.pagemanager import make_page_manager
 from repro.rdram.device import NEVER
@@ -71,41 +70,9 @@ try:  # numpy ships in the test/benchmark environment but is optional.
 except ImportError:  # pragma: no cover - exercised via _scalar_plan tests
     _np = None  # type: ignore[assignment]
 
-#: The engine registry: name -> one-line description, in
-#: documentation order (compares equal to the tuple of its names, so
-#: ``ENGINES == ("event", "batch", "auto")`` keeps holding).
-ENGINES: Registry[str] = Registry(
-    "engine",
-    unknown_template="unknown engine {name!r}; use one of {names}",
-    sort_listing=False,
-)
-ENGINES.add("event", "the discrete-event kernel; supports every configuration")
-ENGINES.add("batch", "vectorized fast path; bit-identical, core configs only")
-ENGINES.add("auto", "batch when the configuration supports it, else event")
-
 #: MSU idle sentinel, mirrored from :mod:`repro.core.msu` (imported
 #: by value to keep this module free of the object model's hot path).
 _IDLE = 1 << 60
-
-
-def canonical_engine(name: str) -> str:
-    """Validate and normalize an engine name.
-
-    Raises:
-        ConfigurationError: If ``name`` is not a registered engine.
-    """
-    lowered = str(name).lower()
-    if lowered not in ENGINES:
-        raise ENGINES.unknown_error(name)
-    return lowered
-
-
-def list_engines() -> str:
-    """Human-readable engine listing (mirrors ``list_policies``)."""
-    lines = ["simulation engines:"]
-    for engine in ENGINES:
-        lines.append(f"  {engine:12s} {ENGINES[engine]}")
-    return "\n".join(lines)
 
 
 def batch_unsupported_reason(
@@ -113,15 +80,15 @@ def batch_unsupported_reason(
     policy: Union[str, SchedulingPolicy, None] = None,
     audit: bool = False,
 ) -> Optional[str]:
-    """Why the batch SMC engine cannot run this configuration.
+    """Why the batch SMC loop cannot run this configuration.
 
-    Returns None when the batch engine supports it.  This is the
-    single gate ``engine="auto"`` consults; ``engine="batch"`` raises
-    :class:`~repro.errors.ConfigurationError` with the reason instead
-    of falling back.
+    Returns None when the batch loop supports it.  This is the single
+    gate :func:`repro.sim.runner.simulate` consults, and
+    :func:`run_smc_batch` raises
+    :class:`~repro.errors.ConfigurationError` with the reason.
     """
     if audit:
-        return "auditing needs the event engine's packet trace"
+        return "auditing needs the event kernel's packet trace"
     if policy is not None:
         if isinstance(policy, str):
             if policy != RoundRobinPolicy.name:
@@ -136,47 +103,19 @@ def batch_unsupported_reason(
                 "(batch supports round-robin only)"
             )
     if config.geometry.doubled_banks:
-        return "double-bank cores need the event engine"
+        return "double-bank cores need the event kernel"
     mapping_cls = MAPPINGS.get(config.interleaving_name)
     if mapping_cls is not None and mapping_cls.stateful:
         return (
             f"address mapping {config.interleaving_name!r} is stateful "
-            "(online re-arrangement needs the event engine)"
+            "(online re-arrangement needs the event kernel)"
         )
     if config.page_policy_name not in ("closed", "open"):
         return (
             f"page policy {config.page_policy_name!r} has runtime "
-            "behavior the batch engine does not model"
+            "behavior the batch loop does not model"
         )
     return None
-
-
-def resolve_engine(
-    engine: str,
-    config: MemorySystemConfig,
-    policy: Union[str, SchedulingPolicy, None] = None,
-    audit: bool = False,
-    instrumented: bool = False,
-) -> str:
-    """Resolve an engine request to "event" or "batch" for an SMC run.
-
-    ``auto`` silently falls back to the event kernel when the batch
-    engine cannot run the configuration (or when instrumentation is
-    attached); an explicit ``batch`` request raises instead.
-    """
-    choice = canonical_engine(engine)
-    if choice == "event":
-        return "event"
-    reason: Optional[str]
-    if instrumented:
-        reason = "instrumented runs need the event engine"
-    else:
-        reason = batch_unsupported_reason(config, policy=policy, audit=audit)
-    if reason is None:
-        return "batch"
-    if choice == "batch":
-        raise ConfigurationError(f"engine 'batch' cannot run this spec: {reason}")
-    return "event"
 
 
 # ----------------------------------------------------------------------
@@ -347,13 +286,13 @@ def run_smc_batch(
 
     Raises:
         ConfigurationError: If the configuration needs the event
-            engine (check :func:`batch_unsupported_reason` first).
+            kernel (check :func:`batch_unsupported_reason` first).
         SchedulingError: On deadlock or watchdog expiry (same messages
             as the event kernel).
     """
     reason = batch_unsupported_reason(config)
     if reason is not None:
-        raise ConfigurationError(f"engine 'batch' cannot run this spec: {reason}")
+        raise ConfigurationError(f"the batch loop cannot run this spec: {reason}")
     descriptors = place_streams(
         kernel.streams, config, length=length, stride=stride, alignment=alignment
     )

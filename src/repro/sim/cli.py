@@ -40,7 +40,6 @@ from repro.obs.metrics import write_metrics_jsonl
 from repro.rdram.audit import audit_memory
 from repro.rdram.tracefmt import render_trace
 from repro.exec import execution
-from repro.sim.batch import ENGINES, list_engines
 from repro.traffic.scheduling import SCHEDULERS, list_schedulers
 from repro.sim.engine import run_smc
 from repro.sim.metrics import bank_imbalance, measure_trace
@@ -106,16 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "--list-policies)")
     parser.add_argument("--list-policies", action="store_true",
                         help="list registered address mappings, page "
-                             "policies, MSU scheduling policies, "
-                             "traffic schedulers, and simulation "
-                             "engines, then exit")
-    parser.add_argument("--engine", default="auto",
-                        choices=ENGINES,
-                        help="simulation engine: the discrete-event "
-                             "kernel, the vectorized batch fast path, "
-                             "or auto selection (default auto)")
-    parser.add_argument("--list-engines", action="store_true",
-                        help="list the simulation engines, then exit")
+                             "policies, MSU scheduling policies and "
+                             "traffic schedulers, then exit")
     parser.add_argument("--baseline", default=None,
                         choices=tuple(BASELINES),
                         help="run a traditional controller instead of "
@@ -209,8 +200,8 @@ def list_policies() -> str:
     """The registered policy tables, one name per line.
 
     One unified listing across every registry a run can draw from:
-    address mappings, page policies, MSU scheduling policies, traffic
-    request schedulers, and simulation engines.
+    address mappings, page policies, MSU scheduling policies and
+    traffic request schedulers.
     """
     lines = ["address mappings (--interleaving):"]
     for name in list_mappings():
@@ -228,18 +219,12 @@ def list_policies() -> str:
         lines.append(
             f"  {name:12s} {SCHEDULERS[name].__doc__.splitlines()[0]}"
         )
-    lines.append("simulation engines (--engine):")
-    for name in ENGINES:
-        lines.append(f"  {name:12s} {ENGINES[name]}")
     return "\n".join(lines)
 
 
 def _run(args) -> int:
     if args.list_policies:
         print(list_policies())
-        return 0
-    if args.list_engines:
-        print(list_engines())
         return 0
     if args.kernel is None:
         raise ConfigurationError(
@@ -311,7 +296,6 @@ def _run(args) -> int:
             length=args.length,
             stride=args.stride,
             alignment=Alignment(args.alignment),
-            engine=args.engine,
             **extra,
         )
         memory = controller.device
@@ -327,7 +311,6 @@ def _run(args) -> int:
             alignment=args.alignment,
             policy=args.policy,
             refresh=args.refresh,
-            engine=args.engine,
             channels=args.channels,
             devices=args.devices,
         )
@@ -335,13 +318,6 @@ def _run(args) -> int:
             result = simulate(spec)
         memory = None
     else:
-        if args.engine == "batch":
-            raise ConfigurationError(
-                "engine 'batch' cannot run this spec: trace recording "
-                "and instrumentation need the event kernel (drop "
-                "--gantt/--metrics/--audit/--stats/--trace-out/"
-                "--telemetry/--metrics-out, or use --engine auto)"
-            )
         system = build_smc_system(
             kernel,
             config,

@@ -1,19 +1,16 @@
 """One-call simulation API.
 
 :class:`RunSpec` + :func:`simulate` are the canonical front door: a
-frozen, hashable, JSON-serializable description of one simulation,
-executed on a selectable engine.  The result cache and the
-process-pool sweep backend (:mod:`repro.exec`) are both keyed on
-:meth:`RunSpec.canonical_key`, which deliberately excludes the engine
-choice — both engines are bit-identical, so they share cache entries.
+frozen, hashable, JSON-serializable description of one simulation.
+The result cache and the process-pool sweep backend
+(:mod:`repro.exec`) are both keyed on :meth:`RunSpec.canonical_key`.
 
-Engines (see :mod:`repro.sim.batch`):
-
-* ``"event"`` — the discrete-event kernel; supports every
-  configuration, instrumentation, and auditing.
-* ``"batch"`` — the vectorized fast path; bit-identical on the core
-  configurations, several times faster.
-* ``"auto"`` (default) — batch when the spec supports it, else event.
+:func:`simulate` picks the loop itself: the vectorized
+:func:`~repro.sim.batch.run_smc_batch` whenever
+:func:`~repro.sim.batch.batch_unsupported_reason` allows it and no
+instrumentation is attached, else the discrete-event kernel
+(:func:`~repro.sim.engine.run_smc`).  The two are bit-identical
+wherever both run.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.cpu.kernels import KERNELS, Kernel, get_kernel
 from repro.cpu.streams import Alignment, Direction, StreamSpec
 from repro.core.policies import POLICIES, SchedulingPolicy
@@ -40,35 +37,9 @@ from repro.obs.core import Instrumentation
 from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import RdramGeometry
 from repro.rdram.timing import RdramTiming
-from repro.sim.batch import canonical_engine, resolve_engine, run_smc_batch
+from repro.sim.batch import batch_unsupported_reason, run_smc_batch
 from repro.sim.engine import run_smc
 from repro.sim.results import SimulationResult
-
-#: Ambient engine default used when a spec says "auto"; see
-#: :func:`set_default_engine`.
-_DEFAULT_ENGINE = "auto"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide engine used when specs say ``"auto"``.
-
-    CLIs use this to make one ``--engine`` flag govern every run they
-    launch without threading the choice through each call site.
-    Specs with an explicit ``engine="event"``/``"batch"`` are not
-    affected.
-
-    Returns:
-        The previous default (so callers can restore it).
-    """
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = canonical_engine(engine)
-    return previous
-
-
-def default_engine() -> str:
-    """The current process-wide ``"auto"`` engine resolution."""
-    return _DEFAULT_ENGINE
 
 #: Named organizations matching the paper's two design points.
 ORGANIZATIONS = {
@@ -291,10 +262,7 @@ class RunSpec:
     :meth:`to_dict` so sweep definitions carry it, but excluded from
     :meth:`canonical_key` — telemetry never changes the simulated
     outcome, so a windowed spec shares its cache entry with the plain
-    one.  ``engine`` follows the same rule: the two engines are
-    bit-identical wherever both run, so the choice is serialized (a
-    sweep definition pins its engine across worker processes) but
-    never part of the cache identity.
+    one.
     """
 
     kernel: Union[str, Kernel] = "daxpy"
@@ -309,17 +277,16 @@ class RunSpec:
     interleaving: Optional[Union[str, Interleaving]] = None
     page_policy: Optional[Union[str, PagePolicy]] = None
     telemetry_window: Optional[int] = None
-    engine: str = "auto"
     channels: int = 1
     devices: int = 1
 
     def __post_init__(self) -> None:
-        if self.telemetry_window is not None and self.telemetry_window <= 0:
+        window = self.telemetry_window
+        if window is not None and require_int("telemetry window", window) < 1:
             raise ConfigurationError(
-                "telemetry window must be positive, got "
-                f"{self.telemetry_window}"
+                f"telemetry window must be positive, got {window}"
             )
-        object.__setattr__(self, "engine", canonical_engine(self.engine))
+        require_int("fifo_depth", self.fifo_depth)
         # Validates the channel/device counts exactly as the config
         # layer will; the instance itself is discarded.
         MemoryTopology(
@@ -404,8 +371,13 @@ class RunSpec:
         if isinstance(alignment, Alignment):
             object.__setattr__(self, "alignment", alignment.value)
         else:
-            # Validates the string; bad names raise ValueError.
-            object.__setattr__(self, "alignment", Alignment(alignment.lower()).value)
+            name = str(alignment).lower()
+            names = [member.value for member in Alignment]
+            if name not in names:
+                raise ConfigurationError(
+                    f"unknown alignment {alignment!r}; use one of {names}"
+                )
+            object.__setattr__(self, "alignment", name)
         policy = self.policy
         if (
             isinstance(policy, SchedulingPolicy)
@@ -498,8 +470,6 @@ class RunSpec:
             data["page_policy"] = self.page_policy
         if self.telemetry_window is not None:
             data["telemetry_window"] = self.telemetry_window
-        if self.engine != "auto":
-            data["engine"] = self.engine
         # Default 1x1 topology is omitted so canonical cache keys from
         # before these fields existed are unchanged (and stay valid).
         if self.channels != 1:
@@ -510,7 +480,11 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec from a :meth:`to_dict` dict."""
+        """Rebuild a spec from a :meth:`to_dict` dict.
+
+        Keys that are not fields are dropped, so dicts written by
+        older versions (an ``"engine"`` key, say) still load.
+        """
         kernel = data["kernel"]
         if isinstance(kernel, Mapping):
             kernel = _kernel_from_dict(kernel)
@@ -530,14 +504,12 @@ class RunSpec:
         Two specs describing the same work — however their kernel,
         organization, or policy was originally spelled — produce the
         same key.  This is what the result cache hashes.
-        ``telemetry_window`` and ``engine`` are excluded: sampling
-        never changes the simulated outcome, and the engines are
-        bit-identical, so windowed/batch specs share the plain spec's
+        ``telemetry_window`` is excluded: sampling never changes the
+        simulated outcome, so a windowed spec shares the plain spec's
         cache entry.
         """
         data = self.to_dict()
         data.pop("telemetry_window", None)
-        data.pop("engine", None)
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     def describe(self) -> str:
@@ -568,21 +540,15 @@ class RunSpec:
 
 
 def simulate(
-    spec: RunSpec,
-    obs: Optional[Instrumentation] = None,
-    engine: Optional[str] = None,
+    spec: RunSpec, obs: Optional[Instrumentation] = None
 ) -> SimulationResult:
     """Run the simulation a :class:`RunSpec` describes.
 
-    This is the package's single simulation entry point.  The engine
-    is chosen in order of precedence: the ``engine`` argument, then
-    ``spec.engine``, then — when both say ``"auto"`` — the process
-    default (:func:`set_default_engine`).  A final ``"auto"`` picks
-    the batch fast path whenever the spec supports it and no
-    instrumentation is attached, falling back to the event kernel
-    otherwise; requesting ``"batch"`` explicitly raises
-    :class:`~repro.errors.ConfigurationError` instead of falling back.
-    Both engines produce bit-identical results.
+    This is the package's single simulation entry point.  An
+    uninstrumented run whose configuration
+    :func:`~repro.sim.batch.batch_unsupported_reason` accepts runs on
+    the batch loop, and every other run on the event kernel.  Both
+    produce bit-identical results.
 
     If a result cache is active (via
     :func:`repro.exec.context.execution`) and holds this spec, the
@@ -594,15 +560,10 @@ def simulate(
         spec: The full run specification.
         obs: Optional :class:`~repro.obs.core.Instrumentation` to
             record counters, spans and DATA-bus gaps for this run.
-        engine: Optional ``"event"``/``"batch"``/``"auto"`` override
-            of ``spec.engine`` for this call.
 
     Returns:
         The simulation result, including percent-of-peak bandwidth.
     """
-    choice = canonical_engine(engine) if engine is not None else spec.engine
-    if choice == "auto":
-        choice = _DEFAULT_ENGINE
     cache = None
     if obs is None:
         from repro.exec.context import active_cache
@@ -636,14 +597,9 @@ def simulate(
             "stall attribution and telemetry assume a single DATA "
             "bus; run multi-channel specs without instrumentation"
         )
-    resolved = resolve_engine(
-        choice,
-        config,
-        policy=spec.policy,
-        audit=spec.audit,
-        instrumented=obs is not None,
-    )
-    if resolved == "batch":
+    if obs is None and batch_unsupported_reason(
+        config, policy=spec.policy, audit=spec.audit
+    ) is None:
         result = run_smc_batch(
             kernel_obj,
             config,

@@ -67,6 +67,7 @@ from repro.errors import (
     ConfigurationError,
     ObservabilityError,
     SchedulingError,
+    require_int,
 )
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.obs.attribution import CONTROLLER, partition_gap
@@ -859,9 +860,10 @@ def run_traffic(
     import dataclasses
 
     config = config or MemorySystemConfig.cli()
-    if telemetry_window is not None and telemetry_window <= 0:
+    window = telemetry_window
+    if window is not None and require_int("telemetry window", window) < 1:
         raise ConfigurationError(
-            f"telemetry window must be positive, got {telemetry_window}"
+            f"telemetry window must be positive, got {window}"
         )
     if (channels, devices) != (1, 1):
         if not config.topology.single:

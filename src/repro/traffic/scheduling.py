@@ -52,7 +52,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,11 +169,7 @@ def make_scheduler(name: str, **params) -> Scheduler:
 
 def _check_count(name: str, label: str, value: object) -> int:
     """``value`` if it is an int of at least 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{name} (the {label}) must be an integer, got {value!r}"
-        )
-    if value < 1:
+    if require_int(f"{name} (the {label})", value) < 1:
         raise ConfigurationError(
             f"{name} (the {label}) must be at least 1, got {value}"
         )

@@ -24,7 +24,7 @@ from itertools import accumulate
 from math import isfinite, log
 from typing import Callable, Dict, List, Optional, Tuple, cast
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.memsys.address import AddressMapping
 from repro.rdram.packets import BusDirection
 
@@ -76,11 +76,7 @@ class TrafficWorkload:
     def __post_init__(self) -> None:
         for name in ("clients", "requests", "hot_lines"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            if value < 1:
+            if require_int(name, value) < 1:
                 raise ConfigurationError(
                     f"{name} must be at least 1, got {value}"
                 )

@@ -15,16 +15,16 @@ from repro.sim.cli import main as simulate_main
 class TestSimulateCli:
     def test_list_policies(self, capsys):
         # One unified listing across every registry: mappings (incl.
-        # the stateful dream map), page policies, MSU policies,
-        # traffic schedulers, and simulation engines.
+        # the stateful dream map), page policies, MSU policies and
+        # traffic schedulers.
         assert simulate_main(["--list-policies"]) == 0
         out = capsys.readouterr().out
         for name in ("cli", "pi", "swizzle", "dream", "closed", "open",
                      "timeout", "hybrid", "round-robin",
-                     "fcfs", "frfcfs", "mars", "event", "batch", "auto"):
+                     "fcfs", "frfcfs", "mars"):
             assert name in out
         for section in ("address mappings", "page policies",
-                        "traffic schedulers", "simulation engines"):
+                        "traffic schedulers"):
             assert section in out
 
     def test_kernel_required_without_list(self, capsys):
@@ -79,7 +79,6 @@ class TestExperimentsCli:
         out = capsys.readouterr().out
         assert "swizzle" in out
         assert "traffic schedulers" in out
-        assert "simulation engines" in out
 
     def test_policy_matrix_filters(self, capsys, reset_matrix_filters):
         assert experiments_main(

@@ -106,8 +106,31 @@ class TestRunSpec:
             spec.canonical_key()
 
     def test_bad_alignment_rejected_at_construction(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError, match="alignment 'diagonal'.*staggered"
+        ):
             RunSpec(kernel="copy", alignment="diagonal")
+
+    @pytest.mark.parametrize("depth", [7.5, True, "64"])
+    def test_non_int_fifo_depth_rejected_at_construction(self, depth):
+        with pytest.raises(ConfigurationError, match="fifo_depth.*integer"):
+            RunSpec(kernel="copy", fifo_depth=depth)
+
+    def test_engine_key_of_older_dicts_is_dropped(self):
+        # Written by a version whose specs carried an engine choice.
+        older = {
+            "kernel": "daxpy", "organization": "pi", "length": 64,
+            "fifo_depth": 16, "stride": 1, "alignment": "staggered",
+            "policy": None, "audit": False, "refresh": False,
+            "engine": "event",
+        }
+        spec = RunSpec.from_dict(older)
+        assert spec == RunSpec("daxpy", "pi", length=64, fifo_depth=16)
+        assert spec.canonical_key() == (
+            '{"alignment":"staggered","audit":false,"fifo_depth":16,'
+            '"kernel":"daxpy","length":64,"organization":"pi",'
+            '"policy":null,"refresh":false,"stride":1}'
+        )
 
     def test_describe_mentions_the_point(self):
         label = RunSpec(kernel="copy", fifo_depth=8, policy="bank-aware").describe()

@@ -24,6 +24,9 @@ class TestConstruction:
     def test_window_must_be_positive(self, cli_config):
         with pytest.raises(ConfigurationError, match="window"):
             L2StreamingController(cli_config, prefetch_window=0)
+        for window in (2.5, True):
+            with pytest.raises(ConfigurationError, match="prefetch_window"):
+                L2StreamingController(cli_config, prefetch_window=window)
 
 
 class TestExecution:

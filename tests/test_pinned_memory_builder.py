@@ -22,8 +22,9 @@ it reads which banks are open; nothing else moved.
 
 The entries were captured from event-kernel runs.  The 80 with a
 static mapping (the organization's own or ``swizzle``) and the
-organization's own page policy now run on the batch engine under
-``engine="auto"`` and still match; the rest stay on the event kernel.
+organization's own page policy now run on the batch loop, which
+``simulate`` picks for them, and still match; the rest stay on the
+event kernel.
 
 Every comparison is on canonical JSON text, so an int that turned
 into a float (or the reverse) fails even though the two compare equal
@@ -41,7 +42,7 @@ import pytest
 
 from repro import RunSpec, simulate, simulate_gather
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
-from repro.sim.batch import resolve_engine
+from repro.sim.batch import batch_unsupported_reason
 
 FIXTURE = Path(__file__).parent / "data" / "pinned_memory_builder.json"
 
@@ -151,7 +152,7 @@ class TestPinnedMemoryBuilder:
             config = getattr(MemorySystemConfig, organization)(
                 topology=MemoryTopology(channels, devices), **overrides
             )
-            if resolve_engine("auto", config) == "batch":
+            if batch_unsupported_reason(config) is None:
                 on_batch.append((interleaving, policy))
         assert len(on_batch) == 80
         assert set(on_batch) == {("default", "default"), ("swizzle", "default")}

@@ -515,19 +515,19 @@ class TestDreamMapping:
             MemorySystemConfig.cli(remap_epoch_accesses=0)
 
     def test_dream_routes_to_the_event_engine(self):
+        from repro.cpu.kernels import KERNELS
+        from repro.sim.batch import batch_unsupported_reason, run_smc_batch
         from repro.sim.runner import RunSpec, simulate
 
+        config = MemorySystemConfig.cli(interleaving="dream")
+        reason = batch_unsupported_reason(config)
+        assert reason is not None and "'dream' is stateful" in reason
+        with pytest.raises(ConfigurationError, match="'dream' is stateful"):
+            run_smc_batch(KERNELS["daxpy"], config, length=64, fifo_depth=16)
         spec = RunSpec(
-            kernel="daxpy",
-            organization=MemorySystemConfig.cli(interleaving="dream"),
-            length=64,
-            fifo_depth=16,
-            engine="auto",
+            kernel="daxpy", organization=config, length=64, fifo_depth=16
         )
-        result = simulate(spec)
-        assert result.cycles > 0
-        with pytest.raises(ConfigurationError, match="batch"):
-            simulate(dataclasses.replace(spec, engine="batch"))
+        assert simulate(spec).cycles > 0
 
 
 def _batch_hit_rates(ledger_path):

@@ -90,6 +90,12 @@ class TestRandomAccessDriver:
             RandomAccessDriver(cli_config, queue_depth=0)
         with pytest.raises(ConfigurationError):
             RandomAccessDriver(cli_config).run(10, write_fraction=1.5)
+        for depth in (2.5, True):
+            with pytest.raises(ConfigurationError, match="queue_depth"):
+                RandomAccessDriver(cli_config, queue_depth=depth)
+        for count in (-3, 2.5, True):
+            with pytest.raises(ConfigurationError, match="num_transactions"):
+                RandomAccessDriver(cli_config).run(count)
 
     def test_efficiency_scales_with_devices(self):
         """The Crisp reconciliation: random loads approach ~95%

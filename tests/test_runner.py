@@ -57,7 +57,9 @@ class TestSimulateKernel:
         assert aligned.alignment == "aligned"
 
     def test_bad_alignment_string(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ConfigurationError, match="alignment 'diagonal'.*aligned"
+        ):
             simulate(RunSpec("copy", "cli", length=64, fifo_depth=8,
                             alignment="diagonal"))
 

@@ -14,6 +14,7 @@ from repro.cpu.streams import (
 )
 from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
+from repro.sim.runner import RunSpec, simulate
 
 
 class TestStreamDescriptor:
@@ -45,6 +46,22 @@ class TestStreamDescriptor:
             StreamDescriptor("x", base=0, stride=0, length=4, direction=Direction.READ)
         with pytest.raises(StreamError, match="length"):
             StreamDescriptor("x", base=0, stride=1, length=0, direction=Direction.READ)
+        # Non-ints, bools included, fail on construction, on placement
+        # (which every controller and both SMC loops use) and so when
+        # simulated.
+        cli = MemorySystemConfig.cli()
+        for field, value in (
+            ("length", True), ("length", 2.5), ("length", "64"),
+            ("stride", 1.5), ("stride", True),
+        ):
+            extent = {"length": 4, "stride": 1, field: value}
+            match = f"stream x: {field} must be an integer"
+            with pytest.raises(StreamError, match=match):
+                StreamDescriptor("x", base=0, direction=Direction.READ, **extent)
+            with pytest.raises(StreamError, match=match):
+                place_streams(DAXPY.streams, cli, **extent)
+            with pytest.raises(StreamError, match=match):
+                simulate(RunSpec("daxpy", fifo_depth=8, **extent))
 
     def test_is_read(self):
         read = StreamDescriptor("x", base=0, stride=1, length=1, direction=Direction.READ)

@@ -300,6 +300,11 @@ class TestTelemetryReconciliation:
             Instrumentation(telemetry_window=0)
         with pytest.raises(ConfigurationError):
             RunSpec(kernel="copy", telemetry_window=-1)
+        for window in ("64", True, 2.5):
+            with pytest.raises(ConfigurationError, match="window.*integer"):
+                Instrumentation(telemetry_window=window)
+            with pytest.raises(ConfigurationError, match="window.*integer"):
+                RunSpec(kernel="copy", telemetry_window=window)
 
     def test_build_windowed_series_needs_window(self):
         obs = Instrumentation()

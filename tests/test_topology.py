@@ -6,8 +6,8 @@ hypothesis bijection properties over random topologies), the
 :class:`~repro.rdram.fabric.MemoryFabric` routing layer, the
 :class:`~repro.sim.runner.RunSpec` topology fields (including
 canonical-cache-key stability for the default topology), and the
-engine gate that lets multi-device and multi-channel SMC runs take the
-batch engine, with results equal to the event kernel's.
+gate that lets multi-device and multi-channel SMC runs take the batch
+loop, with results equal to the event kernel's.
 
 ``tests/data/pinned_topology_identity.json`` was captured from the
 simulator *before* the topology refactor: every result field for all
@@ -40,7 +40,7 @@ from repro.rdram.channel import ChannelGeometry, RambusChannel, make_memory
 from repro.rdram.device import RdramGeometry
 from repro.rdram.fabric import FabricGeometry, MemoryFabric
 from repro.rdram.timing import DATA_PACKET_BYTES
-from repro.sim.batch import batch_unsupported_reason, resolve_engine
+from repro.sim.batch import batch_unsupported_reason, run_smc_batch
 from repro.sim.engine import run_smc
 from repro.sim.runner import RunSpec, simulate
 
@@ -372,14 +372,17 @@ class TestEngineGates:
                 topology=MemoryTopology(channels, devices)
             )
             assert batch_unsupported_reason(config) is None
-            assert resolve_engine("auto", config) == "batch"
-            spec = RunSpec(
+            event = run_smc(build_smc_system(
+                DAXPY, config, length=256, fifo_depth=64, refresh=True
+            ))
+            batch = run_smc_batch(
+                DAXPY, config, length=256, fifo_depth=64, refresh=True
+            )
+            assert event == batch
+            assert simulate(RunSpec(
                 kernel=DAXPY, organization="cli", length=256,
                 channels=channels, devices=devices, refresh=True,
-            )
-            assert simulate(spec, engine="batch") == simulate(
-                spec, engine="event"
-            )
+            )) == batch
 
     def test_batch_accepts_default_topology(self, cli_config):
         assert batch_unsupported_reason(cli_config) is None

@@ -603,6 +603,10 @@ class TestTelemetryWindow:
     def test_invalid_window_rejected(self):
         with pytest.raises(ConfigurationError):
             run_traffic(workload=SMALL, telemetry_window=0)
+        # Rejected before the run, not after it.
+        for window in (2.5, "64", True):
+            with pytest.raises(ConfigurationError, match="window.*integer"):
+                run_traffic(workload=SMALL, telemetry_window=window)
 
     def test_window_sampling_is_bit_neutral(self):
         plain = run_traffic(workload=SMALL, channels=2)
