@@ -1,6 +1,6 @@
 """The paper's contribution: the Stream Memory Controller (SMC)."""
 
-from repro.core.fifo import AccessUnit, StreamFifo, build_access_units
+from repro.core.fifo import AccessUnit, StreamFifo, build_plan
 from repro.core.gather import (
     IndexedStreamDescriptor,
     build_gather_system,
@@ -21,7 +21,7 @@ from repro.core.smc import SmcSystem, build_smc_system
 __all__ = [
     "AccessUnit",
     "StreamFifo",
-    "build_access_units",
+    "build_plan",
     "IndexedStreamDescriptor",
     "build_gather_system",
     "simulate_gather",

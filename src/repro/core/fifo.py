@@ -4,8 +4,11 @@ Each stream is mapped to exactly one FIFO (Section 3).  From the
 processor's side the FIFO head is a memory-mapped register: reads pop
 elements that the MSU prefetched, writes push elements the MSU will
 later drain to memory.  From the memory side, the MSU works through
-the stream's *access units* — one unit per DATA packet the stream
-touches — precomputed from the stream descriptor and the address map.
+the stream's *access plan* — one unit per DATA packet the stream
+touches — which :func:`build_plan` computes from the stream
+descriptor and the configuration before the clock starts.  Both SMC
+loops (the event kernel's FIFOs here and
+:func:`repro.sim.batch.run_smc_batch`) read that one plan.
 
 Two 64-bit elements share a DATA packet only at stride one (byte
 stride 8); at any larger stride every element occupies its own packet,
@@ -15,73 +18,192 @@ RDRAM's bandwidth (Section 6, Figure 9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Union
+from itertools import groupby
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import SchedulingError, StreamError
+from repro.errors import (
+    ConfigurationError,
+    SchedulingError,
+    StreamError,
+    require_int,
+)
 from repro.cpu.streams import Direction, StreamDescriptor
-from repro.memsys.address import AddressMapping, Location
-from repro.memsys.config import PagePolicy
-from repro.memsys.pagemanager import PageManager, as_page_manager
+from repro.memsys.address import get_address_mapping
+from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
+from repro.memsys.pagemanager import PAGE_POLICIES
 from repro.obs.core import Instrumentation
 from repro.rdram.timing import DATA_PACKET_BYTES
 
+try:  # numpy is optional; without it every stream plans element by element.
+    import numpy as _np
+except ImportError:
+    _np = None  # type: ignore[assignment]
 
-@dataclass(frozen=True)
-class AccessUnit:
-    """One DATA packet's worth of stream traffic.
-
-    Attributes:
-        location: Bank/row/column the packet lives at.
-        elements: Useful 64-bit elements the packet carries (2 at
-            stride one, otherwise 1).
-        precharge_after: Under a closed-page policy, True on the last
-            packet of each consecutive same-row run, carrying the
-            precharge flag on the COL packet.
-    """
-
-    location: Location
-    elements: int
-    precharge_after: bool = False
+#: One DATA packet's worth of stream traffic, as a plain tuple
+#: ``(bank, row, column, elements, precharge)``: the packet's global
+#: bank, row and column; the useful 64-bit elements it carries (2 at
+#: stride one, otherwise 1); and, under a page policy that plans its
+#: precharges (closed), True on the last packet of each consecutive
+#: same-(bank, row) run, carrying the precharge flag on its COL packet.
+AccessUnit = Tuple[int, int, int, int, bool]
 
 
-def build_access_units(
-    descriptor: StreamDescriptor,
-    address_map: AddressMapping,
-    page_manager: Union[PageManager, PagePolicy, str],
+def build_plan(
+    descriptor: StreamDescriptor, config: MemorySystemConfig
 ) -> List[AccessUnit]:
     """Compute the ordered DATA-packet plan for one stream.
 
     Consecutive elements landing in the same packet are merged into a
-    single unit, then the page manager's plan-time hook rewrites the
-    plan — the closed-page policy plants its precharge flags here.
+    single unit.  When the configuration's page policy plans its
+    precharges (``plans_precharge``, the closed policy), the last unit
+    of each consecutive same-(bank, row) run carries the precharge, so
+    it rides that run's last COL packet at no ROW-bus cost.
 
-    Args:
-        descriptor: The placed stream.
-        address_map: A registered address decomposition.
-        page_manager: The page-management strategy (a
-            :class:`~repro.memsys.pagemanager.PageManager`, or a
-            :class:`~repro.memsys.config.PagePolicy` / registry name
-            for historical callers).
+    The plan is computed with numpy array expressions when numpy
+    imports, the descriptor is an affine
+    :class:`~repro.cpu.streams.StreamDescriptor`, the mapping is cli,
+    pi or swizzle and the core has no doubled banks; every other
+    stream (indexed streams, registered and stateful mappings,
+    doubled banks, or no numpy) is decomposed element by element
+    through :func:`~repro.memsys.address.get_address_mapping`.  Both
+    give the same units.  A stateful mapping is planned at epoch 0.
 
-    Returns:
-        Units in stream-element order.
+    Raises:
+        ConfigurationError: If the stream leaves the memory, or no page
+            policy is registered under the configuration's name.
     """
-    units: List[AccessUnit] = []
-    last_location: Optional[Location] = None
-    for index in range(descriptor.length):
-        address = descriptor.element_address(index)
-        packet_address = address - address % DATA_PACKET_BYTES
-        location = address_map.decompose(packet_address)
-        if location == last_location:
-            previous = units[-1]
-            units[-1] = AccessUnit(
-                location=location, elements=previous.elements + 1
-            )
+    closed = PAGE_POLICIES.resolve(config.page_policy_name).plans_precharge
+    if (
+        _np is not None
+        and isinstance(descriptor, StreamDescriptor)
+        and config.interleaving_name in ("cli", "pi", "swizzle")
+        and not config.geometry.doubled_banks
+    ):
+        return _vector_plan(descriptor, config, closed)
+    mapping = get_address_mapping(config)
+    # Runs of consecutive elements in one DATA packet (same location).
+    runs = [
+        (location, sum(1 for _ in elements))
+        for location, elements in groupby(
+            mapping.decompose(address - address % DATA_PACKET_BYTES)
+            for address in map(descriptor.element_address, range(descriptor.length))
+        )
+    ]
+    row_ends = [
+        here[:2] != after[:2] for (here, _), (after, _) in zip(runs, runs[1:])
+    ] + [True]
+    return [
+        (bank, row, column, count, closed and row_end)
+        for ((bank, row, column), count), row_end in zip(runs, row_ends)
+    ]
+
+
+def _vector_plan(
+    descriptor: StreamDescriptor, config: MemorySystemConfig, closed: bool
+) -> List[AccessUnit]:
+    """:func:`build_plan` as numpy array expressions.
+
+    The address decomposition is affine in the element index, so the
+    whole plan — packet addresses, (bank, row, column) coordinates,
+    run-length merge of same-packet elements, and the closed-policy
+    precharge flags — reduces to array expressions.  On several
+    channels it first applies
+    :class:`~repro.memsys.address.ChannelStriping`: line ``l`` goes to
+    channel ``l % channels`` as that channel's line ``l // channels``,
+    placed by the base mapping over one channel's geometry, and the
+    channel's local bank ``b`` becomes global bank
+    ``channel * banks_per_channel + b``.
+    """
+    geometry = config.channel_geometry
+    channels = config.topology.channels
+    stride_bytes = descriptor.stride * ELEMENT_BYTES
+    addr = descriptor.base + _np.arange(
+        descriptor.length, dtype=_np.int64
+    ) * stride_bytes
+    last_addr = int(addr[-1])
+    capacity = channels * geometry.capacity_bytes
+    if last_addr >= capacity:
+        raise ConfigurationError(
+            f"address {last_addr:#x} outside device capacity "
+            f"{capacity:#x}"
+        )
+    pkt = addr - addr % DATA_PACKET_BYTES
+    line_bytes = config.cacheline_bytes
+    if channels > 1:
+        line = pkt // line_bytes
+        channel = line % channels
+        pkt = (line // channels) * line_bytes + pkt % line_bytes
+    num_banks = geometry.num_banks
+    page_bytes = geometry.page_bytes
+    name = config.interleaving_name
+    if name == "cli":
+        lines_per_page = page_bytes // line_bytes
+        packets_per_line = line_bytes // DATA_PACKET_BYTES
+        line = pkt // line_bytes
+        bank = line % num_banks
+        line_in_bank = line // num_banks
+        row = line_in_bank // lines_per_page
+        column = (line_in_bank % lines_per_page) * packets_per_line + (
+            pkt % line_bytes
+        ) // DATA_PACKET_BYTES
+    elif name == "pi":
+        page = pkt // page_bytes
+        bank = page % num_banks
+        row = page // num_banks
+        column = (pkt % page_bytes) // DATA_PACKET_BYTES
+    else:  # swizzle
+        page = pkt // page_bytes
+        row = page // num_banks
+        rank = page % num_banks
+        if num_banks & (num_banks - 1) == 0:
+            bank = rank ^ (row % num_banks)
         else:
-            units.append(AccessUnit(location=location, elements=1))
-            last_location = location
-    return as_page_manager(page_manager).plan(units)
+            bank = (rank + row) % num_banks
+        column = (pkt % page_bytes) // DATA_PACKET_BYTES
+    if channels > 1:
+        bank = channel * num_banks + bank
+    # Merge consecutive elements that land in the same DATA packet
+    # (same location <=> same packet address, mappings being bijective
+    # at packet granularity).
+    fresh = _np.empty(descriptor.length, dtype=bool)
+    fresh[0] = True
+    fresh[1:] = (
+        (bank[1:] != bank[:-1]) | (row[1:] != row[:-1]) | (column[1:] != column[:-1])
+    )
+    starts = _np.flatnonzero(fresh)
+    elements = _np.diff(_np.append(starts, descriptor.length))
+    bank = bank[starts]
+    row = row[starts]
+    column = column[starts]
+    precharge = _np.zeros(len(starts), dtype=bool)
+    if closed:
+        # The last unit of each same-(bank, row) run, the stream's
+        # final unit included.
+        precharge[:-1] = (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
+        precharge[-1] = True
+    return list(
+        zip(
+            bank.tolist(),
+            row.tolist(),
+            column.tolist(),
+            elements.tolist(),
+            precharge.tolist(),
+        )
+    )
+
+
+def check_fifo_depth(
+    descriptor: StreamDescriptor, depth: int, units: Sequence[AccessUnit]
+) -> None:
+    """Raise a :class:`StreamError` naming the stream unless ``depth``
+    is an int that holds the largest unit of its plan ``units``."""
+    require_int(f"stream {descriptor.name}: FIFO depth", depth, StreamError)
+    largest = max(elements for _, _, _, elements, _ in units)
+    if depth < largest:
+        raise StreamError(
+            f"stream {descriptor.name}: FIFO depth {depth} smaller than "
+            f"a {largest}-element DATA packet"
+        )
 
 
 class StreamFifo:
@@ -95,7 +217,7 @@ class StreamFifo:
     Args:
         descriptor: The placed stream this FIFO buffers.
         depth: FIFO capacity in 64-bit elements (the paper's f).
-        units: The stream's access plan from :func:`build_access_units`.
+        units: The stream's access plan from :func:`build_plan`.
     """
 
     def __init__(
@@ -104,12 +226,7 @@ class StreamFifo:
         depth: int,
         units: List[AccessUnit],
     ) -> None:
-        max_unit = max(unit.elements for unit in units)
-        if depth < max_unit:
-            raise StreamError(
-                f"stream {descriptor.name}: FIFO depth {depth} smaller than "
-                f"a {max_unit}-element DATA packet"
-            )
+        check_fifo_depth(descriptor, depth, units)
         self.descriptor = descriptor
         self.depth = depth
         self.units = units
@@ -170,10 +287,10 @@ class StreamFifo:
         """True if the MSU could issue this FIFO's next access now."""
         if self.exhausted:
             return False
-        unit = self.units[self._cursor]
+        _, _, _, elements, _ = self.units[self._cursor]
         if self.is_read:
-            return self.occupancy + self.inflight + unit.elements <= self.depth
-        return self.occupancy >= unit.elements
+            return self.occupancy + self.inflight + elements <= self.depth
+        return self.occupancy >= elements
 
     @property
     def fully_drained(self) -> bool:
@@ -197,11 +314,12 @@ class StreamFifo:
                 f"stream {self.descriptor.name}: issue on unserviceable FIFO"
             )
         unit = self.units[self._cursor]
+        _, _, _, elements, _ = unit
         self._cursor += 1
         if self.is_read:
-            self.inflight += unit.elements
+            self.inflight += elements
         else:
-            self.occupancy -= unit.elements
+            self.occupancy -= elements
             if self.obs is not None:
                 self._sample_occupancy()
         return unit

@@ -138,18 +138,13 @@ class MemorySchedulingUnit:
             self.current = choice
         fifo = self.sbu[choice]
         unit = fifo.next_unit()
-        location = unit.location
+        bank, row, column, elements, precharge = unit
         direction = BusDirection.READ if fifo.is_read else BusDirection.WRITE
         # The open/conflict/precharge decision lives in the device's
         # access path (issue_access), shared with every controller.
         _, col_start, _, data_end, conflicts, page_hit = (
             self.device.issue_access(
-                location.bank,
-                location.row,
-                location.column,
-                cycle,
-                direction,
-                precharge=unit.precharge_after,
+                bank, row, column, cycle, direction, precharge=precharge
             )
         )
         self.bank_conflicts += conflicts
@@ -168,9 +163,9 @@ class MemorySchedulingUnit:
                 f"{'RD' if fifo.is_read else 'WR'} {fifo.descriptor.name}",
                 col_start,
                 data_end,
-                bank=location.bank,
-                row=location.row,
-                column=location.column,
+                bank=bank,
+                row=row,
+                column=column,
                 decided=cycle,
             )
         fifo.note_issue()
@@ -185,7 +180,7 @@ class MemorySchedulingUnit:
                 ArrivalEvent(
                     cycle=data_end,
                     fifo_index=choice,
-                    elements=unit.elements,
+                    elements=elements,
                 ),
             )
         return ()

@@ -106,11 +106,12 @@ class SchedulingPolicy:
         holding a different open row is never "ready" — it needs a
         precharge/activate pair first.
         """
+        bank_index, row, _, _, _ = unit
         # A runtime page manager may owe this bank a precharge;
         # materialize it before reading the open-row state.
-        device.sync_bank(unit.location.bank, cycle)
-        bank = device.bank(unit.location.bank)
-        if bank.open_row == unit.location.row:
+        device.sync_bank(bank_index, cycle)
+        bank = device.bank(bank_index)
+        if bank.open_row == row:
             ready = max(cycle, bank.last_act_start + device.timing.t_rcd)
         elif not bank.is_open:
             ready = _act_ready(bank, cycle, device.timing)
@@ -173,10 +174,10 @@ class BankAwarePolicy(SchedulingPolicy):
     ) -> int:
         """Earliest cycle the FIFO's next COL could plausibly issue."""
         timing = device.timing
-        location = fifo.next_unit().location
-        device.sync_bank(location.bank, cycle)
-        bank = device.bank(location.bank)
-        if bank.open_row == location.row:
+        bank_index, row, _, _, _ = fifo.next_unit()
+        device.sync_bank(bank_index, cycle)
+        bank = device.bank(bank_index)
+        if bank.open_row == row:
             return max(cycle, bank.last_act_start + timing.t_rcd)
         if not bank.is_open:
             return _act_ready(bank, cycle, timing) + timing.t_rcd
@@ -236,27 +237,25 @@ class SpeculativePrechargePolicy(RoundRobinPolicy):
         unit: AccessUnit,
     ) -> None:
         fifo = msu.sbu[fifo_index]
-        here = (unit.location.bank, unit.location.row)
-        for pending in fifo.upcoming_units(self.lookahead):
-            upcoming = pending.location
-            target = (upcoming.bank, upcoming.row)
-            if target == here:
+        bank_here, row_here, _, _, _ = unit
+        for bank, row, _, _, _ in fifo.upcoming_units(self.lookahead):
+            if bank == bank_here and row == row_here:
                 continue
-            msu.device.sync_bank(upcoming.bank, cycle)
-            open_row = msu.device.open_row(upcoming.bank)
-            if open_row == upcoming.row:
+            msu.device.sync_bank(bank, cycle)
+            open_row = msu.device.open_row(bank)
+            if open_row == row:
                 return
             if any(
                 msu.device.open_row(neighbor) is not None
-                for neighbor in msu.device.geometry.neighbors(upcoming.bank)
+                for neighbor in msu.device.geometry.neighbors(bank)
             ):
                 # Double-bank core with a busy neighbor: speculating
                 # would force a precharge on live data; leave it to the
                 # demand path.
                 return
             if open_row is not None:
-                msu.device.issue_prer(upcoming.bank, cycle)
-            msu.device.issue_act(upcoming.bank, upcoming.row, cycle)
+                msu.device.issue_prer(bank, cycle)
+            msu.device.issue_act(bank, row, cycle)
             msu.speculative_activations += 1
             return
 

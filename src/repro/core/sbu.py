@@ -17,10 +17,8 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import StreamError
 from repro.cpu.streams import StreamDescriptor
-from repro.core.fifo import StreamFifo, build_access_units
-from repro.memsys.address import AddressMapping, get_address_mapping
+from repro.core.fifo import StreamFifo, build_plan
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import PageManager, make_page_manager
 from repro.obs.core import Instrumentation
 
 
@@ -46,31 +44,15 @@ class StreamBufferUnit:
         descriptors: Sequence[StreamDescriptor],
         config: MemorySystemConfig,
         fifo_depth: int,
-        page_manager: Optional[PageManager] = None,
-        address_map: Optional[AddressMapping] = None,
     ) -> "StreamBufferUnit":
-        """Build FIFOs and access plans for placed streams.
-
-        ``page_manager`` and ``address_map`` let the caller share one
-        instance of each between the access plans and the memory model
-        (as :func:`~repro.core.smc.build_smc_system` does); by default
-        fresh ones are made from the config's registry names.
-        """
-        if address_map is None:
-            address_map = get_address_mapping(config)
-        manager = (
-            page_manager if page_manager is not None
-            else make_page_manager(config)
+        """Build a FIFO and its :func:`~repro.core.fifo.build_plan`
+        access plan for each placed stream."""
+        return cls(
+            [
+                StreamFifo(descriptor, fifo_depth, build_plan(descriptor, config))
+                for descriptor in descriptors
+            ]
         )
-        fifos = [
-            StreamFifo(
-                descriptor=descriptor,
-                depth=fifo_depth,
-                units=build_access_units(descriptor, address_map, manager),
-            )
-            for descriptor in descriptors
-        ]
-        return cls(fifos)
 
     def __len__(self) -> int:
         return len(self.fifos)

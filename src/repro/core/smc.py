@@ -35,8 +35,8 @@ class SmcSystem:
         descriptors: Placed streams, in kernel order.
         device: The memory :func:`~repro.rdram.channel.make_memory`
             built: a device, a multi-device channel or a fabric, with
-            the address mapping the access plans were built with
-            attached as ``device.mapping``.
+            the configuration's address mapping attached as
+            ``device.mapping``.
         sbu: Stream buffer unit (FIFOs).
         msu: Memory scheduling unit.
         processor: Natural-order element access generator.
@@ -70,9 +70,10 @@ def build_smc_system(
     """Build an SMC system ready for :func:`repro.sim.engine.run_smc`.
 
     The memory comes from :func:`~repro.rdram.channel.make_memory`,
-    and the access plans use its address mapping and, on one channel,
-    its page manager.  Indexed streams enter through ``descriptors``
-    (see :func:`repro.core.gather.build_gather_system`).
+    and each stream's access plan from
+    :func:`~repro.core.fifo.build_plan` on the same configuration.
+    Indexed streams enter through ``descriptors`` (see
+    :func:`repro.core.gather.build_gather_system`).
 
     Args:
         kernel: Inner loop to execute.
@@ -108,13 +109,7 @@ def build_smc_system(
     else:
         placed = list(descriptors)
     device = make_memory(config, record_trace=record_trace)
-    sbu = StreamBufferUnit.from_descriptors(
-        placed,
-        config,
-        fifo_depth,
-        page_manager=device.page_manager,
-        address_map=device.mapping,
-    )
+    sbu = StreamBufferUnit.from_descriptors(placed, config, fifo_depth)
     msu = MemorySchedulingUnit(device, sbu, policy or RoundRobinPolicy())
     processor = StreamProcessor(kernel, length, access_interval=access_interval)
     return SmcSystem(

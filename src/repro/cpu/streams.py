@@ -73,7 +73,7 @@ class StreamSpec:
     stride_factor: int = 1
 
 
-def _check_extent(name: str, length: object, stride: object) -> None:
+def check_extent(name: str, length: object, stride: object) -> None:
     """Reject a length or stride of stream ``name`` that is not a positive int.
 
     Raises:
@@ -113,7 +113,7 @@ class StreamDescriptor:
                 f"stream {self.name}: base {self.base:#x} not aligned to "
                 f"{ELEMENT_BYTES}-byte elements"
             )
-        _check_extent(self.name, self.length, self.stride)
+        check_extent(self.name, self.length, self.stride)
 
     def element_address(self, index: int) -> int:
         """Byte address of element ``index``.
@@ -172,7 +172,7 @@ def place_streams(
     if specs:
         # The placement arithmetic below needs int extents; check them
         # first, as the first stream's descriptor would.
-        _check_extent(specs[0].name, length, stride)
+        check_extent(specs[0].name, length, stride)
     num_banks = config.geometry.num_banks
     rotation = num_banks * config.geometry.page_bytes
     max_factor = max((spec.stride_factor for spec in specs), default=1)

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.cpu.kernels import Kernel
-from repro.cpu.streams import Alignment, StreamDescriptor
+from repro.cpu.streams import Alignment, StreamDescriptor, check_extent
 from repro.fpm.device import FpmGeometry, FpmMemorySystem
 from repro.memsys.config import ELEMENT_BYTES
 from repro.sim.kernel import Simulation, TransactionPump
@@ -102,9 +102,20 @@ def run_fpm(
 
     Returns:
         The run's bandwidth accounting.
+
+    Raises:
+        ConfigurationError: On an unknown scheme, or a ``fifo_depth``
+            that is not an int of at least 1.
+        StreamError: On a ``length`` or ``stride`` that is not a
+            positive int.
     """
     if scheme not in ("natural-order", "smc"):
         raise ConfigurationError(f"unknown scheme {scheme!r}")
+    check_extent(kernel.streams[0].name, length, stride)
+    if require_int("fifo_depth", fifo_depth) < 1:
+        raise ConfigurationError(
+            f"fifo_depth must be at least 1, got {fifo_depth}"
+        )
     memory = memory or FpmMemorySystem()
     memory.reset()
     descriptors = _place(kernel, memory.geometry, length, stride, alignment)

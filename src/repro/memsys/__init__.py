@@ -18,7 +18,6 @@ from repro.memsys.config import (
 from repro.memsys.pagemanager import (
     PAGE_POLICIES,
     PageManager,
-    as_page_manager,
     list_page_policies,
     make_page_manager,
     register_page_policy,
@@ -38,7 +37,6 @@ __all__ = [
     "PagePolicy",
     "PAGE_POLICIES",
     "PageManager",
-    "as_page_manager",
     "list_page_policies",
     "make_page_manager",
     "register_page_policy",

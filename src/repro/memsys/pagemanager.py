@@ -10,10 +10,12 @@ precharge policy and the device model consults it in exactly one place
 
 A manager can act at two points:
 
-* **plan time** — :meth:`PageManager.plan` rewrites a stream's access
-  units before simulation; the classic closed-page policy plants its
-  ``precharge_after`` flags here, so the precharge rides the last COL
-  packet of each same-row run at zero ROW-bus cost.
+* **plan time** — a manager with ``plans_precharge = True`` (the
+  classic closed-page policy) has the precharge ride the last COL
+  packet of each same-row run, at zero ROW-bus cost.  The flag is all
+  a policy sets: the SMC's access plan
+  (:func:`repro.core.fifo.build_plan`), the line controllers and the
+  traffic server each read it and mark those packets themselves.
 * **run time** — managers with ``runtime = True`` are consulted on
   every access: :meth:`~PageManager.sync` materializes any precharge
   that became due while the bank sat untouched (the ``timeout``
@@ -32,11 +34,10 @@ and decorate with :func:`register_page_policy` (see
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Tuple, Type
 
 from repro.errors import ConfigurationError
-from repro.memsys.config import MemorySystemConfig, PagePolicy
+from repro.memsys.config import MemorySystemConfig
 from repro.registry import Registry
 
 
@@ -50,9 +51,10 @@ class PageManager:
     Attributes:
         name: Registry name; also the ``page_policy`` spelling
             selecting it.
-        plans_precharge: True if :meth:`plan` plants
-            ``precharge_after`` flags (consumers use this where the
-            historical code asked "is this a closed-page system?").
+        plans_precharge: True if the last access of each same-row run
+            carries a precharge on its COL packet, planned before the
+            access issues (consumers use this where the historical
+            code asked "is this a closed-page system?").
         runtime: True if the manager must be consulted on every access
             (sync/observe/close_after); False lets the paper's two
             policies skip all per-access overhead.
@@ -61,15 +63,6 @@ class PageManager:
     name = "base"
     plans_precharge = False
     runtime = False
-
-    def plan(self, units: List) -> List:
-        """Rewrite a stream's access-unit plan (default: unchanged).
-
-        ``units`` is a list of :class:`repro.core.fifo.AccessUnit`;
-        the manager may return a new list with ``precharge_after``
-        flags set (it must not change locations or element counts).
-        """
-        return units
 
     def sync(self, memory, bank_index: int, now: int) -> None:
         """Materialize any policy action that became due before ``now``.
@@ -127,22 +120,6 @@ def make_page_manager(config: MemorySystemConfig) -> PageManager:
     return cls()
 
 
-def as_page_manager(
-    policy: Union[PageManager, PagePolicy, str],
-    config: Optional[MemorySystemConfig] = None,
-) -> PageManager:
-    """Coerce a manager, a :class:`PagePolicy`, or a name to a manager.
-
-    Historical call sites pass the config's ``page_policy`` enum
-    member around; this keeps them working against the registry.
-    """
-    if isinstance(policy, PageManager):
-        return policy
-    name = policy.value if isinstance(policy, PagePolicy) else str(policy)
-    base = config if config is not None else MemorySystemConfig()
-    return make_page_manager(dataclasses.replace(base, page_policy=name))
-
-
 @register_page_policy
 class ClosedPageManager(PageManager):
     """The paper's closed-page policy, acting at plan time.
@@ -154,22 +131,6 @@ class ClosedPageManager(PageManager):
 
     name = "closed"
     plans_precharge = True
-
-    def plan(self, units: List) -> List:
-        flagged = []
-        for index, unit in enumerate(units):
-            is_last_of_run = (
-                index + 1 == len(units)
-                or (
-                    units[index + 1].location.bank,
-                    units[index + 1].location.row,
-                )
-                != (unit.location.bank, unit.location.row)
-            )
-            flagged.append(
-                dataclasses.replace(unit, precharge_after=is_last_of_run)
-            )
-        return flagged
 
 
 @register_page_policy

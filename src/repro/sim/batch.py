@@ -7,11 +7,11 @@ throughput well below what large sweeps need.  This module provides
 two loops that produce bit-identical results much faster:
 
 * :func:`run_smc_batch` — a monomorphized replica of the SMC loop.
-  Each stream's access schedule is precomputed as flat arrays (with
-  numpy when available, since the address decomposition is affine in
-  the element index), and the cycle loop runs over plain integers and
-  lists: bank/bus timing resolution, the round-robin MSU decision, the
-  CPU retire step, and the optional refresh engines are all inlined.
+  It reads each stream's access plan from
+  :func:`repro.core.fifo.build_plan`, the plan the event kernel's
+  FIFOs read, and the cycle loop runs over plain integers and lists:
+  bank/bus timing resolution, the round-robin MSU decision, the CPU
+  retire step, and the optional refresh engines are all inlined.
   It runs on any memory :func:`~repro.rdram.channel.make_memory`
   builds from a supported config: one device, a multi-device channel
   (t_RR kept per device), or a fabric of channels, each with its own
@@ -43,7 +43,9 @@ gate lives, and :func:`repro.sim.runner.simulate` also runs every
 instrumented run on the event kernel.  Equivalence is enforced by the
 event-vs-batch properties in ``tests/test_batch.py`` (over topologies
 and with refresh), mirroring the dense-vs-skip contract that
-validates the event kernel itself.
+validates the event kernel itself; both loops read one plan, whose
+numpy arithmetic ``tests/test_fifo.py`` checks against the address
+mappings.
 """
 
 from __future__ import annotations
@@ -51,24 +53,18 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError, SchedulingError, StreamError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.cpu.kernels import Kernel
-from repro.cpu.streams import Alignment, Direction, StreamDescriptor, place_streams
-from repro.core.fifo import build_access_units
+from repro.cpu.streams import Alignment, Direction, place_streams
+from repro.core.fifo import build_plan, check_fifo_depth
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
 from repro.memsys.address import MAPPINGS, get_address_mapping
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
-from repro.memsys.pagemanager import make_page_manager
 from repro.rdram.device import NEVER
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RETRY_CYCLES
 from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.sim.kernel import Component, ResultBuilder
 from repro.sim.results import SimulationResult
-
-try:  # numpy ships in the test/benchmark environment but is optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _scalar_plan tests
-    _np = None  # type: ignore[assignment]
 
 #: MSU idle sentinel, mirrored from :mod:`repro.core.msu` (imported
 #: by value to keep this module free of the object model's hot path).
@@ -119,150 +115,6 @@ def batch_unsupported_reason(
 
 
 # ----------------------------------------------------------------------
-# access-plan precompute
-
-#: One stream's flattened access plan: (global banks, rows, columns,
-#: elements, precharge flags), parallel lists in issue order.
-Plan = Tuple[List[int], List[int], List[int], List[int], List[bool]]
-
-
-def _vector_plan(
-    descriptor: StreamDescriptor, config: MemorySystemConfig, closed: bool
-) -> Plan:
-    """Numpy-vectorized plan for the three built-in address mappings.
-
-    The address decomposition is affine in the element index, so the
-    whole plan — packet addresses, (bank, row, column) coordinates,
-    run-length merge of same-packet elements, and the closed-policy
-    precharge flags — reduces to array expressions.  On several
-    channels it first applies
-    :class:`~repro.memsys.address.ChannelStriping`: line ``l`` goes to
-    channel ``l % channels`` as that channel's line ``l // channels``,
-    placed by the base mapping over one channel's geometry, and the
-    channel's local bank ``b`` becomes global bank
-    ``channel * banks_per_channel + b``.
-    """
-    geometry = config.channel_geometry
-    channels = config.topology.channels
-    stride_bytes = descriptor.stride * ELEMENT_BYTES
-    addr = descriptor.base + _np.arange(
-        descriptor.length, dtype=_np.int64
-    ) * stride_bytes
-    last_addr = int(addr[-1])
-    capacity = channels * geometry.capacity_bytes
-    if last_addr >= capacity:
-        raise ConfigurationError(
-            f"address {last_addr:#x} outside device capacity "
-            f"{capacity:#x}"
-        )
-    pkt = addr - addr % DATA_PACKET_BYTES
-    line_bytes = config.cacheline_bytes
-    if channels > 1:
-        line = pkt // line_bytes
-        channel = line % channels
-        pkt = (line // channels) * line_bytes + pkt % line_bytes
-    num_banks = geometry.num_banks
-    page_bytes = geometry.page_bytes
-    name = config.interleaving_name
-    if name == "cli":
-        lines_per_page = page_bytes // line_bytes
-        packets_per_line = line_bytes // DATA_PACKET_BYTES
-        line = pkt // line_bytes
-        bank = line % num_banks
-        line_in_bank = line // num_banks
-        row = line_in_bank // lines_per_page
-        column = (line_in_bank % lines_per_page) * packets_per_line + (
-            pkt % line_bytes
-        ) // DATA_PACKET_BYTES
-    elif name == "pi":
-        page = pkt // page_bytes
-        bank = page % num_banks
-        row = page // num_banks
-        column = (pkt % page_bytes) // DATA_PACKET_BYTES
-    else:  # swizzle (callers route other mappings to _scalar_plan)
-        page = pkt // page_bytes
-        row = page // num_banks
-        rank = page % num_banks
-        if num_banks & (num_banks - 1) == 0:
-            bank = rank ^ (row % num_banks)
-        else:
-            bank = (rank + row) % num_banks
-        column = (pkt % page_bytes) // DATA_PACKET_BYTES
-    if channels > 1:
-        bank = channel * num_banks + bank
-    count = descriptor.length
-    if count > 1:
-        # Merge consecutive elements that land in the same DATA packet
-        # (same location <=> same packet address, mappings being
-        # bijective at packet granularity).
-        fresh = _np.empty(count, dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (
-            (bank[1:] != bank[:-1])
-            | (row[1:] != row[:-1])
-            | (column[1:] != column[:-1])
-        )
-        starts = _np.flatnonzero(fresh)
-        elements = _np.diff(_np.append(starts, count))
-        bank = bank[starts]
-        row = row[starts]
-        column = column[starts]
-    else:
-        elements = _np.ones(1, dtype=_np.int64)
-    units = int(bank.shape[0])
-    if closed:
-        # Precharge rides the last COL packet of each same-(bank, row)
-        # run, including the stream's final unit.
-        prech = _np.empty(units, dtype=bool)
-        prech[-1] = True
-        if units > 1:
-            prech[:-1] = (bank[1:] != bank[:-1]) | (row[1:] != row[:-1])
-        precharge = prech.tolist()
-    else:
-        precharge = [False] * units
-    return (
-        bank.tolist(),
-        row.tolist(),
-        column.tolist(),
-        elements.tolist(),
-        precharge,
-    )
-
-
-def _scalar_plan(
-    descriptor: StreamDescriptor, config: MemorySystemConfig
-) -> Plan:
-    """Plan via the object model (fallback for exotic mappings/no numpy)."""
-    units = build_access_units(
-        descriptor, get_address_mapping(config), make_page_manager(config)
-    )
-    return (
-        [unit.location.bank for unit in units],
-        [unit.location.row for unit in units],
-        [unit.location.column for unit in units],
-        [unit.elements for unit in units],
-        [unit.precharge_after for unit in units],
-    )
-
-
-def build_plan(
-    descriptor: StreamDescriptor, config: MemorySystemConfig
-) -> Plan:
-    """One stream's access plan as flat parallel lists.
-
-    Produces exactly the unit sequence
-    :func:`repro.core.fifo.build_access_units` would, using the
-    vectorized path when numpy is available and the mapping is one of
-    the built-ins.
-    """
-    if _np is not None and config.interleaving_name in ("cli", "pi", "swizzle"):
-        return _vector_plan(
-            descriptor, config, config.page_policy_name == "closed"
-        )
-    return _scalar_plan(descriptor, config)
-
-
-# ----------------------------------------------------------------------
 # the monomorphized SMC loop
 
 
@@ -296,7 +148,9 @@ def run_smc_batch(
     descriptors = place_streams(
         kernel.streams, config, length=length, stride=stride, alignment=alignment
     )
-    plans = [build_plan(descriptor, config) for descriptor in descriptors]
+    units = [build_plan(descriptor, config) for descriptor in descriptors]
+    for descriptor, plan in zip(descriptors, units):
+        check_fifo_depth(descriptor, fifo_depth, plan)
 
     timing = config.timing
     t_pack = timing.t_pack
@@ -312,21 +166,12 @@ def run_smc_batch(
 
     num_fifos = len(descriptors)
     is_read = [d.direction is Direction.READ for d in descriptors]
-    units = [list(zip(*plan)) for plan in plans]
-    unit_elems = [plan[3] for plan in plans]
-    unit_count = [len(plan[0]) for plan in plans]
+    unit_count = [len(plan) for plan in units]
     total_units = sum(unit_count)
     if max_cycles is None:
         max_cycles = 10_000 + 100 * total_units
     label = f"kernel={kernel.name}, org={config.describe()}"
     depth = fifo_depth
-    for descriptor, elems in zip(descriptors, unit_elems):
-        max_unit = max(elems)
-        if depth < max_unit:
-            raise StreamError(
-                f"stream {descriptor.name}: FIFO depth {depth} smaller than "
-                f"a {max_unit}-element DATA packet"
-            )
     # Round-robin scan orders, precomputed per current-FIFO index.
     scan_orders = [
         [(start + offset) % num_fifos for offset in range(num_fifos)]
@@ -496,7 +341,7 @@ def run_smc_batch(
             choice = -1
             for index in scan_orders[current]:
                 if cursor[index] < unit_count[index]:
-                    elems = unit_elems[index][cursor[index]]
+                    elems = units[index][cursor[index]][3]
                     if is_read[index]:
                         if occupancy[index] + inflight[index] + elems <= depth:
                             choice = index
@@ -696,8 +541,8 @@ def run_smc_batch(
         # A finished run issued every planned packet: each channel
         # moved its banks' share of the plan.
         bank_packets: Counter[int] = Counter()
-        for plan in plans:
-            bank_packets.update(plan[0])
+        for plan in units:
+            bank_packets.update(bank for bank, _, _, _, _ in plan)
         channel_bytes = [0] * channels
         for bank, count in bank_packets.items():
             channel_bytes[bank // banks_per_channel] += count * DATA_PACKET_BYTES

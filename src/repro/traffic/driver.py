@@ -135,12 +135,15 @@ class BankBudgetRegulator:
         budget_bytes: Bytes one client may move through one bank per
             window; requests beyond it are deferred to the next
             window.
+
+    Raises:
+        ConfigurationError: If either is not a positive int.
     """
 
     def __init__(self, window_cycles: int = 1024, budget_bytes: int = 256) -> None:
-        if window_cycles <= 0:
+        if require_int("window_cycles", window_cycles) <= 0:
             raise ConfigurationError("window_cycles must be positive")
-        if budget_bytes <= 0:
+        if require_int("budget_bytes", budget_bytes) <= 0:
             raise ConfigurationError("budget_bytes must be positive")
         self.window_cycles = window_cycles
         self.budget_bytes = budget_bytes

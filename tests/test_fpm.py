@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StreamError
 from repro.cpu.kernels import COPY, DAXPY, PAPER_KERNELS, get_kernel
 from repro.cpu.streams import Alignment
 from repro.fpm.device import FpmGeometry, FpmMemorySystem
@@ -93,9 +93,35 @@ class TestSection3Claims:
         ]
         assert values == sorted(values)
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigurationError, match="scheme"):
-            run_fpm(COPY, "oracle")
+    @pytest.mark.parametrize(
+        "arguments, error, message",
+        [
+            pytest.param({"scheme": "oracle"}, ConfigurationError,
+                         "unknown scheme 'oracle'", id="scheme"),
+            pytest.param({"length": "64"}, StreamError,
+                         "length must be an integer, got '64'", id="length-str"),
+            pytest.param({"length": 0}, StreamError,
+                         "length must be positive", id="length-zero"),
+            pytest.param({"stride": "2"}, StreamError,
+                         "stride must be an integer, got '2'", id="stride-str"),
+            pytest.param({"stride": 1.5}, StreamError,
+                         "stride must be an integer, got 1.5", id="stride-float"),
+            pytest.param({"fifo_depth": 0}, ConfigurationError,
+                         "fifo_depth must be at least 1, got 0", id="depth-zero"),
+            pytest.param({"fifo_depth": -4}, ConfigurationError,
+                         "fifo_depth must be at least 1, got -4",
+                         id="depth-negative"),
+            pytest.param({"fifo_depth": 2.5}, ConfigurationError,
+                         "fifo_depth must be an integer, got 2.5",
+                         id="depth-float"),
+            pytest.param({"fifo_depth": "8"}, ConfigurationError,
+                         "fifo_depth must be an integer, got '8'",
+                         id="depth-str"),
+        ],
+    )
+    def test_bad_argument_rejected(self, arguments, error, message):
+        with pytest.raises(error, match=message):
+            run_fpm(COPY, **arguments)
 
     def test_accesses_conserved(self):
         result = run_fpm(DAXPY, "smc", length=256, fifo_depth=16)

@@ -2,20 +2,22 @@
 
 Covers the plan-time behavior of the paper's closed policy, the lazy
 materialization of the timeout policy, the hybrid predictor's counter
-dynamics, coercion/back-compat helpers, and end-to-end runs of the
-new policies (and the swizzle mapping) through both controllers.
+dynamics, resolving a policy from its enum or name spelling, and
+end-to-end runs of the new policies (and the swizzle mapping) through
+both controllers.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.cpu.kernels import get_kernel
 from repro.cpu.streams import Alignment, place_streams
-from repro.core.fifo import build_access_units
+from repro.core.fifo import build_plan
 from repro.core.smc import build_smc_system
-from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig, PagePolicy
 from repro.memsys.pagemanager import (
     PAGE_POLICIES,
@@ -23,7 +25,6 @@ from repro.memsys.pagemanager import (
     OpenPageManager,
     PageManager,
     TimeoutPageManager,
-    as_page_manager,
     list_page_policies,
     make_page_manager,
     register_page_policy,
@@ -50,27 +51,27 @@ class TestPlanTime:
     def test_closed_plan_flags_last_unit_of_each_row_run(
         self, cli_config, daxpy_descriptor
     ):
-        mapping = get_address_mapping(cli_config)
-        units = build_access_units(daxpy_descriptor, mapping, "closed")
-        for index, unit in enumerate(units):
-            is_last_of_run = index + 1 == len(units) or (
-                units[index + 1].location.bank,
-                units[index + 1].location.row,
-            ) != (unit.location.bank, unit.location.row)
-            assert unit.precharge_after == is_last_of_run
+        units = build_plan(daxpy_descriptor, cli_config)
+        for index, (bank, row, _, _, precharge) in enumerate(units):
+            is_last_of_run = (
+                index + 1 == len(units) or units[index + 1][:2] != (bank, row)
+            )
+            assert precharge == is_last_of_run
 
     def test_enum_and_name_spellings_plan_identically(
         self, cli_config, daxpy_descriptor
     ):
-        mapping = get_address_mapping(cli_config)
-        assert build_access_units(
-            daxpy_descriptor, mapping, PagePolicy.CLOSED
-        ) == build_access_units(daxpy_descriptor, mapping, "closed")
+        def plan(page_policy):
+            config = dataclasses.replace(cli_config, page_policy=page_policy)
+            return build_plan(daxpy_descriptor, config)
+
+        assert plan(PagePolicy.CLOSED) == plan("closed")
+        assert plan(PagePolicy.OPEN) == plan("open")
 
     def test_open_plan_never_flags(self, cli_config, daxpy_descriptor):
-        mapping = get_address_mapping(cli_config)
-        units = build_access_units(daxpy_descriptor, mapping, "open")
-        assert not any(unit.precharge_after for unit in units)
+        config = dataclasses.replace(cli_config, page_policy="open")
+        units = build_plan(daxpy_descriptor, config)
+        assert not any(precharge for *_, precharge in units)
 
     def test_paper_policies_have_no_runtime_overhead(self):
         assert not PAGE_POLICIES["closed"].runtime
@@ -157,13 +158,10 @@ class TestHybrid:
 
 
 class TestCoercion:
-    def test_manager_instances_pass_through(self):
-        manager = OpenPageManager()
-        assert as_page_manager(manager) is manager
-
     def test_enum_and_string_coerce(self):
-        assert isinstance(as_page_manager(PagePolicy.OPEN), OpenPageManager)
-        assert isinstance(as_page_manager("open"), OpenPageManager)
+        for page_policy in (PagePolicy.OPEN, "open"):
+            config = MemorySystemConfig(page_policy=page_policy)
+            assert isinstance(make_page_manager(config), OpenPageManager)
 
     def test_unknown_policy_lists_registered_names(self):
         config = MemorySystemConfig(interleaving="cli", page_policy="zorp")

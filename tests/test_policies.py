@@ -84,8 +84,8 @@ class TestBankAware:
         )
         policy = msu.policy
         # Open bank 0 for FIFO 0's row, making only FIFO 0 "ready".
-        unit = sbu[0].next_unit()
-        device.issue_act(unit.location.bank, unit.location.row, 0)
+        bank, row, _, _, _ = sbu[0].next_unit()
+        device.issue_act(bank, row, 0)
         choice = policy.choose(timing_slack(), sbu, 1, device)
         assert choice == 0
 
@@ -100,7 +100,8 @@ class TestBankAware:
             BankAwarePolicy(), alignment=Alignment.ALIGNED
         )
         unit = sbu[0].next_unit()
-        device.issue_act(unit.location.bank, unit.location.row + 1, 0)
+        bank, row, _, _, _ = unit
+        device.issue_act(bank, row + 1, 0)
         assert not msu.policy.bank_ready(device, unit, 50, slack=4)
 
 

@@ -359,6 +359,12 @@ class TestRegulator:
             BankBudgetRegulator(window_cycles=0)
         with pytest.raises(ConfigurationError):
             BankBudgetRegulator(budget_bytes=0)
+        for name in ("window_cycles", "budget_bytes"):
+            for value in (2.5, True, "64", 64.5):
+                with pytest.raises(
+                    ConfigurationError, match=f"{name} must be an integer"
+                ):
+                    BankBudgetRegulator(**{name: value})
 
     def test_budget_below_cacheline_rejected(self):
         with pytest.raises(ConfigurationError):
