@@ -7,9 +7,9 @@ The SMC is measured on both loops, the discrete-event kernel
 (``engine=event``) and the vectorized batch loop (``engine=batch``),
 on the paper's one-device system (topology ``1x1``) and on 2 channels
 x 2 devices (``2x2``).  Each line controller is measured once, on the
-loop the library picks for an uninstrumented run (``lean_run``, so
-``engine=batch``).  Each point records which loop and topology
-produced it so ``bench_compare.py`` never diffs one against another.
+one loop it has, the event kernel (``engine=event``).  Each point
+records which loop and topology produced it so ``bench_compare.py``
+never diffs one against another.
 CI runs this after the pytest-benchmark suites and uploads the JSON as
 a PR artifact so the cost of the simulation substrate is tracked over
 time.
@@ -63,9 +63,9 @@ Controller = Tuple[
     str, str, Tuple[str, ...], Callable[[str, str, str], object]
 ]
 
-#: Both SMC loops; a line controller's plain run takes ``lean_run``.
+#: Both SMC loops; a line controller runs on the event kernel only.
 SMC_LOOPS = ("event", "batch")
-LINE_LOOP = ("batch",)
+LINE_LOOP = ("event",)
 
 
 def _controllers(length: int) -> List[Controller]:

@@ -95,7 +95,6 @@ from repro.rdram import (
     audit_trace,
 )
 from repro.sim import (
-    EventScheduler,
     ResultBuilder,
     RunSpec,
     Simulation,
@@ -175,7 +174,6 @@ __all__ = [
     "RdramGeometry",
     "RdramTiming",
     "audit_trace",
-    "EventScheduler",
     "ResultBuilder",
     "RunSpec",
     "Simulation",

@@ -34,7 +34,7 @@ from repro.cpu.streams import Alignment, Direction, place_streams
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.naturalorder.line import LineController
 from repro.rdram.packets import BusDirection
-from repro.sim.kernel import ResultBuilder, TimedEvent
+from repro.sim.kernel import ResultBuilder
 from repro.sim.results import SimulationResult
 
 #: Concurrent line fetches in flight, matching the device pipeline.
@@ -298,7 +298,7 @@ class _L2Run:
         if outcome.writeback_line is not None:
             self.pending_writebacks.append(outcome.writeback_line)
 
-    def tick(self, cycle: int) -> Tuple[TimedEvent, ...]:
+    def tick(self, cycle: int) -> None:
         controller = self.controller
         self._last_cycle = cycle
         # Land arrivals.
@@ -368,7 +368,6 @@ class _L2Run:
             elif self._blocked_since is None:
                 self._blocked_since = cycle
             self._blocked_on_arrival = not ready
-        return ()
 
     @property
     def next_action_cycle(self) -> Optional[int]:

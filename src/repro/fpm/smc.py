@@ -134,7 +134,7 @@ def run_fpm(
     pump = TransactionPump(_access_steps(memory, addresses, elapsed))
     Simulation(
         [pump],
-        done=lambda sim: pump.done,
+        done=lambda: pump.done,
         max_cycles=length * max(len(descriptors), 1) + 16,
         label=f"fpm-{scheme}: kernel={kernel.name}",
     ).run()

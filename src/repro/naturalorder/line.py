@@ -111,19 +111,15 @@ class LineController:
         """Run ``component`` until its ``done`` property holds.
 
         One kernel run per controller run: the optional background
-        refresh engine plus ``component``.  An instrumented run
-        (``obs``) or a dense one runs the discrete-event
-        :class:`~repro.sim.kernel.Simulation`; every other run drives
-        the same components on the heapless
-        :func:`repro.sim.batch.lean_run` loop.
+        refresh engine plus ``component``, on
+        :class:`~repro.sim.kernel.Simulation`.
 
         Returns:
             The final visited cycle.
         """
-        # Imported here, not at module scope: repro.sim.batch pulls in
-        # repro.core for plan building, and repro.core's package imports
-        # the L2 streamer, a subclass of this class.
-        from repro.sim import batch
+        # Imported here, not at module scope: repro.sim's package pulls
+        # in repro.core for plan building, and repro.core's package
+        # imports the L2 streamer, a subclass of this class.
         from repro.sim.kernel import BackgroundComponent, Simulation
 
         self.refreshes_issued = 0
@@ -132,22 +128,14 @@ class LineController:
             refresh_engine = RefreshEngine(self.device)
             components.append(BackgroundComponent(refresh_engine))
         components.append(component)
-        if obs is not None or dense:
-            final_cycle = Simulation(
-                components,
-                done=lambda sim: component.done,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-                obs=obs,
-            ).run()
-        else:
-            final_cycle = batch.lean_run(
-                components,
-                done=lambda: component.done,
-                max_cycles=max_cycles,
-                label=label,
-            )
+        final_cycle = Simulation(
+            components,
+            done=lambda: component.done,
+            max_cycles=max_cycles,
+            label=label,
+            dense=dense,
+            obs=obs,
+        ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued
         return final_cycle

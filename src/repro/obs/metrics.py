@@ -559,27 +559,6 @@ def metrics_records(registry: MetricsRegistry) -> List[Dict[str, object]]:
     return records
 
 
-def registry_from_records(
-    records: Iterable[Mapping[str, object]]
-) -> MetricsRegistry:
-    """Rebuild a :class:`MetricsRegistry` from :func:`metrics_records`.
-
-    Raises:
-        ObservabilityError: If a record lacks a field its kind needs or
-            holds a value of the wrong shape; the message gives the
-            record's 1-based position.
-    """
-    registry = MetricsRegistry()
-    for number, record in enumerate(records, start=1):
-        try:
-            _restore_record(registry, record)
-        except ObservabilityError.MALFORMED as error:
-            raise ObservabilityError.malformed(
-                f"record {number}", "metrics record", error
-            ) from None
-    return registry
-
-
 def _restore_record(
     registry: MetricsRegistry, record: Mapping[str, object]
 ) -> None:

@@ -30,7 +30,7 @@ at the window's first cycle).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.attribution import BUCKETS, classify_stall_intervals
@@ -66,9 +66,6 @@ class TelemetryProbe:
         metrics: Registry the samples land in (normally the run
             instrumentation's ``metrics``).
         sources: Components to sample at each boundary.
-        pending_events: Optional callable returning the number of
-            in-flight scheduler events, sampled as
-            ``telemetry.events_pending``.
     """
 
     breaks_deadlock = False
@@ -78,7 +75,6 @@ class TelemetryProbe:
         window: int,
         metrics: MetricsRegistry,
         sources: Tuple[TelemetrySource, ...] = (),
-        pending_events: Optional[Callable[[], int]] = None,
     ) -> None:
         if window <= 0:
             raise ConfigurationError(
@@ -87,16 +83,14 @@ class TelemetryProbe:
         self.window = window
         self.metrics = metrics
         self.sources: List[TelemetrySource] = list(sources)
-        self._pending_events = pending_events
         self._next_boundary = 0
         self._last_sampled: Optional[int] = None
         self.samples_taken = 0
 
-    def tick(self, cycle: int) -> Tuple[object, ...]:
+    def tick(self, cycle: int) -> None:
         if cycle >= self._next_boundary:
             self._sample(cycle)
             self._next_boundary = (cycle // self.window + 1) * self.window
-        return ()
 
     @property
     def next_action_cycle(self) -> int:
@@ -110,11 +104,6 @@ class TelemetryProbe:
     def _sample(self, cycle: int) -> None:
         self.samples_taken += 1
         self._last_sampled = cycle
-        if self._pending_events is not None:
-            self.metrics.series(
-                "telemetry.events_pending",
-                help="scheduler events in flight at window boundaries",
-            ).sample(cycle, float(self._pending_events()))
         for source in self.sources:
             source.sample_telemetry(cycle, self.metrics)
 

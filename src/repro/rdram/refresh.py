@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 from repro.obs.core import Instrumentation
 from repro.rdram.device import RdramDevice
 
@@ -42,6 +42,10 @@ class RefreshEngine:
             retention window for the paper's 8x1024-row geometry.
         force_after: Deferrals tolerated before the engine precharges a
             busy bank itself to meet the retention deadline.
+
+    Raises:
+        ConfigurationError: If ``interval`` is not an int of at least
+            1, or ``force_after`` not an int of at least 0.
     """
 
     def __init__(
@@ -50,8 +54,14 @@ class RefreshEngine:
         interval: int = DEFAULT_INTERVAL_CYCLES,
         force_after: int = 8,
     ) -> None:
-        if interval <= 0:
-            raise ConfigurationError("refresh interval must be positive")
+        if require_int("refresh interval", interval) < 1:
+            raise ConfigurationError(
+                f"refresh interval must be at least 1, got {interval}"
+            )
+        if require_int("refresh force_after", force_after) < 0:
+            raise ConfigurationError(
+                f"refresh force_after must be at least 0, got {force_after}"
+            )
         self.device = device
         self.interval = interval
         self.force_after = force_after

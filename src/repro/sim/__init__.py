@@ -1,19 +1,12 @@
 """Simulation kernel, SMC wiring, runner API, and result records."""
 
-from repro.sim.batch import (
-    batch_unsupported_reason,
-    lean_run,
-    run_smc_batch,
-)
+from repro.sim.batch import batch_unsupported_reason, run_smc_batch
 from repro.sim.engine import run_smc
 from repro.sim.kernel import (
     BackgroundComponent,
     Component,
-    EventScheduler,
     ResultBuilder,
-    SimClock,
     Simulation,
-    TimedEvent,
     TransactionPump,
 )
 from repro.sim.metrics import BankStats, TraceMetrics, bank_imbalance, measure_trace
@@ -29,16 +22,12 @@ from repro.sim.sweep import Sweep, pivot, sweep
 
 __all__ = [
     "batch_unsupported_reason",
-    "lean_run",
     "run_smc_batch",
     "run_smc",
     "BackgroundComponent",
     "Component",
-    "EventScheduler",
     "ResultBuilder",
-    "SimClock",
     "Simulation",
-    "TimedEvent",
     "TransactionPump",
     "BankStats",
     "TraceMetrics",

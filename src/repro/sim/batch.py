@@ -1,39 +1,28 @@
-"""Vectorized batch fast-path simulation loops.
+"""Vectorized batch fast-path SMC loop.
 
 The event kernel (:mod:`repro.sim.kernel`) dispatches every visited
-cycle through component adapters, an event heap, and the full device
-object model — flexible, but the per-cycle dispatch overhead caps SMC
-throughput well below what large sweeps need.  This module provides
-two loops that produce bit-identical results much faster:
+cycle through component adapters and the full device object model —
+flexible, but the per-cycle dispatch overhead caps SMC throughput well
+below what large sweeps need.  :func:`run_smc_batch` is a
+monomorphized replica of the SMC loop that produces bit-identical
+results much faster.  It reads each stream's access plan from
+:func:`repro.core.fifo.build_plan`, the plan the event kernel's FIFOs
+read, and the cycle loop runs over plain integers and lists: bank/bus
+timing resolution, the round-robin MSU decision, the CPU retire step,
+and the optional refresh engines are all inlined.  It runs on any
+memory :func:`~repro.rdram.channel.make_memory` builds from a
+supported config: one device, a multi-device channel (t_RR kept per
+device), or a fabric of channels, each with its own ROW/COL/DATA
+buses, write-to-read turnaround, byte count and refresh engine.
+Read-data arrivals are kept in a plain deque in completion order —
+DATA-bus packet slotting makes one channel's completion times
+monotonic, so no heap is needed, and on a fabric a packet that ends
+before another channel's tail is inserted in place.  The loop visits
+exactly the cycles the event kernel's skip-ahead clock visits, so
+every counter (including stall accounting, which depends on the visit
+set) matches bit for bit.
 
-* :func:`run_smc_batch` — a monomorphized replica of the SMC loop.
-  It reads each stream's access plan from
-  :func:`repro.core.fifo.build_plan`, the plan the event kernel's
-  FIFOs read, and the cycle loop runs over plain integers and lists:
-  bank/bus timing resolution, the round-robin MSU decision, the CPU
-  retire step, and the optional refresh engines are all inlined.
-  It runs on any memory :func:`~repro.rdram.channel.make_memory`
-  builds from a supported config: one device, a multi-device channel
-  (t_RR kept per device), or a fabric of channels, each with its own
-  ROW/COL/DATA buses, write-to-read turnaround, byte count and
-  refresh engine.  Read-data arrivals are kept in a plain deque in
-  completion order — DATA-bus packet slotting makes one channel's
-  completion times monotonic, so no heap is needed, and on a fabric
-  a packet that ends before another channel's tail is inserted in
-  place.  The loop visits exactly the cycles the event kernel's
-  skip-ahead clock visits, so every counter (including stall
-  accounting, which depends on the visit set) matches bit for bit.
-
-* :func:`lean_run` — a heapless replica of
-  :meth:`repro.sim.kernel.Simulation.run` for controllers whose
-  components never post events: the four whole-cacheline controllers,
-  whose one kernel run is
-  :meth:`repro.naturalorder.line.LineController._drive` (that method
-  runs the event kernel instead for instrumented and dense runs).  It
-  drives the *same* component objects with the same visit set, minus
-  the event-scheduler and observability machinery.
-
-The batch SMC loop handles every topology (channels x devices, or a
+The batch loop handles every topology (channels x devices, or a
 :class:`~repro.rdram.channel.ChannelGeometry`) under the round-robin
 policy, static address mappings and plan-time page policies
 (closed/open).  Runtime page managers, double-bank cores, stateful
@@ -46,14 +35,17 @@ and with refresh), mirroring the dense-vs-skip contract that
 validates the event kernel itself; both loops read one plan, whose
 numpy arithmetic ``tests/test_fifo.py`` checks against the address
 mappings.
+
+:func:`lean_run` only hands its components to the event kernel; no
+library code calls it.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, require_int
 from repro.cpu.kernels import Kernel
 from repro.cpu.streams import Alignment, Direction, place_streams
 from repro.core.fifo import build_plan, check_fifo_depth
@@ -63,7 +55,7 @@ from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.rdram.device import NEVER
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RETRY_CYCLES
 from repro.rdram.timing import DATA_PACKET_BYTES
-from repro.sim.kernel import Component, ResultBuilder
+from repro.sim.kernel import Component, ResultBuilder, Simulation
 from repro.sim.results import SimulationResult
 
 #: MSU idle sentinel, mirrored from :mod:`repro.core.msu` (imported
@@ -138,13 +130,18 @@ def run_smc_batch(
 
     Raises:
         ConfigurationError: If the configuration needs the event
-            kernel (check :func:`batch_unsupported_reason` first).
+            kernel (check :func:`batch_unsupported_reason` first), or
+            ``max_cycles`` is not an int of at least 0.
         SchedulingError: On deadlock or watchdog expiry (same messages
             as the event kernel).
     """
     reason = batch_unsupported_reason(config)
     if reason is not None:
         raise ConfigurationError(f"the batch loop cannot run this spec: {reason}")
+    if max_cycles is not None and require_int("max_cycles", max_cycles) < 0:
+        raise ConfigurationError(
+            f"max_cycles must be at least 0, got {max_cycles}"
+        )
     descriptors = place_streams(
         kernel.streams, config, length=length, stride=stride, alignment=alignment
     )
@@ -241,9 +238,9 @@ def run_smc_batch(
 
     # Read-data arrivals in completion order.  One channel's DATA
     # packets complete in issue order (each slot starts at or after the
-    # previous slot's end), so a deque replaces the event heap exactly;
-    # on a fabric, a packet that ends before another channel's tail is
-    # inserted in place.
+    # previous slot's end), so a deque replaces the event wiring's
+    # arrival heap exactly; on a fabric, a packet that ends before
+    # another channel's tail is inserted in place.
     arrivals: Deque[Tuple[int, int, int]] = deque()
 
     # One refresh engine per channel (RefreshEngine semantics, no
@@ -257,7 +254,10 @@ def run_smc_batch(
 
     cycle = 0
     while True:
-        # 1. Deliver due read-data arrivals (re-arms an idle MSU).
+        # 1. Deliver due read-data arrivals (re-arms an idle MSU).  The
+        # event wiring lands them in the MSU's tick, after refresh; the
+        # order cannot matter, as arrivals touch only FIFO counts and
+        # refresh only bank state.
         if arrivals and arrivals[0][0] <= cycle:
             while arrivals and arrivals[0][0] <= cycle:
                 _, fifo_index, elems = arrivals.popleft()
@@ -266,8 +266,8 @@ def run_smc_batch(
             if next_decision >= _IDLE:
                 next_decision = cycle
 
-        # 2. Refresh ticks, in channel order, before the MSU (as in
-        # the event wiring).
+        # 2. Refresh ticks, in channel order, before the MSU decides
+        # (as in the event wiring).
         if refresh and cycle >= next_refresh:
             for channel in range(channels):
                 if cycle < refresh_due[channel]:
@@ -559,7 +559,7 @@ def run_smc_batch(
 
 
 # ----------------------------------------------------------------------
-# the lean component loop (pump-style controllers)
+# the benchmark tracer's lean_run target
 
 
 def lean_run(
@@ -568,52 +568,15 @@ def lean_run(
     max_cycles: int,
     label: str = "simulation",
 ) -> int:
-    """Heapless replica of :meth:`repro.sim.kernel.Simulation.run`.
+    """Run ``components`` on :class:`repro.sim.kernel.Simulation`.
 
-    For component sets that never post events (the transaction-pump
-    baselines, the L2 streamer) the event scheduler is dead weight:
-    this loop drives the same component objects over the same visit
-    set with none of the dispatch machinery, so results are identical
-    by construction.  Components must not return events from ``tick``
-    and must not need instrumentation attached.
+    Nothing in the library calls this.  It exists only because the
+    benchmark's tracer (``perfbench/tracing.py``) names it as its
+    ``sim.kernel.lean_run`` target, and it goes with that target.
 
     Returns:
         The final visited cycle.
-
-    Raises:
-        SchedulingError: On watchdog expiry or deadlock (the event
-            kernel's exact messages).
     """
-    pairs: List[Tuple[Component, bool]] = [
-        (component, bool(getattr(component, "breaks_deadlock", True)))
-        for component in components
-    ]
-    cycle = 0
-    while True:
-        for component, _ in pairs:
-            component.tick(cycle)
-        if done():
-            return cycle
-        best: Optional[int] = None
-        passive_best: Optional[int] = None
-        for component, progresses in pairs:
-            action = component.next_action_cycle
-            if action is None:
-                continue
-            if progresses:
-                if best is None or action < best:
-                    best = action
-            elif passive_best is None or action < passive_best:
-                passive_best = action
-        if best is None:
-            raise SchedulingError(
-                "deadlock: every component is blocked and no data is "
-                f"in flight ({label})"
-            )
-        if passive_best is not None and passive_best < best:
-            best = passive_best
-        cycle = best if best > cycle else cycle + 1
-        if cycle > max_cycles:
-            raise SchedulingError(
-                f"simulation exceeded {max_cycles} cycles ({label})"
-            )
+    return Simulation(
+        components, done=done, max_cycles=max_cycles, label=label
+    ).run()

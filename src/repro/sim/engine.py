@@ -3,11 +3,15 @@
 The engine assembles the Figure 3 component graph — MSU, SBU,
 processor, optional refresh engine — into :class:`Component` adapters
 and hands them to :class:`repro.sim.kernel.Simulation`, which owns the
-cycle loop: at each visited cycle it (1) lands read DATA packets that
-completed into their FIFOs, (2) lets the MSU make a scheduling
-decision, and (3) lets the processor retire one element access.
-Between interesting cycles the kernel skips ahead; components that are
-blocked are re-woken by the state changes that can unblock them.
+cycle loop: at each visited cycle (1) each refresh engine may refresh
+a row, (2) the MSU component lands the read DATA packets that have
+completed into their FIFOs and lets the MSU make a scheduling
+decision, and (3) the processor retires at most one element access.
+Read data is the only work in flight: the MSU component keeps it in
+its own heap and reports the earliest arrival as one of its next
+action cycles.  Between interesting cycles the kernel skips ahead;
+components that are blocked are re-woken by the state changes that
+can unblock them.
 
 The simulation ends when the processor has retired every access, all
 FIFOs have drained, and no data is in flight.  The kernel's watchdog
@@ -18,9 +22,10 @@ run).
 
 from __future__ import annotations
 
+import heapq
 from typing import List, Optional, Tuple
 
-from repro.core.msu import ArrivalEvent, IDLE, MemorySchedulingUnit
+from repro.core.msu import IDLE, MemorySchedulingUnit
 from repro.core.sbu import StreamBufferUnit
 from repro.core.smc import SmcSystem
 from repro.cpu.processor import StreamProcessor
@@ -48,27 +53,48 @@ class _WakeFlag:
 
 
 class _MsuComponent:
-    """The MSU's decision step, plus its wake protocol.
+    """The MSU's decision step, its read-data arrivals and wake protocol.
 
-    A data arrival or a refresh perturbation earlier in the same cycle
-    re-arms an idle MSU (its next access may need to re-activate a
-    bank the refresh closed, or a pop may have freed FIFO space).
+    Read data the MSU issued lands in its FIFO when the DATA packet
+    ends.  The pending arrivals sit in a heap keyed by (cycle, issue
+    order), and the due ones land at the start of each tick.  A
+    landing, or a refresh perturbation earlier in the same cycle,
+    re-arms an idle MSU (a pop may have freed FIFO space, or its next
+    access may need to re-activate a bank the refresh closed).
     """
 
     def __init__(self, system: SmcSystem, wake: _WakeFlag) -> None:
         self.system = system
         self.msu = system.msu
         self._wake = wake
+        #: Pending arrivals: (cycle, issue order, FIFO index, elements).
+        self.arrivals: List[Tuple[int, int, int, int]] = []
+        self._issued = 0
 
-    def tick(self, cycle: int) -> Tuple[ArrivalEvent, ...]:
+    def tick(self, cycle: int) -> None:
+        arrivals = self.arrivals
+        if arrivals and arrivals[0][0] <= cycle:
+            sbu = self.system.sbu
+            while arrivals and arrivals[0][0] <= cycle:
+                _, _, fifo_index, elements = heapq.heappop(arrivals)
+                sbu[fifo_index].note_arrival(elements)
+            self._wake.fired = True
         if self._wake.fired:
             self._wake.fired = False
             self.msu.wake(cycle)
-        return self.msu.tick(cycle)
+        for event in self.msu.tick(cycle):
+            heapq.heappush(
+                arrivals,
+                (event.cycle, self._issued, event.fifo_index, event.elements),
+            )
+            self._issued += 1
 
     @property
     def next_action_cycle(self) -> Optional[int]:
         decision = self.msu.next_decision
+        if self.arrivals:
+            arrival = self.arrivals[0][0]
+            return arrival if arrival < decision else decision
         return decision if decision < IDLE else None
 
     def attach_obs(self, obs: Instrumentation) -> None:
@@ -82,7 +108,11 @@ class _MsuComponent:
         self.system.device.finish_observation(end_cycle)
 
     def sample_telemetry(self, cycle: int, metrics: MetricsRegistry) -> None:
-        """Record FIFO depths and the open-bank count at ``cycle``."""
+        """Record arrivals in flight, FIFO depths and open banks."""
+        metrics.series(
+            "telemetry.events_pending",
+            help="scheduler events in flight at window boundaries",
+        ).sample(cycle, float(len(self.arrivals)))
         for fifo in self.system.sbu:
             metrics.series(
                 "telemetry.fifo_occupancy",
@@ -119,10 +149,9 @@ class _CpuComponent:
         self.sbu = sbu
         self.msu = msu
 
-    def tick(self, cycle: int) -> Tuple[ArrivalEvent, ...]:
+    def tick(self, cycle: int) -> None:
         if self.processor.tick(cycle, self.sbu):
             self.msu.wake(cycle + 1)
-        return ()
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -180,19 +209,15 @@ def run_smc(
         BackgroundComponent(engine, on_fire=_refresh_fired)
         for engine in system.refresh
     ]
-    components.append(_MsuComponent(system, wake))
+    msu_component = _MsuComponent(system, wake)
+    components.append(msu_component)
     components.append(_CpuComponent(processor, sbu, msu))
-
-    def deliver(event: ArrivalEvent) -> None:
-        sbu[event.fifo_index].note_arrival(event.elements)
-        wake.fired = True
 
     simulation = Simulation(
         components,
-        done=lambda sim: (
-            processor.done and sbu.all_drained and sim.scheduler.empty
+        done=lambda: (
+            processor.done and sbu.all_drained and not msu_component.arrivals
         ),
-        deliver=deliver,
         label=(
             f"kernel={system.kernel.name}, "
             f"org={system.config.describe()}"

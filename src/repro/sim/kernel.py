@@ -3,16 +3,15 @@
 Every execution loop in the library runs through this module: the SMC
 engine (:func:`repro.sim.engine.run_smc`), the natural-order and
 cache-realistic baselines, the L2-streaming variant, the random-access
-driver, and the FPM heritage model.  Each of those controllers used to
-maintain a private cycle loop with its own bookkeeping; now they wire
-:class:`Component` adapters into a :class:`Simulation` and the kernel
-owns the mechanics they all share:
+driver, the traffic server and the FPM heritage model.  Each of those
+controllers used to maintain a private cycle loop with its own
+bookkeeping; now they wire :class:`Component` adapters into a
+:class:`Simulation` and the kernel owns the mechanics they all share:
 
-* the **event heap** (:class:`EventScheduler`) delivering queued
-  events — read-data arrivals, line landings — at their due cycle,
 * **skip-to-next-interesting-cycle** advancement: every state change
-  happens either at a queued event or at a component's declared
-  ``next_action_cycle``, so visiting only those cycles is exact,
+  happens at some component's declared ``next_action_cycle`` (work a
+  component has in flight, such as the SMC's read-data arrivals, is
+  part of its own), so visiting only those cycles is exact,
 * **dense-mode verification**: ``dense=True`` visits every cycle
   instead; the property tests assert both modes produce identical
   results, validating each controller's skip contract,
@@ -31,93 +30,24 @@ termination predicate) plus result assembly, for which
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    Generic,
-    Iterable,
     Iterator,
     List,
     Optional,
     Protocol,
     Sequence,
     Tuple,
-    TypeVar,
     runtime_checkable,
 )
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigurationError, SchedulingError, require_int
 from repro.obs.core import Instrumentation
 from repro.obs.telemetry import TelemetryProbe, TelemetrySource
 from repro.sim.results import SimulationResult
-
-
-@runtime_checkable
-class TimedEvent(Protocol):
-    """Anything the :class:`EventScheduler` can queue.
-
-    An event carries only its due cycle; what it *means* is decided by
-    the simulation's ``deliver`` callback, which receives the event
-    back when the cycle is reached.
-    """
-
-    @property
-    def cycle(self) -> int:
-        """Interface-clock cycle at which the event is due."""
-        ...
-
-
-E = TypeVar("E", bound=TimedEvent)
-
-
-class EventScheduler(Generic[E]):
-    """Time-ordered event queue (the kernel's wake/sleep backbone).
-
-    Events posted with :meth:`post` are held in a heap keyed by
-    ``(cycle, posting order)`` and handed back by :meth:`pop_due` once
-    the clock reaches them.  Components that are blocked waiting for
-    data do not poll: the cycle of the earliest pending event
-    (:attr:`next_event_cycle`) is one of the candidates the simulation
-    skips to, so a sleeping component is re-visited exactly when the
-    event that can unblock it fires.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, E]] = []
-        self._posted = 0
-
-    def post(self, event: E) -> None:
-        """Queue ``event`` for delivery at ``event.cycle``."""
-        heapq.heappush(self._heap, (event.cycle, self._posted, event))
-        self._posted += 1
-
-    def pop_due(self, cycle: int) -> List[E]:
-        """Remove and return every event due at or before ``cycle``.
-
-        Events fire in (cycle, posting-order) order, so same-cycle
-        events are delivered in the order they were posted.
-        """
-        due: List[E] = []
-        heap = self._heap
-        while heap and heap[0][0] <= cycle:
-            due.append(heapq.heappop(heap)[2])
-        return due
-
-    @property
-    def next_event_cycle(self) -> Optional[int]:
-        """Due cycle of the earliest pending event, or None if empty."""
-        return self._heap[0][0] if self._heap else None
-
-    @property
-    def empty(self) -> bool:
-        """True when no events are pending."""
-        return not self._heap
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 class Component(Protocol):
@@ -128,16 +58,18 @@ class Component(Protocol):
     act so the clock can skip straight there.
     """
 
-    def tick(self, cycle: int) -> Iterable[TimedEvent]:
-        """Act at ``cycle``; return any events to schedule."""
+    def tick(self, cycle: int) -> None:
+        """Act at ``cycle``."""
         ...
 
     @property
     def next_action_cycle(self) -> Optional[int]:
         """Next cycle this component can change state on its own.
 
-        None means the component is blocked (it will be re-visited
-        when a queued event fires) or finished.  A component may also
+        Work the component has in flight counts: a component holding
+        pending read-data arrivals reports the earliest of them.
+        None means the component is blocked (another component's
+        action must unblock it) or finished.  A component may also
         define a class attribute ``breaks_deadlock = False`` when its
         pending action does not constitute forward progress for the
         computation (the refresh engine: a pending refresh cannot
@@ -164,74 +96,51 @@ class FinishingComponent(Protocol):
         ...
 
 
-class SimClock:
-    """The simulation's cycle counter.
-
-    In skip mode the clock jumps straight to the next interesting
-    cycle; in dense mode it advances one cycle at a time (slower but
-    trivially correct — the property tests assert both modes agree).
-    Either way the clock is strictly monotonic: a visited cycle is
-    never revisited.
-    """
-
-    __slots__ = ("cycle", "dense")
-
-    def __init__(self, dense: bool = False) -> None:
-        self.cycle = 0
-        self.dense = dense
-
-    def advance(self, next_interesting: int) -> int:
-        """Move to the next visited cycle and return it."""
-        if self.dense:
-            self.cycle += 1
-        else:
-            self.cycle = max(self.cycle + 1, next_interesting)
-        return self.cycle
-
-
 class Simulation:
     """One discrete-event run over a set of wired components.
 
-    The kernel visits a cycle, delivers due events through the
-    ``deliver`` callback, ticks every component in wiring order
-    (posting any events they return), checks the termination
-    predicate, and advances the clock — skipping to the next
-    interesting cycle unless ``dense``.  The watchdog and deadlock
-    detector guard every run; instrumentation, when given, is attached
-    to every component that accepts it and ``obs.now`` tracks the
-    visited cycle.
+    The kernel visits a cycle, ticks every component in wiring order,
+    checks the termination predicate, and advances the clock —
+    skipping to the next interesting cycle unless ``dense``.  The
+    clock is strictly monotonic: a visited cycle is never revisited.
+    The watchdog and deadlock detector guard every run;
+    instrumentation, when given, is attached to every component that
+    accepts it and ``obs.now`` tracks the visited cycle.
 
     Args:
         components: Ticked in order at every visited cycle.
         done: Termination predicate, checked after all components have
-            ticked at a cycle; receives this simulation (for access to
-            the scheduler).
+            ticked at a cycle.
         max_cycles: Watchdog limit on the cycle counter.
-        deliver: Called with each due event before components tick.
         label: Identifies the run in watchdog/deadlock errors.
         dense: Visit every cycle instead of skipping.
         obs: Optional instrumentation to attach for this run.
+
+    Raises:
+        ConfigurationError: If ``max_cycles`` is not an int of at
+            least 0.
     """
 
     def __init__(
         self,
         components: Sequence[Component],
         *,
-        done: Callable[["Simulation"], bool],
+        done: Callable[[], bool],
         max_cycles: int,
-        deliver: Optional[Callable[[Any], None]] = None,
         label: str = "simulation",
         dense: bool = False,
         obs: Optional[Instrumentation] = None,
     ) -> None:
-        self.scheduler: EventScheduler[Any] = EventScheduler()
+        if require_int("max_cycles", max_cycles) < 0:
+            raise ConfigurationError(
+                f"max_cycles must be at least 0, got {max_cycles}"
+            )
         self.components: List[Component] = list(components)
-        self.clock = SimClock(dense=dense)
         self.max_cycles = max_cycles
         self.label = label
+        self.dense = dense
         self.obs = obs
         self._done = done
-        self._deliver = deliver
         if obs is not None and getattr(obs, "telemetry_window", None):
             # The probe is passive (it cannot mask a deadlock) and only
             # forces window-boundary visits, which the dense/skip
@@ -245,11 +154,10 @@ class Simulation:
                         for component in self.components
                         if isinstance(component, TelemetrySource)
                     ),
-                    pending_events=self.scheduler.__len__,
                 )
             )
         # Per-cycle hot path: precompute which components count as
-        # forward progress so _next_cycle avoids getattr each visit.
+        # forward progress so the loop avoids getattr each visit.
         self._progress_pairs: List[Tuple[Component, bool]] = [
             (component, bool(getattr(component, "breaks_deadlock", True)))
             for component in self.components
@@ -268,39 +176,54 @@ class Simulation:
 
         Raises:
             SchedulingError: On watchdog expiry, or on deadlock (no
-            pending event and no progress-making component has a next
-            action).
+            progress-making component has a next action).
         """
-        scheduler = self.scheduler
-        clock = self.clock
         components = self.components
-        deliver = self._deliver
+        pairs = self._progress_pairs
         done = self._done
         obs = self.obs
+        dense = self.dense
         max_cycles = self.max_cycles
-        heap = scheduler._heap
-        cycle = clock.cycle
+        cycle = 0
         while True:
             if obs is not None:
                 obs.now = cycle
-            if deliver is not None and heap and heap[0][0] <= cycle:
-                for event in scheduler.pop_due(cycle):
-                    deliver(event)
             for component in components:
-                for event in component.tick(cycle):
-                    scheduler.post(event)
-            if done(self):
-                break
+                component.tick(cycle)
+            if done():
+                return cycle
             # Computed in dense mode too: the deadlock check must fire
             # regardless of how the clock advances.
-            target = self._next_cycle(cycle)
-            cycle = clock.advance(target)
+            best: Optional[int] = None
+            passive_best: Optional[int] = None
+            for component, progresses in pairs:
+                action = component.next_action_cycle
+                if action is None:
+                    continue
+                if progresses:
+                    if best is None or action < best:
+                        best = action
+                elif passive_best is None or action < passive_best:
+                    # A pending action that cannot unblock the
+                    # computation (e.g. a refresh) does not count as
+                    # forward progress, so it cannot mask a deadlock.
+                    passive_best = action
+            if best is None:
+                raise SchedulingError(
+                    "deadlock: every component is blocked and no data "
+                    f"is in flight ({self.label})"
+                )
+            if dense:
+                cycle += 1
+            else:
+                if passive_best is not None and passive_best < best:
+                    best = passive_best
+                cycle = best if best > cycle else cycle + 1
             if cycle > max_cycles:
                 raise SchedulingError(
                     f"simulation exceeded {max_cycles} cycles "
                     f"({self.label})"
                 )
-        return cycle
 
     def finish(self, end_cycle: int) -> None:
         """Close open observation spans on every component.
@@ -313,32 +236,6 @@ class Simulation:
         for component in self.components:
             if isinstance(component, FinishingComponent):
                 component.finish_observation(end_cycle)
-
-    def _next_cycle(self, cycle: int) -> int:
-        """The next cycle at which any component can change state."""
-        heap = self.scheduler._heap
-        best: Optional[int] = heap[0][0] if heap else None
-        passive_best: Optional[int] = None
-        for component, progresses in self._progress_pairs:
-            action = component.next_action_cycle
-            if action is None:
-                continue
-            if progresses:
-                if best is None or action < best:
-                    best = action
-            elif passive_best is None or action < passive_best:
-                # A pending action that cannot unblock the computation
-                # (e.g. a refresh) does not count as forward progress,
-                # so it cannot mask a deadlock.
-                passive_best = action
-        if best is None:
-            raise SchedulingError(
-                "deadlock: every component is blocked and no data is "
-                f"in flight ({self.label})"
-            )
-        if passive_best is not None and passive_best < best:
-            best = passive_best
-        return best if best > cycle else cycle + 1
 
 
 class BackgroundEngine(Protocol):
@@ -378,10 +275,9 @@ class BackgroundComponent:
         self.engine = engine
         self._on_fire = on_fire
 
-    def tick(self, cycle: int) -> Tuple[TimedEvent, ...]:
+    def tick(self, cycle: int) -> None:
         if self.engine.tick(cycle) and self._on_fire is not None:
             self._on_fire()
-        return ()
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -429,10 +325,9 @@ class TransactionPump:
         """True once the generator is exhausted."""
         return self._next_start is None
 
-    def tick(self, cycle: int) -> Tuple[TimedEvent, ...]:
+    def tick(self, cycle: int) -> None:
         if self._next_start is not None and cycle >= self._next_start:
             self._next_start = next(self._steps, None)
-        return ()
 
     @property
     def next_action_cycle(self) -> Optional[int]:

@@ -206,7 +206,7 @@ class ArrivalPump:
     def done(self) -> bool:
         return not self._pending
 
-    def tick(self, cycle: int) -> Tuple[()]:
+    def tick(self, cycle: int) -> None:
         pending = self._pending
         last = self._last_arrival
         while pending and pending[0].arrival <= cycle:
@@ -222,7 +222,6 @@ class ArrivalPump:
             channel = self._mapping.channel_of(request.address)
             self._servers[channel].enqueue(request)
         self._last_arrival = last
-        return ()
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -460,7 +459,7 @@ class ChannelServer:
                 float(index * window), float(self._win_busy.get(index, 0))
             )
 
-    def tick(self, cycle: int) -> Tuple[()]:
+    def tick(self, cycle: int) -> None:
         # While blocked, no budget changes before the next window, so a
         # visit before then (a refresh, another channel's arrival) must
         # not rescan the queue and count deferrals.
@@ -469,13 +468,13 @@ class ChannelServer:
             or cycle < self._busy_until
             or cycle < self._blocked_until
         ):
-            return ()
+            return
         request = self.scheduler.pick(self, cycle)
         if request is None:
             # Every queued client is over budget: sleep to the next
             # window boundary, when budgets reset.
             self._blocked_until = self.regulator.next_window_start(cycle)
-            return ()
+            return
         self._blocked_until = 0
         line_bytes = self.config.cacheline_bytes
         last = self._packet_count - 1
@@ -522,7 +521,6 @@ class ChannelServer:
         )
         if self.regulator is not None:
             self.regulator.charge(request.client, first_bank, line_bytes, cycle)
-        return ()
 
     def _attribute(
         self, request: Request, cycle: int, data_end: int, transfer: int
@@ -670,15 +668,6 @@ class TrafficResult:
         if self.cycles <= 0 or not self.client_bank_bytes:
             return 0.0
         return max(self.client_bank_bytes.values()) / self.cycles
-
-    def client_bank_share(self) -> Dict[int, float]:
-        """Each client's fraction of the bytes served."""
-        if self.total_bytes <= 0:
-            return {client: 0.0 for client in self.client_bytes}
-        return {
-            client: served / self.total_bytes
-            for client, served in self.client_bytes.items()
-        }
 
     @property
     def channel_utilization(self) -> Tuple[float, ...]:
@@ -845,8 +834,11 @@ def run_traffic(
             default) disables window sampling — runs pay nothing.
         refresh: Enable per-channel background refresh engines; pass
             True for the retention-window default cadence or an
-            integer interval in cycles.  Refresh interference shows up
-            in the ``refresh_blocked`` latency component.
+            integer interval in cycles (False or 0 means off; any
+            other value that is not an int of at least 1 raises
+            :class:`~repro.errors.ConfigurationError`).  Refresh
+            interference shows up in the ``refresh_blocked`` latency
+            component.
         scheduler: Request-scheduling strategy: a registry name
             (``fcfs``, ``frfcfs``, ``mars`` — each channel gets its
             own instance) or a prebuilt
@@ -951,9 +943,7 @@ def run_traffic(
     refresh_engines: List[RefreshEngine] = []
     refresh_components: List[BackgroundComponent] = []
     if refresh:
-        interval = (
-            DEFAULT_INTERVAL_CYCLES if refresh is True else int(refresh)
-        )
+        interval = DEFAULT_INTERVAL_CYCLES if refresh is True else refresh
         for server in servers:
             engine = RefreshEngine(server.memory, interval=interval)
             refresh_engines.append(engine)
@@ -1000,7 +990,7 @@ def run_traffic(
     wall_started = time.perf_counter()
     Simulation(
         [pump, *servers, *refresh_components],
-        done=lambda sim: pump.done and all(server.idle for server in servers),
+        done=lambda: pump.done and all(server.idle for server in servers),
         max_cycles=max_cycles,
         label=(
             f"traffic: {workload.clients} clients over "

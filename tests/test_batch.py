@@ -1,13 +1,14 @@
-"""Batch loops: event-vs-batch bit-identity and the loop gate.
+"""Batch loop: event-vs-batch bit-identity and the loop gate.
 
-The batch fast paths (:mod:`repro.sim.batch`) promise results
-*bit-identical* to the discrete-event kernel.  These properties mirror
-the dense-vs-skip equivalence contract in ``test_properties.py``: the
-SMC's batch loop against the event kernel, with and without the
-background refresh engine, over one device, multi-device channels
-and channel fabrics; and an instrumented natural-order run (the event
-kernel in skip mode) against a plain one (``lean_run``).  The gate
-tests check which loop :func:`~repro.sim.runner.simulate` picks.
+The batch SMC loop (:func:`~repro.sim.batch.run_smc_batch`) promises
+results *bit-identical* to the discrete-event kernel.  These
+properties mirror the dense-vs-skip equivalence contract in
+``test_properties.py``: the SMC's batch loop against the event kernel,
+with and without the background refresh engine, over one device,
+multi-device channels and channel fabrics.  One more property checks
+that attaching instrumentation leaves a natural-order result
+unchanged.  The gate tests check which loop
+:func:`~repro.sim.runner.simulate` picks.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def config_for(org: str, topology: str = "1x1") -> MemorySystemConfig:
 
 
 class TestEventBatchEquivalence:
-    """The batch loops must be observationally identical to the event
+    """The batch loop must be observationally identical to the event
     kernel on every supported configuration — same result record, field
     for field, including stall accounting and refresh interference."""
 
@@ -96,10 +97,10 @@ class TestEventBatchEquivalence:
     def test_natural_order_batch_is_exact(
         self, kernel, org, alignment, length, refresh
     ):
-        """An instrumented run takes the event kernel in skip mode, a
-        plain one the batch module's ``lean_run``; both must give the
-        same result.  Only the event kernel attaches ``obs`` to the
-        device, which records the DATA-bus gaps."""
+        """Attaching ``obs`` must leave the result unchanged.  Both
+        runs take the event kernel in skip mode; only the instrumented
+        one points the device's ``obs`` at the instrumentation, which
+        records the DATA-bus gaps."""
         def run(obs):
             controller = NaturalOrderController(
                 config_for(org), refresh=refresh

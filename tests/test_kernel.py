@@ -2,67 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pytest
 
-from repro.errors import SchedulingError
+from repro.core.smc import build_smc_system
+from repro.cpu.kernels import KERNELS
+from repro.errors import ConfigurationError, SchedulingError
+from repro.memsys.config import MemorySystemConfig
+from repro.sim.batch import run_smc_batch
+from repro.sim.engine import run_smc
 from repro.sim.kernel import (
     BackgroundComponent,
-    EventScheduler,
     ResultBuilder,
-    SimClock,
     Simulation,
     TransactionPump,
 )
+from repro.traffic import TrafficWorkload, run_traffic
 
-
-@dataclass(frozen=True)
-class Ping:
-    cycle: int
-    tag: str = ""
-
-
-class TestEventScheduler:
-    def test_orders_by_cycle(self):
-        scheduler = EventScheduler()
-        scheduler.post(Ping(5, "late"))
-        scheduler.post(Ping(2, "early"))
-        assert scheduler.next_event_cycle == 2
-        assert [e.tag for e in scheduler.pop_due(5)] == ["early", "late"]
-        assert scheduler.empty
-
-    def test_same_cycle_preserves_posting_order(self):
-        scheduler = EventScheduler()
-        for tag in "abc":
-            scheduler.post(Ping(3, tag))
-        assert [e.tag for e in scheduler.pop_due(3)] == ["a", "b", "c"]
-
-    def test_pop_due_leaves_future_events(self):
-        scheduler = EventScheduler()
-        scheduler.post(Ping(1))
-        scheduler.post(Ping(9))
-        assert len(scheduler.pop_due(4)) == 1
-        assert len(scheduler) == 1
-        assert scheduler.next_event_cycle == 9
-
-    def test_empty_scheduler(self):
-        scheduler = EventScheduler()
-        assert scheduler.empty
-        assert scheduler.next_event_cycle is None
-        assert scheduler.pop_due(100) == []
-
-
-class TestSimClock:
-    def test_skip_mode_jumps(self):
-        clock = SimClock()
-        assert clock.advance(10) == 10
-        assert clock.advance(10) == 11  # strictly monotonic
-
-    def test_dense_mode_steps(self):
-        clock = SimClock(dense=True)
-        assert clock.advance(10) == 1
-        assert clock.advance(10) == 2
+#: Watchdog bounds that are not an int of at least 0.  The entry
+#: points read None as "use the default bound"; Simulation has none.
+BAD_BOUNDS = ["100000", True, 2.5, -1]
 
 
 class _Counter:
@@ -78,7 +36,6 @@ class _Counter:
         if self.fired < self.limit and cycle % self.period == 0:
             self.fired += 1
         self.visited.append(cycle)
-        return ()
 
     @property
     def next_action_cycle(self):
@@ -92,7 +49,7 @@ class TestSimulation:
         counter = _Counter(period=3, limit=4)
         final = Simulation(
             [counter],
-            done=lambda sim: counter.fired >= 4,
+            done=lambda: counter.fired >= 4,
             max_cycles=100,
         ).run()
         assert counter.fired == 4
@@ -102,7 +59,7 @@ class TestSimulation:
         counter = _Counter(period=5, limit=3)
         Simulation(
             [counter],
-            done=lambda sim: counter.fired >= 3,
+            done=lambda: counter.fired >= 3,
             max_cycles=100,
         ).run()
         assert counter.visited == [0, 5, 10]
@@ -111,7 +68,7 @@ class TestSimulation:
         counter = _Counter(period=5, limit=3)
         Simulation(
             [counter],
-            done=lambda sim: counter.fired >= 3,
+            done=lambda: counter.fired >= 3,
             max_cycles=100,
             dense=True,
         ).run()
@@ -122,7 +79,7 @@ class TestSimulation:
         with pytest.raises(SchedulingError, match="exceeded"):
             Simulation(
                 [counter],
-                done=lambda sim: False,
+                done=lambda: False,
                 max_cycles=10,
                 label="unit test",
             ).run()
@@ -132,7 +89,7 @@ class TestSimulation:
         with pytest.raises(SchedulingError, match="deadlock"):
             Simulation(
                 [counter],
-                done=lambda sim: False,
+                done=lambda: False,
                 max_cycles=100,
             ).run()
 
@@ -152,36 +109,42 @@ class TestSimulation:
         with pytest.raises(SchedulingError, match="deadlock"):
             Simulation(
                 [BackgroundComponent(Engine()), counter],
-                done=lambda sim: False,
+                done=lambda: False,
                 max_cycles=10_000,
             ).run()
 
-    def test_events_deliver_at_due_cycle(self):
-        delivered = []
+    @pytest.mark.parametrize("bound", [*BAD_BOUNDS, None])
+    def test_watchdog_bound_must_be_a_nonnegative_int(self, bound):
+        with pytest.raises(ConfigurationError, match="max_cycles"):
+            Simulation([_Counter()], done=lambda: True, max_cycles=bound)
 
-        class Producer:
-            sent = False
+    def test_zero_watchdog_bound_allows_cycle_zero(self):
+        counter = _Counter(limit=1)
+        assert Simulation(
+            [counter], done=lambda: counter.fired >= 1, max_cycles=0
+        ).run() == 0
 
-            def tick(self, cycle):
-                if not self.sent:
-                    self.sent = True
-                    return (Ping(7, "payload"),)
-                return ()
-
-            @property
-            def next_action_cycle(self):
-                return None if self.sent else 0
-
-        producer = Producer()
-        simulation = Simulation(
-            [producer],
-            done=lambda sim: producer.sent and sim.scheduler.empty,
-            deliver=lambda event: delivered.append(event),
-            max_cycles=100,
+    @pytest.mark.parametrize("bound", ["9999", 2.5])
+    def test_entry_points_check_the_watchdog_bound(self, bound):
+        system = build_smc_system(
+            KERNELS["copy"], MemorySystemConfig.cli(), length=16,
+            fifo_depth=8,
         )
-        final = simulation.run()
-        assert delivered == [Ping(7, "payload")]
-        assert final == 7  # skipped straight to the event
+        with pytest.raises(ConfigurationError, match="max_cycles"):
+            run_smc(system, max_cycles=bound)
+        with pytest.raises(ConfigurationError, match="max_cycles"):
+            run_traffic(
+                workload=TrafficWorkload(clients=2, requests=4),
+                max_cycles=bound,
+            )
+
+    @pytest.mark.parametrize("bound", BAD_BOUNDS)
+    def test_batch_loop_checks_the_watchdog_bound(self, bound):
+        with pytest.raises(ConfigurationError, match="max_cycles"):
+            run_smc_batch(
+                KERNELS["copy"], MemorySystemConfig.cli(), length=16,
+                fifo_depth=8, max_cycles=bound,
+            )
 
 
 class TestTransactionPump:
@@ -199,13 +162,12 @@ class TestTransactionPump:
         class Recorder:
             def tick(self, cycle):
                 visited.append(cycle)
-                return ()
 
             next_action_cycle = None
 
         Simulation(
             [Recorder(), pump],
-            done=lambda sim: pump.done,
+            done=lambda: pump.done,
             max_cycles=100,
         ).run()
         assert issued == [0, 4, 4, 20]

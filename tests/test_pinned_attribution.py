@@ -33,6 +33,15 @@ classifiers were merged into one.  It has two parts:
 Every comparison is on canonical JSON text, so an int that turned
 into a float (or the reverse) fails even though the two compare
 equal in Python.
+
+One field was re-captured since: the natural-order entry's
+``metrics_sha256``.  Its metrics had a ``telemetry.events_pending``
+series that sampled the kernel's event heap, which natural order
+never posts to (51 samples, all 0.0).  The heap is gone, and the
+series is now recorded only by the SMC wiring, from its read-data
+arrivals in flight.  The new digest is that of the old records with
+that one record removed; the SMC entries keep the series and their
+digests.
 """
 
 from __future__ import annotations

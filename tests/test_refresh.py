@@ -72,6 +72,16 @@ class TestEngineMechanics:
         with pytest.raises(ConfigurationError):
             RefreshEngine(device, interval=0)
 
+    @pytest.mark.parametrize("interval", [2.5, True, "64"])
+    def test_interval_must_be_an_int_of_at_least_one(self, device, interval):
+        with pytest.raises(ConfigurationError, match="interval"):
+            RefreshEngine(device, interval=interval)
+
+    @pytest.mark.parametrize("force_after", [-1, 2.5, True, "8"])
+    def test_force_after_must_be_a_nonnegative_int(self, device, force_after):
+        with pytest.raises(ConfigurationError, match="force_after"):
+            RefreshEngine(device, force_after=force_after)
+
 
 class TestRefreshInSimulation:
     @pytest.mark.parametrize("org", ["cli", "pi"])

@@ -572,6 +572,17 @@ class TestLatencyAttribution:
         assert quiet.component_cycles["refresh_blocked"] == 0
         assert noisy.component_cycles["refresh_blocked"] > 0
 
+    @pytest.mark.parametrize("refresh", [2.5, "36"])
+    def test_refresh_interval_must_be_an_int(self, refresh):
+        # 2.5 used to truncate to a 2-cycle interval and then run
+        # until the watchdog raised; "36" was accepted as 36.
+        with pytest.raises(ConfigurationError, match="refresh interval"):
+            run_traffic(workload=SMALL, refresh=refresh)
+
+    @pytest.mark.parametrize("refresh", [False, 0])
+    def test_false_or_zero_refresh_is_off(self, refresh):
+        assert run_traffic(workload=SMALL, refresh=refresh).refreshes == 0
+
     def test_channel_utilization_reported(self):
         result = run_traffic(workload=SMALL, channels=2)
         assert len(result.channel_utilization) == 2
