@@ -45,7 +45,8 @@ bank-readiness bound are precharge/activate, then command-bus cycles —
 and the controller-side remainder is split into ``fifo`` and
 ``scheduler_idle`` using the MSU's recorded idle spans.  The traffic
 layer's per-request latency attribution
-(:mod:`repro.traffic.driver`) sums the same pieces.
+(:mod:`repro.traffic.driver`) takes the same cycles per cause from
+:func:`partition_gap_sums`.
 """
 
 from __future__ import annotations
@@ -331,13 +332,14 @@ def partition_gap(
 ) -> List[Tuple[int, int, str]]:
     """Split the idle cycles ``[lo, gap.end)`` of one gap by cause.
 
-    The one gap classifier: the seven-bucket stall attribution and the
-    traffic layer's per-request latency components both sum its
-    pieces.  Front to back: the leading write-to-read turnaround
-    (``turnaround``), then cycles covered by a refresh span
-    (``refresh``), then cycles below the bank-readiness bound
-    (``precharge_activate``), then below the COL-bus bound
-    (``command_bus``), and the rest is :data:`CONTROLLER`.
+    The one gap classifier: the seven-bucket stall attribution sums
+    its pieces, and the traffic layer's per-request latency components
+    take their totals from :func:`partition_gap_sums`.  Front to back:
+    the leading write-to-read turnaround (``turnaround``), then cycles
+    covered by a refresh span (``refresh``), then cycles below the
+    bank-readiness bound (``precharge_activate``), then below the
+    COL-bus bound (``command_bus``), and the rest is
+    :data:`CONTROLLER`.
 
     Args:
         lo: First cycle to classify (``gap.start``, or later when the
@@ -370,6 +372,54 @@ def partition_gap(
         if start < end:
             pieces.append((start, end, CONTROLLER))
     return pieces
+
+
+def partition_gap_sums(
+    lo: int, gap: DataBusGap, refresh: Sequence[Tuple[int, int]]
+) -> Tuple[int, int, int, int, int]:
+    """:func:`partition_gap`'s cycles per cause, without its pieces.
+
+    For callers that need only the totals, such as the traffic layer's
+    per-request latency components.  When no refresh span reaches
+    ``[lo, gap.end)`` the gap is three clamped cuts and builds nothing;
+    otherwise the pieces are summed.
+
+    Args:
+        lo: First cycle to classify, ``gap.start <= lo <= gap.end``.
+        gap: The DATA-bus gap.
+        refresh: Sorted, disjoint ``[start, end)`` refresh spans.
+
+    Returns:
+        Cycles of ``turnaround``, ``refresh``, ``precharge_activate``,
+        ``command_bus`` and :data:`CONTROLLER`, in that order; they sum
+        to ``gap.end - lo``.
+    """
+    hi = gap.end
+    if not refresh or refresh[-1][1] <= lo or refresh[0][0] >= hi:
+        lead = gap.turnaround_until
+        if lead < lo:
+            lead = lo
+        elif lead > hi:
+            lead = hi
+        bank = gap.bank_until
+        if bank < lead:
+            bank = lead
+        elif bank > hi:
+            bank = hi
+        colbus = gap.colbus_until
+        if colbus < bank:
+            colbus = bank
+        elif colbus > hi:
+            colbus = hi
+        return lead - lo, 0, bank - lead, colbus - bank, hi - colbus
+    sums = dict.fromkeys(
+        ("turnaround", "refresh", "precharge_activate", "command_bus",
+         CONTROLLER),
+        0,
+    )
+    for start, end, cause in partition_gap(lo, gap, refresh):
+        sums[cause] += end - start
+    return tuple(sums.values())  # type: ignore[return-value]
 
 
 def classify_stall_intervals(

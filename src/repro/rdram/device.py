@@ -175,7 +175,7 @@ def record_data_gap(
     memory,
     bank: int,
     now: int,
-    direction: BusDirection,
+    reading: bool,
     col_start: int,
     delay: int,
 ) -> None:
@@ -183,26 +183,21 @@ def record_data_gap(
     an access whose DATA packet leaves the bus idle before it.
 
     Must be called after the access's COL start is computed but before
-    any bus/bank state is updated.  ``memory`` is the
-    :class:`RdramDevice` issuing the access.
+    any bus/bank state is updated, and only when the DATA packet
+    starts after the bus frees (``col_start + delay`` beyond
+    ``memory._data_bus_free``): :meth:`RdramDevice.issue_col` tests
+    that, so an access with no gap costs no call.  ``memory`` is the
+    :class:`RdramDevice` issuing the access; ``reading`` is True for a
+    COL RD.
     """
     data_start = col_start + delay
     idle_from = memory._data_bus_free
-    if data_start <= idle_from:
-        return
-    if (
-        direction is BusDirection.READ
-        and memory._last_data_dir is BusDirection.WRITE
-    ):
+    if reading and memory._last_data_dir is BusDirection.WRITE:
         turnaround_until = memory._last_write_data_end + memory._t_rw
     else:
         turnaround_until = idle_from
     col_bus_free = memory._col_bus_free
-    if (
-        direction is BusDirection.READ
-        and memory.explicit_retire
-        and memory._retire_pending
-    ):
+    if reading and memory.explicit_retire and memory._retire_pending:
         col_bus_free += memory._t_pack
     bank_ready = memory._act_starts[bank] + memory._t_rcd
     # Positional: keyword arguments double the tuple's build cost.
@@ -211,7 +206,7 @@ def record_data_gap(
             idle_from,
             data_start,
             bank,
-            direction.value,
+            "read" if reading else "write",
             turnaround_until,
             (bank_ready if bank_ready > 0 else 0) + delay,
             col_bus_free + delay,
@@ -567,9 +562,9 @@ class RdramDevice:
         t_pack = self._t_pack
         if self.obs is not None:
             self.obs.counters.incr("device.data_packets")
-        if self.gap_log is not None:
+        if self.gap_log is not None and start + delay > self._data_bus_free:
             record_data_gap(
-                self.gap_log, self, bank, now, direction, start, delay
+                self.gap_log, self, bank, now, reading, start, delay
             )
         if reading and self.explicit_retire and self._retire_pending:
             if self.record_trace:

@@ -37,12 +37,14 @@ is involved: each channel memory's ``gap_log`` hook appends the
 to its server's own list — the same records the closed-loop
 attribution partitions — and each channel's refresh engine hands its
 refresh spans to the server as they issue.  The server classifies
-them with the shared :func:`~repro.obs.attribution.partition_gap` into
-:data:`COMPONENTS`, and the components sum *exactly* to the measured
-latency (an :class:`~repro.errors.ObservabilityError` otherwise, so
-the accounting can never silently drift).  Latency and component
-values are tallied as ``{value: count}`` per server and land in the
-run's histograms in bulk at the end.
+them with the shared :func:`~repro.obs.attribution.partition_gap_sums`
+into :data:`COMPONENTS`, and the components sum *exactly* to the
+measured latency (an :class:`~repro.errors.ObservabilityError`
+otherwise, so the accounting can never silently drift).  Each server
+keeps a running sum per component and tallies latency values as
+``{value: count}``, which land in the run's latency histogram in bulk
+at the end; per-component values are tallied the same way only when
+the caller's registry receives their histograms.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from repro.errors import (
     require_int,
 )
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
-from repro.obs.attribution import CONTROLLER, partition_gap
+from repro.obs.attribution import partition_gap_sums
 from repro.obs.core import DataBusGap
 from repro.obs.metrics import MetricsRegistry
 from repro.rdram.channel import make_memory
@@ -310,11 +312,16 @@ class ChannelServer:
         memory.gap_log = self.gaps
         #: Sorted, disjoint refresh spans not yet behind the bus.
         self.refresh_spans: List[Tuple[int, int]] = []
-        #: ``{value: count}`` of every served request's latency
-        #: (``"latency"``) and of each of its :data:`COMPONENTS`.
-        self.tallies: Dict[str, Dict[int, int]] = {
-            name: {} for name in ("latency", *COMPONENTS)
-        }
+        #: ``{value: count}`` of every served request's latency.
+        self.latency_tally: Dict[int, int] = {}
+        #: Cycles served requests spent in each of :data:`COMPONENTS`,
+        #: in that order.
+        self.component_sums = [0] * len(COMPONENTS)
+        #: ``{value: count}`` of each component, in :data:`COMPONENTS`
+        #: order, when set to a list of empty dicts: :func:`run_traffic`
+        #: keeps them only for a caller's registry, which receives the
+        #: per-component histograms.  None keeps only the sums.
+        self.component_tallies: Optional[List[Dict[int, int]]] = None
         # Optional telemetry window for per-(channel, bank) heatmap
         # series.
         self.window = window
@@ -537,16 +544,15 @@ class ChannelServer:
         gaps = self.gaps
         spans = self.refresh_spans
         for gap in gaps:
-            lo = gap.start if gap.start > cycle else cycle
-            for start, end, cause in partition_gap(lo, gap, spans):
-                if cause == "precharge_activate":
-                    bank_busy += end - start
-                elif cause == "refresh":
-                    refresh_blocked += end - start
-                elif cause == CONTROLLER:
-                    pipeline += end - start
-                else:  # turnaround or command_bus
-                    bus_contention += end - start
+            turnaround, refresh, precharge, command, controller = (
+                partition_gap_sums(
+                    gap.start if gap.start > cycle else cycle, gap, spans
+                )
+            )
+            bank_busy += precharge
+            refresh_blocked += refresh
+            bus_contention += turnaround + command
+            pipeline += controller
         gaps.clear()
         while spans and spans[0][1] <= data_end:
             del spans[0]
@@ -568,20 +574,29 @@ class ChannelServer:
                 f"(client {request.client}, arrival "
                 f"{request.arrival})"
             )
-        # Same order as self.tallies: latency, then COMPONENTS.
-        for tally, value in zip(
-            self.tallies.values(),
-            (
-                latency,
-                queue_wait,
-                bank_busy,
-                refresh_blocked,
-                bus_contention,
-                pipeline,
-                transfer,
-            ),
-        ):
-            tally[value] = tally.get(value, 0) + 1
+        tally = self.latency_tally
+        tally[latency] = tally.get(latency, 0) + 1
+        sums = self.component_sums
+        sums[0] += queue_wait
+        sums[1] += bank_busy
+        sums[2] += refresh_blocked
+        sums[3] += bus_contention
+        sums[4] += pipeline
+        sums[5] += transfer
+        if self.component_tallies is not None:
+            # Same order as COMPONENTS.
+            for tally, value in zip(
+                self.component_tallies,
+                (
+                    queue_wait,
+                    bank_busy,
+                    refresh_blocked,
+                    bus_contention,
+                    pipeline,
+                    transfer,
+                ),
+            ):
+                tally[value] = tally.get(value, 0) + 1
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -818,8 +833,10 @@ def run_traffic(
         registry: Metrics registry receiving the latency histogram
             (``traffic.latency_cycles``) and the per-component
             attribution histograms
-            (``traffic.latency_component_cycles{component=...}``); a
-            private one is used when omitted.
+            (``traffic.latency_component_cycles{component=...}``).
+            When omitted, a private one holds the latency histogram
+            for the percentiles, and no per-component histogram is
+            built; ``component_cycles`` is reported either way.
         max_cycles: Watchdog override.  The default is the last
             arrival plus 50,000 cycles plus, per request, 600 cycles
             and (when regulated) one regulator window.  That suffices
@@ -860,6 +877,9 @@ def run_traffic(
         raise ConfigurationError(
             f"telemetry window must be positive, got {window}"
         )
+    # Checked before the comparison below: 1.0 and True equal 1.
+    require_int("channels", channels)
+    require_int("devices", devices)
     if (channels, devices) != (1, 1):
         if not config.topology.single:
             raise ConfigurationError(
@@ -882,7 +902,10 @@ def run_traffic(
     if regulator is not None:
         regulator.reset()
     # Not `registry or ...`: an empty registry is falsy but still the
-    # caller's registry, and the metrics must land in it.
+    # caller's registry, and the metrics must land in it.  Only a
+    # caller's registry is read after the run, so only it gets the
+    # per-component histograms and the tallies behind them.
+    caller_registry = registry is not None
     registry = MetricsRegistry() if registry is None else registry
     if scheduler is None:
         scheduler = "fcfs"
@@ -913,18 +936,19 @@ def run_traffic(
         bounds=LATENCY_BUCKETS,
         help="request latency (arrival to last DATA packet end), cycles",
     )
-    histograms = {
-        "latency": latency,
-        **{
-            name: registry.histogram(
+    component_histograms = (
+        [
+            registry.histogram(
                 "traffic.latency_component_cycles",
                 bounds=LATENCY_BUCKETS,
                 help="per-request latency attribution, cycles per component",
                 component=name,
             )
             for name in COMPONENTS
-        },
-    }
+        ]
+        if caller_registry
+        else []
+    )
     servers = [
         ChannelServer(
             index=index,
@@ -938,6 +962,9 @@ def run_traffic(
         )
         for index, channel_memory in enumerate(memories)
     ]
+    if caller_registry:
+        for server in servers:
+            server.component_tallies = [{} for _ in COMPONENTS]
     # Each channel's refresh engine hands every refresh it issues to
     # that channel's server, for the refresh_blocked component.
     refresh_engines: List[RefreshEngine] = []
@@ -1023,19 +1050,20 @@ def run_traffic(
     # One bulk fill per histogram and channel.  The values are integer
     # cycles, so the sums are exact and match per-request observes bit
     # for bit.
-    for name, histogram in histograms.items():
+    for server in servers:
+        latency.observe_counts(
+            (float(value), count)
+            for value, count in server.latency_tally.items()
+        )
+    for index, histogram in enumerate(component_histograms):
         for server in servers:
             histogram.observe_counts(
                 (float(value), count)
-                for value, count in server.tallies[name].items()
+                for value, count in server.component_tallies[index].items()
             )
     component_cycles = {
-        name: sum(
-            value * count
-            for server in servers
-            for value, count in server.tallies[name].items()
-        )
-        for name in COMPONENTS
+        name: sum(server.component_sums[index] for server in servers)
+        for index, name in enumerate(COMPONENTS)
     }
     return TrafficResult(
         organization=config.describe(),

@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.core.smc import build_smc_system
@@ -21,7 +23,9 @@ from repro.obs import (
     Instrumentation,
     attribute_stalls,
 )
+from repro.obs.attribution import CONTROLLER, partition_gap, partition_gap_sums
 from repro.obs.cli import main as obs_main
+from repro.obs.core import DataBusGap
 from repro.obs.export import load_trace_file, write_chrome_trace, write_jsonl
 from repro.sim.cli import main as simulate_main
 from repro.sim.engine import run_smc
@@ -125,6 +129,56 @@ class TestStallAttribution:
         assert "stall attribution" in table
         for bucket in BUCKETS:
             assert bucket in table
+
+
+#: partition_gap's causes, in the order partition_gap_sums returns them.
+CAUSES = (
+    "turnaround", "refresh", "precharge_activate", "command_bus", CONTROLLER
+)
+
+
+@st.composite
+def gap_cases(draw):
+    """A gap, a first cycle to classify in it, and refresh spans.
+
+    Each device bound lies below, inside or past the gap.  The spans
+    are sorted and disjoint, from well before the gap to well after
+    it, so they miss it, straddle ``lo``, lie inside it or straddle
+    its end.
+    """
+    start = draw(st.integers(0, 100))
+    end = start + draw(st.integers(1, 60))
+
+    def bound():
+        return draw(st.one_of(
+            st.integers(start - 40, start - 1),
+            st.integers(start, end),
+            st.integers(end + 1, end + 40),
+        ))
+
+    gap = DataBusGap(
+        start, end, 0, draw(st.sampled_from(("read", "write"))),
+        bound(), bound(), bound(), end,
+    )
+    lo = draw(st.integers(start, end))
+    points = sorted(draw(st.lists(
+        st.integers(start - 40, end + 40), unique=True, max_size=8
+    )))
+    return lo, gap, list(zip(points[::2], points[1::2]))
+
+
+class TestPartitionGapSums:
+    @given(case=gap_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_sums_equal_partition_totals(self, case):
+        lo, gap, spans = case
+        totals = dict.fromkeys(CAUSES, 0)
+        for start, end, cause in partition_gap(lo, gap, spans):
+            totals[cause] += end - start
+        sums = partition_gap_sums(lo, gap, spans)
+        assert sums == tuple(totals[cause] for cause in CAUSES)
+        assert min(sums) >= 0
+        assert sum(sums) == gap.end - lo
 
 
 class TestDenseSkipIdentity:

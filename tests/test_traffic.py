@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError, ObservabilityError, SchedulingError
 from repro.memsys.address import AddressMapping, get_address_mapping
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.obs.metrics import MetricsRegistry
@@ -508,6 +508,21 @@ class TestTopologyArguments:
         result = run_traffic(config=config, workload=SMALL)
         assert result.channels == 2
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"channels": 1.0},
+            {"devices": 1.0},
+            {"channels": True},
+            {"devices": True},
+        ],
+    )
+    def test_non_int_counts_rejected(self, kwargs):
+        # Each equals 1, so they used to run as one channel.
+        (name,) = kwargs
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            run_traffic(workload=SMALL, **kwargs)
+
     def test_summary_mentions_shares(self):
         result = run_traffic(workload=SMALL, channels=2)
         assert "p50=" in result.summary()
@@ -551,6 +566,54 @@ class TestLatencyAttribution:
                 component=name,
             )
             assert component.count == result.requests
+            assert int(component.sum) == result.component_cycles[name]
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("refresh", [False, True])
+    @pytest.mark.parametrize("scheduler", ["fcfs", "frfcfs", "mars"])
+    def test_registry_does_not_change_the_result(
+        self, scheduler, refresh, channels
+    ):
+        kwargs = dict(
+            workload=SMALL,
+            scheduler=scheduler,
+            refresh=refresh,
+            channels=channels,
+        )
+        plain = run_traffic(**kwargs)
+        recorded = run_traffic(registry=MetricsRegistry(), **kwargs)
+        assert recorded.to_dict() == plain.to_dict()
+
+    def test_registry_does_not_change_a_regulated_dream_result(self):
+        def run(**kwargs):
+            return run_traffic(
+                MemorySystemConfig.pi(interleaving="dream"),
+                HOT,
+                regulator=BankBudgetRegulator(
+                    window_cycles=512, budget_bytes=32
+                ),
+                **kwargs,
+            )
+
+        plain = run()
+        assert plain.deferrals > 0
+        assert run(registry=MetricsRegistry()).to_dict() == plain.to_dict()
+
+    def test_dropped_cycle_fails_the_closure_check(self, monkeypatch):
+        from repro.traffic import driver
+
+        sums = driver.partition_gap_sums
+
+        def short_by_one(*args):
+            *causes, controller = sums(*args)
+            return (*causes, controller - 1)
+
+        monkeypatch.setattr(driver, "partition_gap_sums", short_by_one)
+        with pytest.raises(
+            ObservabilityError,
+            match="latency attribution drifted on channel 0",
+        ):
+            run_traffic(workload=SMALL)
 
     def test_component_shares_and_means(self):
         result = run_traffic(workload=SMALL)
