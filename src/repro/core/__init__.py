@@ -7,7 +7,7 @@ from repro.core.gather import (
     simulate_gather,
 )
 from repro.core.l2stream import L2StreamingController
-from repro.core.msu import ArrivalEvent, MemorySchedulingUnit
+from repro.core.msu import MemorySchedulingUnit
 from repro.core.policies import (
     POLICIES,
     BankAwarePolicy,
@@ -26,7 +26,6 @@ __all__ = [
     "build_gather_system",
     "simulate_gather",
     "L2StreamingController",
-    "ArrivalEvent",
     "MemorySchedulingUnit",
     "POLICIES",
     "BankAwarePolicy",

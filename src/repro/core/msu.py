@@ -7,21 +7,23 @@ writes, and dynamically reorders the memory accesses to stream
 elements, issuing the requests in a sequence that attempts to maximize
 effective memory bandwidth."  (Section 3.)
 
-The MSU is driven by the simulation engine: at each decision cycle it
-asks its scheduling policy which FIFO to service, issues the ROW and
-COL packets the chosen access needs through the RDRAM device model,
-and reports read-data arrival events back to the engine.  Page misses,
-bank conflicts and activations are counted for the result report.
+The MSU is a :class:`~repro.sim.kernel.Simulation` component: at each
+decision cycle it asks its scheduling policy which FIFO to service and
+issues the ROW and COL packets the chosen access needs through the
+RDRAM device model.  The read data it issued is its work in flight: it
+lands in the FIFO when the DATA packet ends.  Page misses, bank
+conflicts and activations are counted for the result report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from heapq import heappop, heappush
+from typing import List, Optional, Tuple
 
 from repro.core.policies import SchedulingPolicy
 from repro.core.sbu import StreamBufferUnit
 from repro.obs.core import Instrumentation
+from repro.obs.metrics import MetricsRegistry
 from repro.rdram.device import RdramDevice
 from repro.rdram.packets import BusDirection
 
@@ -29,23 +31,14 @@ from repro.rdram.packets import BusDirection
 IDLE = 1 << 60
 
 
-@dataclass(frozen=True)
-class ArrivalEvent:
-    """Read data landing in a FIFO when its DATA packet completes.
-
-    Attributes:
-        cycle: Interface-clock cycle at which the data is available.
-        fifo_index: The read FIFO receiving the elements.
-        elements: Number of 64-bit elements arriving.
-    """
-
-    cycle: int
-    fifo_index: int
-    elements: int
-
-
 class MemorySchedulingUnit:
     """Issues stream accesses through the device under a policy.
+
+    Read data lands in its FIFO at the start of the first tick at or
+    after the DATA packet's end.  A landing, or a refresh noted
+    through :meth:`note_refresh` earlier in the same cycle, re-arms an
+    idle MSU: a landing may let the processor free FIFO space, and a
+    refresh may have closed the bank its next access needs.
 
     Args:
         device: The Direct RDRAM device model.
@@ -72,9 +65,13 @@ class MemorySchedulingUnit:
         self.page_hits = 0
         self.page_misses = 0
         self.last_data_end = 0
+        #: Read data in flight: (cycle, issue order, FIFO index,
+        #: elements), a heap.  The issue order breaks ties in cycle.
+        self.arrivals: List[Tuple[int, int, int, int]] = []
         #: Optional instrumentation; records access spans, idle spans
         #: (with their cause), and scheduling counters.
         self.obs: Optional[Instrumentation] = None
+        self._rearm = False
         self._idle_since: Optional[int] = None
         self._idle_reason = ""
 
@@ -83,12 +80,27 @@ class MemorySchedulingUnit:
         """True once every stream's access plan has been issued."""
         return all(fifo.exhausted for fifo in self.sbu)
 
+    @property
+    def next_action_cycle(self) -> Optional[int]:
+        """The next decision or read-data arrival, whichever is first;
+        None when idle with no data in flight."""
+        decision = self.next_decision
+        if self.arrivals:
+            arrival = self.arrivals[0][0]
+            return arrival if arrival < decision else decision
+        return decision if decision < IDLE else None
+
     def wake(self, cycle: int) -> None:
         """Re-arm an idle MSU after a FIFO state change."""
         if self.next_decision >= IDLE:
             if self.obs is not None:
                 self._close_idle_span(cycle)
             self.next_decision = cycle
+
+    def note_refresh(self, span: Tuple[int, int]) -> None:
+        """A refresh changed bank state: re-arm an idle MSU at its next
+        tick, in the refresh's cycle (refresh engines tick first)."""
+        self._rearm = True
 
     def _close_idle_span(self, cycle: int) -> None:
         """Record the idle interval that a wake (or run end) closes."""
@@ -110,27 +122,65 @@ class MemorySchedulingUnit:
             return "done"
         return "fifo"
 
+    def attach_obs(self, obs: Instrumentation) -> None:
+        """Point the MSU, its device and its FIFOs at ``obs``."""
+        self.device.obs = obs
+        self.device.gap_log = obs.gaps
+        self.obs = obs
+        self.sbu.attach_obs(obs)
+
     def finish_observation(self, end_cycle: int) -> None:
-        """Close a still-open idle span when the simulation ends."""
+        """Close a still-open idle span, and the device's open spans,
+        when the simulation ends."""
         if self.obs is not None:
             self._close_idle_span(end_cycle)
+        self.device.finish_observation(end_cycle)
 
-    def tick(self, cycle: int) -> Tuple[ArrivalEvent, ...]:
-        """Make at most one scheduling decision at ``cycle``.
+    def sample_telemetry(self, cycle: int, metrics: MetricsRegistry) -> None:
+        """Record arrivals in flight, FIFO depths and open banks."""
+        metrics.series(
+            "telemetry.events_pending",
+            help="scheduler events in flight at window boundaries",
+        ).sample(cycle, float(len(self.arrivals)))
+        for fifo in self.sbu:
+            metrics.series(
+                "telemetry.fifo_occupancy",
+                help="FIFO occupancy in elements at window boundaries",
+                stream=fifo.descriptor.name,
+            ).sample(cycle, float(fifo.occupancy))
+        device = self.device
+        open_banks = sum(
+            1
+            for index in range(device.geometry.num_banks)
+            if device.bank(index).is_open
+        )
+        metrics.series(
+            "telemetry.banks_open",
+            help="banks holding an open row at window boundaries",
+        ).sample(cycle, float(open_banks))
 
-        Returns:
-            Arrival events for any read data the issued access will
-            deliver (empty for writes or when idling).
-        """
+    def tick(self, cycle: int) -> None:
+        """Land the read data due by ``cycle``, then make at most one
+        scheduling decision."""
+        arrivals = self.arrivals
+        if arrivals and arrivals[0][0] <= cycle:
+            sbu = self.sbu
+            while arrivals and arrivals[0][0] <= cycle:
+                _, _, fifo_index, elements = heappop(arrivals)
+                sbu[fifo_index].note_arrival(elements)
+            self._rearm = True
+        if self._rearm:
+            self._rearm = False
+            self.wake(cycle)
         if cycle < self.next_decision:
-            return ()
+            return
         choice = self.policy.choose(cycle, self.sbu, self.current, self.device)
         if choice is None:
             self.next_decision = IDLE
             if self.obs is not None and self._idle_since is None:
                 self._idle_since = cycle
                 self._idle_reason = self._idle_cause()
-            return ()
+            return
         if choice != self.current:
             self.fifo_switches += 1
             if self.obs is not None:
@@ -176,11 +226,6 @@ class MemorySchedulingUnit:
         )
         self.policy.speculate(self, cycle, choice, unit)
         if fifo.is_read:
-            return (
-                ArrivalEvent(
-                    cycle=data_end,
-                    fifo_index=choice,
-                    elements=elements,
-                ),
+            heappush(
+                arrivals, (data_end, self.packets_issued, choice, elements)
             )
-        return ()

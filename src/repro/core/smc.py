@@ -41,7 +41,8 @@ class SmcSystem:
         msu: Memory scheduling unit.
         processor: Natural-order element access generator.
         refresh: One background :class:`RefreshEngine` per channel
-            memory (empty when refresh is off).
+            memory (empty when refresh is off); each re-arms an idle
+            MSU when it refreshes.
     """
 
     kernel: Kernel
@@ -85,8 +86,8 @@ def build_smc_system(
             placement of vector base addresses.
         policy: MSU scheduling policy; defaults to the paper's
             round-robin.
-        access_interval: CPU pacing in cycles per element; 2 matches
-            bandwidths as the paper assumes.
+        access_interval: CPU pacing in cycles per element, an int of
+            at least 1; 2 matches bandwidths as the paper assumes.
         record_trace: Record the full packet trace on the device (for
             auditing/timelines; slows long runs).
         descriptors: Pre-placed streams, overriding automatic
@@ -97,6 +98,10 @@ def build_smc_system(
 
     Returns:
         The wired system.
+
+    Raises:
+        ConfigurationError: If ``access_interval`` is not an int of at
+            least 1.
     """
     if descriptors is None:
         placed = place_streams(
@@ -111,7 +116,13 @@ def build_smc_system(
     device = make_memory(config, record_trace=record_trace)
     sbu = StreamBufferUnit.from_descriptors(placed, config, fifo_depth)
     msu = MemorySchedulingUnit(device, sbu, policy or RoundRobinPolicy())
-    processor = StreamProcessor(kernel, length, access_interval=access_interval)
+    processor = StreamProcessor(
+        kernel,
+        length,
+        sbu,
+        access_interval=access_interval,
+        on_retire=msu.wake,
+    )
     return SmcSystem(
         kernel=kernel,
         config=config,
@@ -121,7 +132,10 @@ def build_smc_system(
         msu=msu,
         processor=processor,
         refresh=(
-            [RefreshEngine(memory) for memory in channel_memories(device)]
+            [
+                RefreshEngine(memory, on_fire=msu.note_refresh)
+                for memory in channel_memories(device)
+            ]
             if refresh
             else []
         ),

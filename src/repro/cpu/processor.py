@@ -14,14 +14,16 @@ cycles exactly matches peak bandwidth.  A read retires by popping the
 head of the corresponding FIFO (the memory-mapped head register of
 Section 3); a write retires by pushing into the write FIFO.  If the
 FIFO is not ready, the processor stalls and retries every cycle.
+The processor is a :class:`~repro.sim.kernel.Simulation` component.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple
+from typing import Callable, List, Optional, Protocol, Tuple
 
 from repro.cpu.kernels import Kernel
 from repro.cpu.streams import Direction
+from repro.errors import ConfigurationError, require_int
 from repro.obs.core import Instrumentation
 
 #: Cycles per element access at which CPU bandwidth equals the memory's
@@ -51,19 +53,36 @@ class StreamProcessor:
     Args:
         kernel: The inner loop being executed.
         length: Vector length in elements (the paper's L_s).
+        port: The stream buffer unit the accesses pop and push.
         access_interval: Minimum cycles between successive element
             accesses; 2 models the paper's matched-bandwidth CPU.
+        on_retire: Called after each retire with the next cycle, at
+            which the FIFO change it made is visible (the SMC wiring
+            passes the MSU's ``wake``: a pop frees read-FIFO space and
+            a push feeds a write FIFO).
+
+    Raises:
+        ConfigurationError: If ``access_interval`` is not an int of at
+            least 1.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         length: int,
+        port: StreamPort,
         access_interval: int = MATCHED_ACCESS_INTERVAL,
+        on_retire: Optional[Callable[[int], None]] = None,
     ) -> None:
+        if require_int("access_interval", access_interval) < 1:
+            raise ConfigurationError(
+                f"access_interval must be at least 1, got {access_interval}"
+            )
         self.kernel = kernel
         self.length = length
+        self.port = port
         self.access_interval = access_interval
+        self._on_retire = on_retire
         self._schedule: List[Tuple[int, Direction]] = [
             (stream_index, spec.direction)
             for __ in range(length)
@@ -89,7 +108,10 @@ class StreamProcessor:
         """Element accesses completed so far."""
         return self._position
 
-    def tick(self, cycle: int, port: StreamPort) -> bool:
+    def attach_obs(self, obs: Instrumentation) -> None:
+        self.obs = obs
+
+    def tick(self, cycle: int) -> None:
         """Attempt to retire the next access at ``cycle``.
 
         The processor retires at most one element access per call and
@@ -98,12 +120,10 @@ class StreamProcessor:
         :attr:`stall_cycles` from the cycle the block began, so the
         count is exact even when the simulation engine skips over
         cycles in which no component can act.
-
-        Returns:
-            True if an access retired this cycle.
         """
         if self.done or cycle < self._next_attempt:
-            return False
+            return
+        port = self.port
         stream_index, direction = self._schedule[self._position]
         if direction is Direction.READ:
             ready = port.cpu_can_pop(stream_index)
@@ -112,7 +132,7 @@ class StreamProcessor:
         if not ready:
             if self._blocked_since is None:
                 self._blocked_since = cycle
-            return False
+            return
         if self._blocked_since is not None:
             self.stall_cycles += cycle - self._blocked_since
             if self.obs is not None and cycle > self._blocked_since:
@@ -137,10 +157,11 @@ class StreamProcessor:
         self.last_retire_cycle = cycle
         self._position += 1
         self._next_attempt = cycle + self.access_interval
-        return True
+        if self._on_retire is not None:
+            self._on_retire(cycle + 1)
 
     @property
-    def next_attempt_cycle(self) -> Optional[int]:
+    def next_action_cycle(self) -> Optional[int]:
         """Next cycle at which the processor can act on its own, or
         None when it is blocked (it must be woken by a FIFO change) or
         done."""

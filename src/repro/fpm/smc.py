@@ -17,7 +17,6 @@ from repro.cpu.kernels import Kernel
 from repro.cpu.streams import Alignment, StreamDescriptor, check_extent
 from repro.fpm.device import FpmGeometry, FpmMemorySystem
 from repro.memsys.config import ELEMENT_BYTES
-from repro.sim.kernel import Simulation, TransactionPump
 
 
 @dataclass(frozen=True)
@@ -127,20 +126,13 @@ def run_fpm(
         )
     else:
         addresses = _smc_access_order(descriptors, length, fifo_depth)
-    # The FPM memory is serial (one access at a time, float-ns clock),
-    # so each simulation-kernel step is simply the next access; the
-    # real elapsed time accumulates inside the memory model.
-    elapsed = _Elapsed()
-    pump = TransactionPump(_access_steps(memory, addresses, elapsed))
-    Simulation(
-        [pump],
-        done=lambda: pump.done,
-        max_cycles=length * max(len(descriptors), 1) + 16,
-        label=f"fpm-{scheme}: kernel={kernel.name}",
-    ).run()
+    # The FPM memory is serial (one access at a time, float-ns clock):
+    # each access starts when the previous one ends.
+    now = 0.0
+    for address in addresses:
+        now = memory.access(address, now)
     accesses = memory.accesses
     attainable_ns = accesses * memory.timing.t_pc_ns
-    now = elapsed.ns
     return FpmResult(
         kernel=kernel.name,
         scheme=scheme,
@@ -149,15 +141,6 @@ def run_fpm(
         page_hit_rate=memory.page_hits / accesses if accesses else 0.0,
         percent_of_attainable=100.0 * attainable_ns / now if now else 0.0,
     )
-
-
-class _Elapsed:
-    """Mutable float-ns clock shared with the access generator."""
-
-    __slots__ = ("ns",)
-
-    def __init__(self) -> None:
-        self.ns = 0.0
 
 
 def _smc_access_order(
@@ -172,11 +155,3 @@ def _smc_access_order(
                 yield descriptor.element_address(cursors[which])
                 cursors[which] += 1
 
-
-def _access_steps(
-    memory: FpmMemorySystem, addresses: Iterator[int], elapsed: _Elapsed
-) -> Iterator[int]:
-    """One simulation-kernel step per FPM access, in order."""
-    for step, address in enumerate(addresses):
-        yield step
-        elapsed.ns = memory.access(address, elapsed.ns)

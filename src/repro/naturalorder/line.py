@@ -120,13 +120,13 @@ class LineController:
         # Imported here, not at module scope: repro.sim's package pulls
         # in repro.core for plan building, and repro.core's package
         # imports the L2 streamer, a subclass of this class.
-        from repro.sim.kernel import BackgroundComponent, Simulation
+        from repro.sim.kernel import Simulation
 
         self.refreshes_issued = 0
         components: List[Component] = []
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
-            components.append(BackgroundComponent(refresh_engine))
+            components.append(refresh_engine)
         components.append(component)
         final_cycle = Simulation(
             components,

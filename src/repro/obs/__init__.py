@@ -63,7 +63,6 @@ from repro.obs.metrics import (
 from repro.obs.ledger import Ledger, LedgerWriter
 from repro.obs.telemetry import (
     TelemetryProbe,
-    TelemetrySource,
     build_windowed_series,
     finalize_telemetry,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "SpanEvent",
     "StallAttribution",
     "TelemetryProbe",
-    "TelemetrySource",
     "access_mix",
     "attribute_stalls",
     "build_windowed_series",

@@ -232,10 +232,10 @@ class Instrumentation:
         metrics: Time-series registry (:mod:`repro.obs.metrics`) that
             telemetry samples and windowed series land in.
         telemetry_window: Sampling period in cycles; when set, the
-            simulation kernel wires a
-            :class:`~repro.obs.telemetry.TelemetryProbe` into the run
-            and the engine builds windowed series afterwards.  None
-            (the default) disables both — runs pay nothing.
+            engine builds windowed series after the run, and an SMC
+            run (:func:`~repro.sim.engine.run_smc`) also wires a
+            :class:`~repro.obs.telemetry.TelemetryProbe` sampling its
+            MSU.  None (the default) disables both — runs pay nothing.
     """
 
     def __init__(self, telemetry_window: Optional[int] = None) -> None:

@@ -6,14 +6,15 @@ bus turnarounds, and refresh, but end-of-run totals flatten it.  This
 module adds the time axis back, in two complementary ways:
 
 * A **live probe** (:class:`TelemetryProbe`): a passive kernel
-  component wired in by :class:`repro.sim.kernel.Simulation` whenever
+  component that :func:`repro.sim.engine.run_smc` wires last whenever
   the run's :class:`~repro.obs.core.Instrumentation` carries a
-  ``telemetry_window``.  At every window boundary the probe samples
-  each component implementing :class:`TelemetrySource` (FIFO depths,
-  open-bank counts) into the instrumentation's metrics registry.  The
-  probe never breaks a deadlock and forces only window-boundary cycle
-  visits — safe by the kernel's dense/skip equivalence contract, so an
-  attached probe changes no simulation result bit-for-bit.
+  ``telemetry_window``.  At every window boundary the probe calls its
+  samplers — the SMC's one is the MSU's ``sample_telemetry`` (FIFO
+  depths, open-bank counts, arrivals in flight) — which write into
+  the instrumentation's metrics registry.  The probe never breaks a
+  deadlock and forces only window-boundary cycle visits — safe by the
+  kernel's dense/skip equivalence contract, so an attached probe
+  changes no simulation result bit-for-bit.
 
 * **Windowed series** (:func:`build_windowed_series`): computed after
   the run from the exact DATA-bus gap records, by summing the *same*
@@ -30,7 +31,7 @@ at the window's first cycle).
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs.attribution import BUCKETS, classify_stall_intervals
@@ -38,23 +39,12 @@ from repro.obs.core import Instrumentation, merge_intervals
 from repro.obs.metrics import MetricsRegistry
 
 
-@runtime_checkable
-class TelemetrySource(Protocol):
-    """Optional sampling hook a kernel component may implement.
-
-    The :class:`TelemetryProbe` calls this at every window boundary;
-    implementations write gauges/series into ``metrics`` (FIFO
-    occupancy, open banks, in-flight counts — whatever in-flight state
-    the component owns).
-    """
-
-    def sample_telemetry(self, cycle: int, metrics: MetricsRegistry) -> None:
-        """Record this component's in-flight state at ``cycle``."""
-        ...
+#: Records one component's in-flight state at a cycle into a registry.
+Sampler = Callable[[int, MetricsRegistry], None]
 
 
 class TelemetryProbe:
-    """Passive kernel component sampling sources at window boundaries.
+    """Passive kernel component calling samplers at window boundaries.
 
     The probe's pending boundary never counts as forward progress
     (``breaks_deadlock = False``), so it cannot mask a controller
@@ -65,7 +55,8 @@ class TelemetryProbe:
         window: Sampling period in interface-clock cycles.
         metrics: Registry the samples land in (normally the run
             instrumentation's ``metrics``).
-        sources: Components to sample at each boundary.
+        samplers: Called with the cycle and ``metrics`` at each
+            boundary, and once more at the run's end.
     """
 
     breaks_deadlock = False
@@ -74,7 +65,7 @@ class TelemetryProbe:
         self,
         window: int,
         metrics: MetricsRegistry,
-        sources: Tuple[TelemetrySource, ...] = (),
+        samplers: Sequence[Sampler],
     ) -> None:
         if window <= 0:
             raise ConfigurationError(
@@ -82,7 +73,7 @@ class TelemetryProbe:
             )
         self.window = window
         self.metrics = metrics
-        self.sources: List[TelemetrySource] = list(sources)
+        self.samplers: List[Sampler] = list(samplers)
         self._next_boundary = 0
         self._last_sampled: Optional[int] = None
         self.samples_taken = 0
@@ -104,8 +95,8 @@ class TelemetryProbe:
     def _sample(self, cycle: int) -> None:
         self.samples_taken += 1
         self._last_sampled = cycle
-        for source in self.sources:
-            source.sample_telemetry(cycle, self.metrics)
+        for sampler in self.samplers:
+            sampler(cycle, self.metrics)
 
 
 def build_windowed_series(

@@ -65,6 +65,11 @@ from repro.rdram.timing import DATA_PACKET_BYTES, RdramTiming
 #: that no constraint measured from it can bind.
 NEVER = -(10**9)
 
+# Module-level aliases: the COL path reads them for every packet, and
+# a global costs far less than an attribute lookup on the enum class.
+_READ = BusDirection.READ
+_WRITE = BusDirection.WRITE
+
 
 class BankState(NamedTuple):
     """One bank's state when :meth:`RdramDevice.bank` was called.
@@ -192,7 +197,7 @@ def record_data_gap(
     """
     data_start = col_start + delay
     idle_from = memory._data_bus_free
-    if reading and memory._last_data_dir is BusDirection.WRITE:
+    if reading and memory._last_data_dir is _WRITE:
         turnaround_until = memory._last_write_data_end + memory._t_rw
     else:
         turnaround_until = idle_from
@@ -430,7 +435,7 @@ class RdramDevice:
                 f"bank {bank}: COL to row {row} but open row is "
                 f"{self._open_rows[bank]}"
             )
-        reading = direction is BusDirection.READ
+        reading = direction is _READ
         delay = self._read_delay if reading else self._write_delay
         col_bus_free = self._col_bus_free
         if reading and self.explicit_retire and self._retire_pending:
@@ -445,7 +450,7 @@ class RdramDevice:
         data_start = start + delay
         if data_start < self._data_bus_free:
             data_start = self._data_bus_free
-        if reading and self._last_data_dir is BusDirection.WRITE:
+        if reading and self._last_data_dir is _WRITE:
             turnaround = self._last_write_data_end + self._t_rw
             if data_start < turnaround:
                 data_start = turnaround
@@ -557,7 +562,7 @@ class RdramDevice:
             )
         start = self.earliest_col(bank, row, now, direction)
         # earliest_col bounds-checked the bank and matched its open row.
-        reading = direction is BusDirection.READ
+        reading = direction is _READ
         delay = self._read_delay if reading else self._write_delay
         t_pack = self._t_pack
         if self.obs is not None:

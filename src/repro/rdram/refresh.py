@@ -15,11 +15,15 @@ its target bank (or, on double-bank cores, a neighbor) is busy, the
 refresh is deferred briefly; after ``force_after`` deferrals the
 engine closes the page itself, modeling a real controller's refresh
 deadline taking priority over open-page policy.
+
+The engine is a passive :class:`~repro.sim.kernel.Simulation`
+component: a pending refresh is not forward progress for the
+computation, so it never masks a deadlock.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, require_int
 from repro.obs.core import Instrumentation
@@ -42,17 +46,25 @@ class RefreshEngine:
             retention window for the paper's 8x1024-row geometry.
         force_after: Deferrals tolerated before the engine precharges a
             busy bank itself to meet the retention deadline.
+        on_fire: Called with :attr:`last_refresh` after each refresh,
+            e.g. to re-arm a scheduler whose bank state the refresh
+            changed, or to hand the span to the traffic server that
+            attributes latency to it.
 
     Raises:
         ConfigurationError: If ``interval`` is not an int of at least
             1, or ``force_after`` not an int of at least 0.
     """
 
+    #: A pending refresh cannot unblock a stalled computation.
+    breaks_deadlock = False
+
     def __init__(
         self,
         device: RdramDevice,
         interval: int = DEFAULT_INTERVAL_CYCLES,
         force_after: int = 8,
+        on_fire: Optional[Callable[[Tuple[int, int]], None]] = None,
     ) -> None:
         if require_int("refresh interval", interval) < 1:
             raise ConfigurationError(
@@ -65,6 +77,7 @@ class RefreshEngine:
         self.device = device
         self.interval = interval
         self.force_after = force_after
+        self._on_fire = on_fire
         self._next_due = interval
         self._bank_cursor = 0
         self._row_cursor = 0
@@ -86,20 +99,20 @@ class RefreshEngine:
         """Cycle at which the engine next wants to act."""
         return self._next_due
 
-    def tick(self, cycle: int) -> bool:
+    def attach_obs(self, obs: Instrumentation) -> None:
+        self.obs = obs
+
+    def tick(self, cycle: int) -> None:
         """Perform at most one refresh action at ``cycle``.
 
         The target bank and its double-bank neighbors are synced at
         ``cycle`` first, so page-manager closes already due (a timeout
         policy's) count before the engine reads which banks are open.
-
-        Returns:
-            True if a refresh (or forced precharge) was issued, which
-            perturbs bank state the memory controller may be relying
-            on.
+        A refresh that is issued (after any forced precharge) is
+        handed to ``on_fire``; a deferred one is not.
         """
         if cycle < self._next_due:
-            return False
+            return
         device = self.device
         target = self._bank_cursor
         banks = (target, *device.geometry.neighbors(target))
@@ -112,7 +125,7 @@ class RefreshEngine:
                 if self.obs is not None:
                     self.obs.counters.incr("refresh.deferrals")
                 self._next_due = cycle + RETRY_CYCLES
-                return False
+                return
             # Deadline: close the in-use page (and, on double-bank
             # cores, any open neighbor) to get the refresh through.
             for index in banks:
@@ -144,7 +157,8 @@ class RefreshEngine:
         self._next_due += self.interval
         if self._next_due <= cycle:
             self._next_due = cycle + 1
-        return True
+        if self._on_fire is not None:
+            self._on_fire(self.last_refresh)
 
     def _advance_cursor(self) -> None:
         self._bank_cursor += 1

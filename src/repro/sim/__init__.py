@@ -3,7 +3,6 @@
 from repro.sim.batch import batch_unsupported_reason, run_smc_batch
 from repro.sim.engine import run_smc
 from repro.sim.kernel import (
-    BackgroundComponent,
     Component,
     ResultBuilder,
     Simulation,
@@ -24,7 +23,6 @@ __all__ = [
     "batch_unsupported_reason",
     "run_smc_batch",
     "run_smc",
-    "BackgroundComponent",
     "Component",
     "ResultBuilder",
     "Simulation",

@@ -1,7 +1,7 @@
 """Vectorized batch fast-path SMC loop.
 
 The event kernel (:mod:`repro.sim.kernel`) dispatches every visited
-cycle through component adapters and the full device object model —
+cycle through the component models and the full device object model —
 flexible, but the per-cycle dispatch overhead caps SMC throughput well
 below what large sweeps need.  :func:`run_smc_batch` is a
 monomorphized replica of the SMC loop that produces bit-identical
@@ -130,8 +130,9 @@ def run_smc_batch(
 
     Raises:
         ConfigurationError: If the configuration needs the event
-            kernel (check :func:`batch_unsupported_reason` first), or
-            ``max_cycles`` is not an int of at least 0.
+            kernel (check :func:`batch_unsupported_reason` first),
+            ``max_cycles`` is not an int of at least 0, or
+            ``access_interval`` is not an int of at least 1.
         SchedulingError: On deadlock or watchdog expiry (same messages
             as the event kernel).
     """
@@ -141,6 +142,10 @@ def run_smc_batch(
     if max_cycles is not None and require_int("max_cycles", max_cycles) < 0:
         raise ConfigurationError(
             f"max_cycles must be at least 0, got {max_cycles}"
+        )
+    if require_int("access_interval", access_interval) < 1:
+        raise ConfigurationError(
+            f"access_interval must be at least 1, got {access_interval}"
         )
     descriptors = place_streams(
         kernel.streams, config, length=length, stride=stride, alignment=alignment
@@ -238,9 +243,9 @@ def run_smc_batch(
 
     # Read-data arrivals in completion order.  One channel's DATA
     # packets complete in issue order (each slot starts at or after the
-    # previous slot's end), so a deque replaces the event wiring's
-    # arrival heap exactly; on a fabric, a packet that ends before
-    # another channel's tail is inserted in place.
+    # previous slot's end), so a deque replaces the MSU's arrival heap
+    # exactly; on a fabric, a packet that ends before another
+    # channel's tail is inserted in place.
     arrivals: Deque[Tuple[int, int, int]] = deque()
 
     # One refresh engine per channel (RefreshEngine semantics, no
@@ -255,9 +260,9 @@ def run_smc_batch(
     cycle = 0
     while True:
         # 1. Deliver due read-data arrivals (re-arms an idle MSU).  The
-        # event wiring lands them in the MSU's tick, after refresh; the
-        # order cannot matter, as arrivals touch only FIFO counts and
-        # refresh only bank state.
+        # event kernel's MSU lands them at the start of its tick, after
+        # refresh; the order cannot matter, as arrivals touch only FIFO
+        # counts and refresh only bank state.
         if arrivals and arrivals[0][0] <= cycle:
             while arrivals and arrivals[0][0] <= cycle:
                 _, fifo_index, elems = arrivals.popleft()
@@ -267,7 +272,8 @@ def run_smc_batch(
                 next_decision = cycle
 
         # 2. Refresh ticks, in channel order, before the MSU decides
-        # (as in the event wiring).
+        # (as in the event kernel's wiring); a refresh re-arms an idle
+        # MSU (its note_refresh hook).
         if refresh and cycle >= next_refresh:
             for channel in range(channels):
                 if cycle < refresh_due[channel]:
@@ -454,7 +460,7 @@ def run_smc_batch(
                 pace = col_start - t_rcd
                 next_decision = pace if pace > cycle + 1 else cycle + 1
 
-        # 4. CPU retire (StreamProcessor.tick + the retire wake).
+        # 4. CPU retire (StreamProcessor.tick and its on_retire wake).
         if position < total_retires and cycle >= cpu_next:
             stream_index, read_access = schedule[position]
             if read_access:

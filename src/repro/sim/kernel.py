@@ -1,12 +1,13 @@
 """Shared discrete-event simulation kernel.
 
-Every execution loop in the library runs through this module: the SMC
-engine (:func:`repro.sim.engine.run_smc`), the natural-order and
-cache-realistic baselines, the L2-streaming variant, the random-access
-driver, the traffic server and the FPM heritage model.  Each of those
-controllers used to maintain a private cycle loop with its own
-bookkeeping; now they wire :class:`Component` adapters into a
-:class:`Simulation` and the kernel owns the mechanics they all share:
+Every cycle-level execution loop in the library runs through this
+module: the SMC engine (:func:`repro.sim.engine.run_smc`), the
+natural-order and cache-realistic baselines, the L2-streaming variant,
+the random-access driver and the traffic server.  Each hands its
+components to a :class:`Simulation` — the models themselves where they
+are cycle-driven (MSU, processor, refresh engine, channel server), a
+:class:`TransactionPump` over a transaction generator otherwise — and
+the kernel owns the mechanics they all share:
 
 * **skip-to-next-interesting-cycle** advancement: every state change
   happens at some component's declared ``next_action_cycle`` (work a
@@ -23,7 +24,7 @@ bookkeeping; now they wire :class:`Component` adapters into a
   visited cycle, so stall attribution works the same way for every
   controller.
 
-Controllers contribute only their wiring (component adapters and a
+Controllers contribute only their wiring (components and a
 termination predicate) plus result assembly, for which
 :class:`ResultBuilder` provides the uniform counter set.
 """
@@ -46,7 +47,6 @@ from typing import (
 
 from repro.errors import ConfigurationError, SchedulingError, require_int
 from repro.obs.core import Instrumentation
-from repro.obs.telemetry import TelemetryProbe, TelemetrySource
 from repro.sim.results import SimulationResult
 
 
@@ -83,7 +83,7 @@ class ObservableComponent(Protocol):
     """Optional instrumentation hooks a component may implement."""
 
     def attach_obs(self, obs: Instrumentation) -> None:
-        """Point the wrapped model's ``obs`` attribute at ``obs``."""
+        """Point the component's ``obs`` attribute at ``obs``."""
         ...
 
 
@@ -141,21 +141,6 @@ class Simulation:
         self.dense = dense
         self.obs = obs
         self._done = done
-        if obs is not None and getattr(obs, "telemetry_window", None):
-            # The probe is passive (it cannot mask a deadlock) and only
-            # forces window-boundary visits, which the dense/skip
-            # equivalence contract proves cannot change results.
-            self.components.append(
-                TelemetryProbe(
-                    obs.telemetry_window,  # type: ignore[arg-type]
-                    obs.metrics,
-                    tuple(
-                        component
-                        for component in self.components
-                        if isinstance(component, TelemetrySource)
-                    ),
-                )
-            )
         # Per-cycle hot path: precompute which components count as
         # forward progress so the loop avoids getattr each visit.
         self._progress_pairs: List[Tuple[Component, bool]] = [
@@ -238,55 +223,6 @@ class Simulation:
                 component.finish_observation(end_cycle)
 
 
-class BackgroundEngine(Protocol):
-    """What :class:`BackgroundComponent` adapts (e.g. a refresh engine)."""
-
-    obs: Optional[Instrumentation]
-
-    def tick(self, cycle: int) -> bool:
-        """Act at ``cycle``; return True if device state was perturbed."""
-        ...
-
-    @property
-    def next_action_cycle(self) -> int:
-        """Cycle at which the engine next wants to act."""
-        ...
-
-
-class BackgroundComponent:
-    """Adapts a background engine into a kernel component.
-
-    Background work (refresh is the canonical case) perturbs device
-    state on its own cadence but does not constitute forward progress
-    for the computation, so it never breaks a deadlock.  The optional
-    ``on_fire`` callback runs whenever the engine acted — wirings use
-    it to wake a scheduler whose bank state may have changed under it,
-    or to hand each refresh to the traffic server that attributes
-    latency to it.
-    """
-
-    breaks_deadlock = False
-
-    def __init__(
-        self,
-        engine: BackgroundEngine,
-        on_fire: Optional[Callable[[], None]] = None,
-    ) -> None:
-        self.engine = engine
-        self._on_fire = on_fire
-
-    def tick(self, cycle: int) -> None:
-        if self.engine.tick(cycle) and self._on_fire is not None:
-            self._on_fire()
-
-    @property
-    def next_action_cycle(self) -> Optional[int]:
-        return self.engine.next_action_cycle
-
-    def attach_obs(self, obs: Instrumentation) -> None:
-        self.engine.obs = obs
-
-
 class TransactionPump:
     """Drives a transaction-level controller as a kernel component.
 
@@ -305,19 +241,15 @@ class TransactionPump:
         on_attach_obs: Called with the instrumentation when the
             simulation attaches it (controllers point their device's
             ``obs`` here).
-        on_finish: Called with the end cycle from
-            :meth:`Simulation.finish`.
     """
 
     def __init__(
         self,
         steps: Iterator[int],
         on_attach_obs: Optional[Callable[[Instrumentation], None]] = None,
-        on_finish: Optional[Callable[[int], None]] = None,
     ) -> None:
         self._steps = steps
         self._on_attach_obs = on_attach_obs
-        self._on_finish = on_finish
         self._next_start: Optional[int] = next(steps, None)
 
     @property
@@ -336,10 +268,6 @@ class TransactionPump:
     def attach_obs(self, obs: Instrumentation) -> None:
         if self._on_attach_obs is not None:
             self._on_attach_obs(obs)
-
-    def finish_observation(self, end_cycle: int) -> None:
-        if self._on_finish is not None:
-            self._on_finish(end_cycle)
 
 
 @dataclass

@@ -79,7 +79,7 @@ from repro.rdram.channel import make_memory
 from repro.rdram.fabric import channel_memories
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
 from repro.rdram.timing import DATA_PACKET_BYTES
-from repro.sim.kernel import BackgroundComponent, Simulation
+from repro.sim.kernel import Simulation
 from repro.traffic.scheduling import Scheduler, make_scheduler
 from repro.traffic.workload import Request, TrafficWorkload, generate_requests
 
@@ -847,8 +847,9 @@ def run_traffic(
             fits the budget (which covers at least one cacheline).
         telemetry_window: Sampling window, in cycles; when set, dense
             per-(channel, bank) byte series and per-channel occupancy
-            series land in ``registry`` (heatmap-ready).  None (the
-            default) disables window sampling — runs pay nothing.
+            series land in ``registry`` (heatmap-ready), which must
+            then be given.  None (the default) disables window
+            sampling — runs pay nothing.
         refresh: Enable per-channel background refresh engines; pass
             True for the retention-window default cadence or an
             integer interval in cycles (False or 0 means off; any
@@ -868,6 +869,11 @@ def run_traffic(
     Returns:
         The run's latency, attribution, and bandwidth-share
         accounting.
+
+    Raises:
+        ConfigurationError: On a bad argument, including a
+            ``telemetry_window`` without a ``registry`` to hold the
+            series (they would be computed and thrown away).
     """
     import dataclasses
 
@@ -876,6 +882,11 @@ def run_traffic(
     if window is not None and require_int("telemetry window", window) < 1:
         raise ConfigurationError(
             f"telemetry window must be positive, got {window}"
+        )
+    if window is not None and registry is None:
+        raise ConfigurationError(
+            "telemetry_window needs a registry to hold its series; "
+            "pass registry=MetricsRegistry()"
         )
     # Checked before the comparison below: 1.0 and True equal 1.
     require_int("channels", channels)
@@ -968,20 +979,14 @@ def run_traffic(
     # Each channel's refresh engine hands every refresh it issues to
     # that channel's server, for the refresh_blocked component.
     refresh_engines: List[RefreshEngine] = []
-    refresh_components: List[BackgroundComponent] = []
     if refresh:
         interval = DEFAULT_INTERVAL_CYCLES if refresh is True else refresh
-        for server in servers:
-            engine = RefreshEngine(server.memory, interval=interval)
-            refresh_engines.append(engine)
-            refresh_components.append(
-                BackgroundComponent(
-                    engine,
-                    on_fire=lambda server=server, engine=engine: (
-                        server.note_refresh(engine.last_refresh)
-                    ),
-                )
+        refresh_engines = [
+            RefreshEngine(
+                server.memory, interval=interval, on_fire=server.note_refresh
             )
+            for server in servers
+        ]
     requests = generate_requests(workload, mapping)
     pump = ArrivalPump(requests, servers, mapping)
     if max_cycles is None:
@@ -1016,7 +1021,7 @@ def run_traffic(
             )
     wall_started = time.perf_counter()
     Simulation(
-        [pump, *servers, *refresh_components],
+        [pump, *servers, *refresh_engines],
         done=lambda: pump.done and all(server.idle for server in servers),
         max_cycles=max_cycles,
         label=(

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
+
 import pytest
 
 from repro.core.smc import build_smc_system
@@ -10,12 +14,8 @@ from repro.errors import ConfigurationError, SchedulingError
 from repro.memsys.config import MemorySystemConfig
 from repro.sim.batch import run_smc_batch
 from repro.sim.engine import run_smc
-from repro.sim.kernel import (
-    BackgroundComponent,
-    ResultBuilder,
-    Simulation,
-    TransactionPump,
-)
+from repro.rdram.refresh import RefreshEngine
+from repro.sim.kernel import ResultBuilder, Simulation, TransactionPump
 from repro.traffic import TrafficWorkload, run_traffic
 
 #: Watchdog bounds that are not an int of at least 0.  The entry
@@ -93,25 +93,19 @@ class TestSimulation:
                 max_cycles=100,
             ).run()
 
-    def test_background_component_cannot_mask_deadlock(self):
-        class Engine:
-            obs = None
-            refreshes = 0
-
-            def tick(self, cycle):
-                return False
-
-            @property
-            def next_action_cycle(self):
-                return 1000  # always has a pending action
-
+    def test_background_component_cannot_mask_deadlock(self, device):
+        # A refresh engine always has a pending action, but a refresh
+        # cannot unblock the computation.
+        engine = RefreshEngine(device, interval=1000)
         counter = _Counter(limit=1)
         with pytest.raises(SchedulingError, match="deadlock"):
             Simulation(
-                [BackgroundComponent(Engine()), counter],
+                [engine, counter],
                 done=lambda: False,
                 max_cycles=10_000,
             ).run()
+        assert engine.next_action_cycle == 1000
+        assert engine.refreshes_issued == 0
 
     @pytest.mark.parametrize("bound", [*BAD_BOUNDS, None])
     def test_watchdog_bound_must_be_a_nonnegative_int(self, bound):
@@ -138,6 +132,21 @@ class TestSimulation:
                 max_cycles=bound,
             )
 
+    # 0, -1 and True used to run as an interval of 1, 2.5 gave a
+    # float cycle count, and "2" raised a bare TypeError.
+    @pytest.mark.parametrize("interval", [0, -1, True, 2.5, "2"])
+    def test_both_loops_check_the_access_interval(self, interval):
+        with pytest.raises(ConfigurationError, match="access_interval"):
+            build_smc_system(
+                KERNELS["copy"], MemorySystemConfig.cli(), length=64,
+                fifo_depth=16, access_interval=interval,
+            )
+        with pytest.raises(ConfigurationError, match="access_interval"):
+            run_smc_batch(
+                KERNELS["copy"], MemorySystemConfig.cli(), length=64,
+                fifo_depth=16, access_interval=interval,
+            )
+
     @pytest.mark.parametrize("bound", BAD_BOUNDS)
     def test_batch_loop_checks_the_watchdog_bound(self, bound):
         with pytest.raises(ConfigurationError, match="max_cycles"):
@@ -145,6 +154,34 @@ class TestSimulation:
                 KERNELS["copy"], MemorySystemConfig.cli(), length=16,
                 fifo_depth=8, max_cycles=bound,
             )
+
+
+class TestLayering:
+    """The kernel builds no telemetry probe (the SMC wiring does), and
+    the serial FPM model is a plain loop, not a kernel run."""
+
+    @pytest.mark.parametrize(
+        "module, banned",
+        [
+            ("repro.sim.kernel", "repro.obs.telemetry"),
+            ("repro.fpm", "repro.sim"),
+            ("repro.fpm.device", "repro.sim"),
+            ("repro.fpm.smc", "repro.sim"),
+        ],
+    )
+    def test_module_does_not_import(self, module, banned):
+        tree = ast.parse(inspect.getsource(importlib.import_module(module)))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert not {
+            name
+            for name in imported
+            if name == banned or name.startswith(banned + ".")
+        }
 
 
 class TestTransactionPump:

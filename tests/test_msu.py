@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from repro.core.msu import IDLE, ArrivalEvent, MemorySchedulingUnit
+from repro.core.msu import IDLE, MemorySchedulingUnit
 from repro.core.policies import RoundRobinPolicy
 from repro.core.sbu import StreamBufferUnit
 from repro.cpu.kernels import COPY, DAXPY
@@ -11,6 +11,7 @@ from repro.cpu.streams import Alignment, place_streams
 from repro.memsys.config import MemorySystemConfig
 from repro.rdram.device import RdramDevice
 from repro.rdram.packets import ColPacket
+from repro.rdram.refresh import RefreshEngine
 
 
 def make_msu(kernel=DAXPY, org="cli", length=32, depth=8, alignment=Alignment.STAGGERED):
@@ -26,18 +27,20 @@ def make_msu(kernel=DAXPY, org="cli", length=32, depth=8, alignment=Alignment.ST
 class TestIssuing:
     def test_first_tick_issues_act_and_col(self):
         device, sbu, msu = make_msu()
-        events = msu.tick(0)
-        assert len(events) == 1
-        assert isinstance(events[0], ArrivalEvent)
+        msu.tick(0)
+        assert len(msu.arrivals) == 1
         assert msu.packets_issued == 1
         assert msu.activations == 1
 
     def test_read_events_report_fifo_and_elements(self):
         device, sbu, msu = make_msu()
-        event = msu.tick(0)[0]
-        assert event.fifo_index == 0
-        assert event.elements == 2
-        assert event.cycle > 0
+        msu.tick(0)
+        (cycle, _, fifo_index, elements), = msu.arrivals
+        assert fifo_index == 0
+        assert elements == 2
+        assert cycle > 0
+        # The arrival is the MSU's next action until it lands.
+        assert msu.next_action_cycle == min(cycle, msu.next_decision)
 
     def test_writes_produce_no_events(self):
         device, sbu, msu = make_msu(depth=2)
@@ -45,16 +48,27 @@ class TestIssuing:
         # the third decision must service the write FIFO.
         sbu[2].cpu_push()
         sbu[2].cpu_push()
-        events = []
         while msu.next_decision < IDLE:
-            events.extend(msu.tick(msu.next_decision))
+            msu.tick(msu.next_decision)
         writes = [
             p for p in device.trace
             if isinstance(p, ColPacket) and p.command.value == "WR"
         ]
         assert len(writes) == 1
-        # Only the two read packets produced arrival events.
-        assert len(events) == 2
+        # Only the two read packets put data in flight.
+        assert msu.packets_issued == 3
+        assert sorted(index for _, _, index, _ in msu.arrivals) == [0, 1]
+
+    def test_arrivals_land_at_their_cycle(self):
+        device, sbu, msu = make_msu(depth=2)
+        while msu.next_decision < IDLE:
+            msu.tick(msu.next_decision)
+        first = msu.arrivals[0][0]
+        msu.tick(first - 1)
+        assert sbu[0].occupancy == 0
+        msu.tick(first)
+        assert sbu[0].occupancy == 2
+        assert [index for _, _, index, _ in msu.arrivals] == [1]
 
     def test_idle_when_nothing_serviceable(self):
         device, sbu, msu = make_msu(depth=2)
@@ -85,6 +99,29 @@ class TestIssuing:
         msu.tick(msu.next_decision - 1)
         assert msu.packets_issued == issued
 
+    def test_refresh_rearms_idle_msu_in_its_cycle(self):
+        device, sbu, msu = make_msu(depth=2)
+        while msu.next_decision < IDLE:
+            msu.tick(msu.next_decision)
+        # Land the data in flight: both read FIFOs full, MSU idle.
+        msu.tick(max(arrival[0] for arrival in msu.arrivals))
+        assert msu.next_decision == IDLE and not msu.arrivals
+        # Popping frees space but wakes nothing: an idle MSU stays
+        # idle until something re-arms it.
+        sbu[0].cpu_pop()
+        sbu[0].cpu_pop()
+        msu.tick(900)
+        assert msu.packets_issued == 2
+        engine = RefreshEngine(
+            device, interval=1000, force_after=0, on_fire=msu.note_refresh
+        )
+        # Refresh engines tick before the MSU in each visited cycle.
+        engine.tick(1000)
+        msu.tick(1000)
+        assert engine.refreshes_issued == 1
+        assert msu.packets_issued == 3
+        assert msu.next_decision > 1000
+
 
 class TestStats:
     def test_fifo_switches_counted(self):
@@ -99,8 +136,7 @@ class TestStats:
         )
         cycle = 0
         while not msu.done and cycle < 20000:
-            for event in msu.tick(cycle):
-                sbu[event.fifo_index].note_arrival(event.elements)
+            msu.tick(cycle)
             for fifo in sbu:
                 while fifo.cpu_can_pop():
                     fifo.cpu_pop()
@@ -117,8 +153,7 @@ class TestStats:
         assert not msu.done
         cycle = 0
         while not msu.done and cycle < 1000:
-            for event in msu.tick(cycle):
-                sbu[event.fifo_index].note_arrival(event.elements)
+            msu.tick(cycle)
             for fifo in sbu:
                 while fifo.cpu_can_pop():
                     fifo.cpu_pop()

@@ -69,7 +69,7 @@ class TestRoundRobin:
 
     def test_pace_allows_command_lookahead(self, timing):
         device, sbu, msu = make_system(RoundRobinPolicy())
-        events = msu.tick(0)
+        msu.tick(0)
         # Next decision lands t_RCD before the issued COL goes out.
         first_col = timing.t_rcd  # ACT at 0, COL at t_RCD
         assert msu.next_decision == max(1, first_col - timing.t_rcd + 0) or (
@@ -118,8 +118,7 @@ class TestSpeculativePrecharge:
         msu = MemorySchedulingUnit(device, sbu, SpeculativePrechargePolicy(lookahead=80))
         cycle = 0
         while msu.speculative_activations == 0 and cycle < 3000:
-            for event in msu.tick(cycle):
-                sbu[event.fifo_index].note_arrival(event.elements)
+            msu.tick(cycle)
             for fifo in sbu:
                 if not fifo.is_read and fifo.cpu_can_push():
                     fifo.cpu_push()

@@ -19,14 +19,19 @@ class TestEngineMechanics:
         assert total <= 32e-3
 
     def test_no_refresh_before_interval(self, device):
-        engine = RefreshEngine(device, interval=100)
-        assert not engine.tick(99)
-        assert engine.refreshes_issued == 0
+        fired = []
+        engine = RefreshEngine(device, interval=100, on_fire=fired.append)
+        engine.tick(99)
+        assert engine.refreshes_issued == engine.deferrals == 0
+        assert fired == []
+        assert device.trace == []
 
     def test_refresh_issues_act_prer_pair(self, device):
-        engine = RefreshEngine(device, interval=50)
-        assert engine.tick(50)
+        fired = []
+        engine = RefreshEngine(device, interval=50, on_fire=fired.append)
+        engine.tick(50)
         assert engine.refreshes_issued == 1
+        assert fired == [engine.last_refresh]
         assert not device.bank(0).is_open
         audit_trace(device.trace)
 
@@ -43,18 +48,29 @@ class TestEngineMechanics:
 
     def test_busy_bank_defers(self, device):
         device.issue_act(0, 3, 0)
-        engine = RefreshEngine(device, interval=10, force_after=2)
-        assert not engine.tick(10)
+        fired = []
+        engine = RefreshEngine(
+            device, interval=10, force_after=2, on_fire=fired.append
+        )
+        engine.tick(10)
         assert engine.deferrals == 1
+        assert engine.refreshes_issued == 0
+        assert fired == []
         assert engine.next_action_cycle > 10
 
     def test_deadline_forces_precharge(self, device):
         device.issue_act(0, 3, 0)
-        engine = RefreshEngine(device, interval=10, force_after=1)
-        assert not engine.tick(10)   # first deferral
-        assert engine.tick(engine.next_action_cycle + 30)
+        fired = []
+        engine = RefreshEngine(
+            device, interval=10, force_after=1, on_fire=fired.append
+        )
+        engine.tick(10)   # first deferral
+        assert (engine.deferrals, engine.refreshes_issued) == (1, 0)
+        engine.tick(engine.next_action_cycle + 30)
+        assert engine.deferrals == 1
         assert engine.forced_precharges == 1
         assert engine.refreshes_issued == 1
+        assert fired == [engine.last_refresh]
         audit_trace(device.trace)
 
     def test_due_page_manager_close_counts_before_deferring(self, device):
@@ -63,7 +79,8 @@ class TestEngineMechanics:
         # The COL packet ends at cycle 15, so the timeout closed bank 0
         # at 65, long before the refresh comes due.
         engine = RefreshEngine(device, interval=1000)
-        assert engine.tick(1000)
+        engine.tick(1000)
+        assert engine.refreshes_issued == 1
         assert engine.deferrals == engine.forced_precharges == 0
         assert RowPacket(RowCommand.PRER, 0, None, 65, True) in device.trace
         audit_trace(device.trace)

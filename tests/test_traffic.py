@@ -691,17 +691,26 @@ class TestTelemetryWindow:
     def test_window_sampling_is_bit_neutral(self):
         plain = run_traffic(workload=SMALL, channels=2)
         sampled = run_traffic(
-            workload=SMALL, channels=2, telemetry_window=64
+            workload=SMALL, channels=2, registry=MetricsRegistry(),
+            telemetry_window=64,
         )
         assert plain.p50_latency == sampled.p50_latency
         assert plain.cycles == sampled.cycles
         assert plain.bank_bytes == sampled.bank_bytes
 
+    def test_window_needs_a_registry(self):
+        # Without a registry the series were computed, then dropped.
+        with pytest.raises(
+            ConfigurationError, match="telemetry_window.*registry"
+        ):
+            run_traffic(workload=SMALL, telemetry_window=64)
+
 
 class TestResultRoundTrip:
     def test_to_dict_from_dict(self):
         result = run_traffic(
-            workload=SMALL, channels=2, telemetry_window=128, refresh=True
+            workload=SMALL, channels=2, registry=MetricsRegistry(),
+            telemetry_window=128, refresh=True,
         )
         clone = TrafficResult.from_dict(
             json.loads(json.dumps(result.to_dict()))
