@@ -33,6 +33,10 @@ from repro.rdram.packets import BusDirection
 from repro.sim.kernel import ResultBuilder
 from repro.sim.results import SimulationResult
 
+# Read per line: a global costs less than a lookup on the enum class.
+_READ = BusDirection.READ
+_WRITE = BusDirection.WRITE
+
 
 class CachedNaturalOrderController(NaturalOrderController):
     """Natural-order controller behind a write-allocate data cache.
@@ -175,14 +179,17 @@ class CachedNaturalOrderController(NaturalOrderController):
             clock.value = max(clock.value, first_cmd)
             builder.note_data_end(data_end)
             outstanding.append(data_end)
-            if direction is BusDirection.READ:
+            if direction is _READ:
                 builder.note_first_data(first_arrival)
             return first_arrival
 
+        streams = [
+            (descriptor, descriptor.direction is Direction.WRITE)
+            for descriptor in descriptors
+        ]
         for index in range(length):
-            for descriptor in descriptors:
+            for descriptor, is_write in streams:
                 address = descriptor.element_address(index)
-                is_write = descriptor.direction is Direction.WRITE
                 outcome = cache.access(address, is_write)
                 if outcome.hit:
                     continue
@@ -202,21 +209,19 @@ class CachedNaturalOrderController(NaturalOrderController):
                     start_at = max(start_at, dependence)
                 start_at = prepare(start_at)
                 yield start_at
-                arrival = issue(outcome.fill_line, BusDirection.READ, start_at)
+                arrival = issue(outcome.fill_line, _READ, start_at)
                 if not is_write:
                     line_first_data[descriptor.name] = arrival
                 if outcome.writeback_line is not None:
                     start_at = prepare(clock.value)
                     yield start_at
-                    issue(
-                        outcome.writeback_line, BusDirection.WRITE, start_at
-                    )
+                    issue(outcome.writeback_line, _WRITE, start_at)
 
         if flush_at_end:
             for line_address in cache.flush_dirty_lines():
                 start_at = prepare(clock.value)
                 yield start_at
-                issue(line_address, BusDirection.WRITE, start_at)
+                issue(line_address, _WRITE, start_at)
 
 
 class _ProgramClock:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_int
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,10 @@ class CacheConfig:
         associativity: Ways per set (1 = direct-mapped).
         line_bytes: Line size; must match the memory system's
             cacheline for the traffic model to line up.
+
+    Raises:
+        ConfigurationError: If a field is not a positive int (naming
+            the field), or the size is not a whole number of sets.
     """
 
     size_bytes: int = 16 * 1024
@@ -37,8 +41,12 @@ class CacheConfig:
     line_bytes: int = 32
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.associativity <= 0 or self.line_bytes <= 0:
-            raise ConfigurationError("cache fields must be positive")
+        for name in ("size_bytes", "associativity", "line_bytes"):
+            value = require_int(name, getattr(self, name))
+            if value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {value}"
+                )
         if self.size_bytes % (self.associativity * self.line_bytes):
             raise ConfigurationError(
                 "cache size must be a whole number of sets: "
@@ -70,6 +78,10 @@ class AccessOutcome:
     writeback_line: Optional[int] = None
 
 
+#: The outcome of every hit; frozen, so one instance serves them all.
+_HIT = AccessOutcome(hit=True)
+
+
 class CacheModel:
     """LRU, write-allocate, writeback cache.
 
@@ -79,45 +91,47 @@ class CacheModel:
 
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config or CacheConfig()
+        # The geometry every access reads, fixed for the model's life.
+        self._num_sets = self.config.num_sets
+        self._ways = self.config.associativity
+        self._line_bytes = self.config.line_bytes
         # Per set: line address -> dirty flag; dict order is LRU order
         # (oldest first), maintained by re-insertion on touch.
         self._sets: List[Dict[int, bool]] = [
-            {} for __ in range(self.config.num_sets)
+            {} for __ in range(self._num_sets)
         ]
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
-    def _set_for(self, line: int) -> Dict[int, bool]:
-        return self._sets[line % self.config.num_sets]
-
     def access(self, address: int, is_write: bool) -> AccessOutcome:
         """Perform one byte-granularity access.
+
+        Every hit returns the same frozen ``AccessOutcome(hit=True)``,
+        so a hit allocates nothing.
 
         Returns:
             The fill/writeback traffic the access generates.
         """
-        line = address // self.config.line_bytes
-        lines = self._set_for(line)
+        line = address // self._line_bytes
+        lines = self._sets[line % self._num_sets]
         if line in lines:
-            dirty = lines.pop(line) or is_write
-            lines[line] = dirty  # move to MRU position
+            lines[line] = lines.pop(line) or is_write  # move to MRU
             self.hits += 1
-            return AccessOutcome(hit=True)
+            return _HIT
         self.misses += 1
         evicted_line = None
         writeback_line = None
-        if len(lines) >= self.config.associativity:
-            victim, victim_dirty = next(iter(lines.items()))
-            del lines[victim]
-            evicted_line = victim * self.config.line_bytes
-            if victim_dirty:
+        if len(lines) >= self._ways:
+            victim = next(iter(lines))
+            evicted_line = victim * self._line_bytes
+            if lines.pop(victim):
                 self.writebacks += 1
                 writeback_line = evicted_line
         lines[line] = is_write
         return AccessOutcome(
             hit=False,
-            fill_line=line * self.config.line_bytes,
+            fill_line=line * self._line_bytes,
             evicted_line=evicted_line,
             writeback_line=writeback_line,
         )
@@ -132,7 +146,7 @@ class CacheModel:
         for lines in self._sets:
             for line, dirty in list(lines.items()):
                 if dirty:
-                    flushed.append(line * self.config.line_bytes)
+                    flushed.append(line * self._line_bytes)
                     lines[line] = False
         self.writebacks += len(flushed)
         return flushed

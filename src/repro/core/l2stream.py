@@ -23,8 +23,9 @@ and effective bandwidth falls below the FIFO-based SMC's.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError, require_int
 from repro.cache.model import CacheConfig, CacheModel
@@ -39,6 +40,10 @@ from repro.sim.results import SimulationResult
 
 #: Concurrent line fetches in flight, matching the device pipeline.
 MAX_OUTSTANDING_LINES = 4
+
+# Read per line: a global costs less than a lookup on the enum class.
+_READ = BusDirection.READ
+_WRITE = BusDirection.WRITE
 
 
 @dataclass
@@ -170,7 +175,7 @@ class L2StreamingController(LineController):
 
         # Stream out the remaining dirty lines.
         for line_address in self.l2.flush_dirty_lines():
-            run_state.issue(line_address, BusDirection.WRITE, final_cycle)
+            run_state.issue(line_address, _WRITE, final_cycle)
             self.writebacks_streamed += 1
 
         useful = len(descriptors) * length * ELEMENT_BYTES
@@ -200,29 +205,6 @@ class L2StreamingController(LineController):
             refreshes=self.refreshes_issued,
         )
 
-    # ------------------------------------------------------------------
-
-    def _pick_prefetch(
-        self,
-        streams: List[_StreamState],
-        position: int,
-        schedule: List[Tuple[int, int]],
-    ) -> Optional[Tuple[_StreamState, int]]:
-        """Next read-stream line within the prefetch window."""
-        # The CPU's current iteration bounds how far ahead each
-        # stream's consumption pointer sits.
-        iteration = position // len(streams) if streams else 0
-        for stream in streams:
-            if stream.direction is not Direction.READ:
-                continue
-            if stream.prefetch_cursor >= len(stream.lines):
-                continue
-            element = min(iteration, len(stream.element_line_index) - 1)
-            consumed_lines = stream.element_line_index[element] + 1
-            if stream.prefetch_cursor < consumed_lines + self.prefetch_window:
-                return stream, stream.lines[stream.prefetch_cursor]
-        return None
-
 
 class _L2Run:
     """One L2-streaming run as a simulation-kernel component.
@@ -234,6 +216,9 @@ class _L2Run:
     the cycle after one with immediate work still queued (another
     writeback or an eligible prefetch), and the CPU's next attempt —
     which, when the CPU is blocked, is the arrival it waits on.
+    The lines in flight are scanned only once the earliest is due, and
+    the prefetch pick is kept until the CPU's iteration or a stream's
+    prefetch cursor moves.
     """
 
     def __init__(
@@ -243,16 +228,26 @@ class _L2Run:
         length: int,
     ) -> None:
         self.controller = controller
+        assert controller.l2 is not None
+        self.l2 = controller.l2
         self.streams = streams
-        self.schedule: List[Tuple[int, int]] = [
-            (stream_index, i)
-            for i in range(length)
-            for stream_index in range(len(streams))
+        self.read_streams = [
+            stream for stream in streams
+            if stream.direction is Direction.READ
         ]
+        self.is_write = [
+            stream.direction is Direction.WRITE for stream in streams
+        ]
+        self.length = length
+        self.stream_count = len(streams)
+        self.accesses = length * self.stream_count
         self.inflight: Dict[int, int] = {}  # line address -> arrival cycle
+        self.next_arrival: Optional[int] = None  # min of inflight's cycles
         self.present: Set[int] = set()      # lines resident in L2
-        self.pending_writebacks: List[int] = []
-        self.position = 0
+        self.pending_writebacks: Deque[int] = deque()
+        self.position = 0     # accesses retired, in natural order
+        self.iteration = 0    # position // stream_count
+        self.stream_index = 0  # position % stream_count
         self.next_cpu_attempt = 0
         self.last_data_end = 0
         self.first_retire: Optional[int] = None
@@ -264,12 +259,14 @@ class _L2Run:
         self._blocked_since: Optional[int] = None
         self._blocked_on_arrival = False
         self._last_cycle = -1
+        self._pick: Optional[_StreamState] = None
+        self._pick_stale = True
 
     @property
     def done(self) -> bool:
         """All accesses retired and no line traffic left in flight."""
         return (
-            self.position >= len(self.schedule)
+            self.position >= self.accesses
             and not self.inflight
             and not self.pending_writebacks
         )
@@ -284,75 +281,87 @@ class _L2Run:
         self.page_hits += hits
         self.page_misses += misses
         self.transactions += 1
-        self.last_data_end = max(self.last_data_end, data_end)
+        if data_end > self.last_data_end:
+            self.last_data_end = data_end
         return data_end
+
+    def _fetch(self, line_address: int, cycle: int) -> None:
+        """Put one line in flight toward the L2."""
+        arrival = self.issue(line_address, _READ, cycle)
+        self.inflight[line_address] = arrival
+        if self.next_arrival is None or arrival < self.next_arrival:
+            self.next_arrival = arrival
 
     def _insert_into_l2(self, line_address: int, dirty: bool) -> None:
         """Line lands in the L2; the victim may stream out."""
-        l2 = self.controller.l2
-        assert l2 is not None
-        outcome = l2.access(line_address, is_write=dirty)
+        outcome = self.l2.access(line_address, dirty)
         self.present.add(line_address)
         if outcome.evicted_line is not None:
             self.present.discard(outcome.evicted_line)
         if outcome.writeback_line is not None:
             self.pending_writebacks.append(outcome.writeback_line)
 
+    def _prefetch_stream(self) -> Optional[_StreamState]:
+        """First read stream with its next line within the window."""
+        if self._pick_stale:
+            self._pick_stale = False
+            self._pick = None
+            # The CPU's current iteration bounds how far ahead each
+            # stream's consumption pointer sits.
+            element = min(self.iteration, self.length - 1)
+            window = self.controller.prefetch_window
+            for stream in self.read_streams:
+                cursor = stream.prefetch_cursor
+                if cursor < len(stream.lines) and cursor < (
+                    stream.element_line_index[element] + 1 + window
+                ):
+                    self._pick = stream
+                    break
+        return self._pick
+
     def tick(self, cycle: int) -> None:
-        controller = self.controller
         self._last_cycle = cycle
-        # Land arrivals.
-        for line_address, arrival in list(self.inflight.items()):
-            if arrival <= cycle:
-                del self.inflight[line_address]
-                self._insert_into_l2(line_address, dirty=False)
+        # Land arrivals, in issue order.
+        if self.next_arrival is not None and self.next_arrival <= cycle:
+            inflight = self.inflight
+            for line_address, arrival in list(inflight.items()):
+                if arrival <= cycle:
+                    del inflight[line_address]
+                    self._insert_into_l2(line_address, False)
+            self.next_arrival = min(inflight.values()) if inflight else None
         # Drain one pending writeback per cycle slot.
         if self.pending_writebacks:
-            line_address = self.pending_writebacks.pop(0)
-            self.issue(line_address, BusDirection.WRITE, cycle)
-            controller.writebacks_streamed += 1
+            self.issue(self.pending_writebacks.popleft(), _WRITE, cycle)
+            self.controller.writebacks_streamed += 1
         # Prefetch round-robin: one line issue per cycle at most.
         if len(self.inflight) < MAX_OUTSTANDING_LINES:
-            target = controller._pick_prefetch(
-                self.streams, self.position, self.schedule
-            )
-            if target is not None:
-                stream, line_address = target
+            stream = self._prefetch_stream()
+            if stream is not None:
+                line_address = stream.lines[stream.prefetch_cursor]
                 stream.prefetch_cursor += 1
+                self._pick_stale = True
+                # A line already here (a shared vector) is free.
                 if (
-                    line_address in self.present
-                    or line_address in self.inflight
+                    line_address not in self.present
+                    and line_address not in self.inflight
                 ):
-                    pass  # already here (shared vector) — free
-                else:
-                    arrival = self.issue(
-                        line_address, BusDirection.READ, cycle
-                    )
-                    self.inflight[line_address] = arrival
+                    self._fetch(line_address, cycle)
         # CPU consumes in natural order.
-        if (
-            self.position < len(self.schedule)
-            and cycle >= self.next_cpu_attempt
-        ):
-            stream_index, element = self.schedule[self.position]
-            stream = self.streams[stream_index]
-            line_address = stream.element_lines[element]
-            if stream.direction is Direction.WRITE:
+        if self.position < self.accesses and cycle >= self.next_cpu_attempt:
+            index = self.stream_index
+            line_address = self.streams[index].element_lines[self.iteration]
+            if self.is_write[index]:
                 # Write-validate into the L2; no fetch needed.
-                self._insert_into_l2(line_address, dirty=True)
+                self._insert_into_l2(line_address, True)
                 ready = True
             elif line_address in self.present:
-                l2 = controller.l2
-                assert l2 is not None
-                l2.access(line_address, is_write=False)
+                self.l2.access(line_address, False)
                 ready = True
             elif line_address not in self.inflight:
                 # Prematurely evicted (or never prefetched):
                 # demand refetch — the cost the paper predicts.
-                controller.refetches += 1
-                self.inflight[line_address] = self.issue(
-                    line_address, BusDirection.READ, cycle
-                )
+                self.controller.refetches += 1
+                self._fetch(line_address, cycle)
                 ready = False
             else:
                 ready = False
@@ -364,6 +373,12 @@ class _L2Run:
                     self.first_retire = cycle
                 self.last_retire = cycle
                 self.position += 1
+                if index + 1 < self.stream_count:
+                    self.stream_index = index + 1
+                else:
+                    self.stream_index = 0
+                    self.iteration += 1
+                    self._pick_stale = True
                 self.next_cpu_attempt = cycle + MATCHED_ACCESS_INTERVAL
             elif self._blocked_since is None:
                 self._blocked_since = cycle
@@ -377,26 +392,19 @@ class _L2Run:
         flight, its re-attempt is covered by that line's arrival
         cycle; a queued writeback or an eligible prefetch makes the
         very next cycle interesting because each is throttled to one
-        per cycle.
+        per cycle.  That cycle is the earliest candidate: a tick lands
+        every arrival due by its cycle, and a CPU that is not blocked
+        next attempts after it.
         """
-        candidates: List[int] = []
-        if self.inflight:
-            candidates.append(min(self.inflight.values()))
-        if self.pending_writebacks:
-            candidates.append(self._last_cycle + 1)
-        elif len(self.inflight) < MAX_OUTSTANDING_LINES:
-            if (
-                self.controller._pick_prefetch(
-                    self.streams, self.position, self.schedule
-                )
-                is not None
-            ):
-                candidates.append(self._last_cycle + 1)
-        if (
-            self.position < len(self.schedule)
-            and not self._blocked_on_arrival
+        if self.pending_writebacks or (
+            len(self.inflight) < MAX_OUTSTANDING_LINES
+            and self._prefetch_stream() is not None
         ):
-            candidates.append(self.next_cpu_attempt)
-        if not candidates:
-            return None
-        return min(candidates)
+            return self._last_cycle + 1
+        if self.position < self.accesses and not self._blocked_on_arrival:
+            if (
+                self.next_arrival is None
+                or self.next_cpu_attempt < self.next_arrival
+            ):
+                return self.next_cpu_attempt
+        return self.next_arrival

@@ -27,6 +27,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rdram.device import RdramDevice
 from repro.rdram.packets import BusDirection
 
+# Read per access: a global costs less than a lookup on the enum class.
+_READ = BusDirection.READ
+_WRITE = BusDirection.WRITE
+
 #: Sentinel decision time for an idle MSU awaiting a FIFO state change.
 IDLE = 1 << 60
 
@@ -189,7 +193,7 @@ class MemorySchedulingUnit:
         fifo = self.sbu[choice]
         unit = fifo.next_unit()
         bank, row, column, elements, precharge = unit
-        direction = BusDirection.READ if fifo.is_read else BusDirection.WRITE
+        direction = _READ if fifo.is_read else _WRITE
         # The open/conflict/precharge decision lives in the device's
         # access path (issue_access), shared with every controller.
         _, col_start, _, data_end, conflicts, page_hit = (

@@ -28,6 +28,10 @@ from repro.rdram.packets import BusDirection
 from repro.sim.kernel import ResultBuilder, TransactionPump
 from repro.sim.results import SimulationResult
 
+# Read per line: a global costs less than a lookup on the enum class.
+_READ = BusDirection.READ
+_WRITE = BusDirection.WRITE
+
 
 class RandomAccessDriver(LineController):
     """Issues independent random cacheline transactions.
@@ -136,11 +140,7 @@ class RandomAccessDriver(LineController):
 
         for __ in range(num_transactions):
             line = rng.randrange(total_lines)
-            direction = (
-                BusDirection.WRITE
-                if rng.random() < write_fraction
-                else BusDirection.READ
-            )
+            direction = _WRITE if rng.random() < write_fraction else _READ
             start_at = 0
             if len(outstanding) >= self.queue_depth:
                 start_at = outstanding.popleft()

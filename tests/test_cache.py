@@ -27,8 +27,30 @@ class TestCacheConfig:
         with pytest.raises(ConfigurationError):
             CacheConfig(size_bytes=1000, line_bytes=32)
 
+    @pytest.mark.parametrize("field", ["size_bytes", "associativity", "line_bytes"])
+    @pytest.mark.parametrize("value", [16384.0, True, "16384", None])
+    def test_fields_must_be_ints(self, field, value):
+        """A float, bool or string is rejected by name, not run or crashed on."""
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            CacheConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["size_bytes", "associativity", "line_bytes"])
+    def test_fields_must_be_positive(self, field):
+        with pytest.raises(ConfigurationError, match=f"{field} must be positive"):
+            CacheConfig(**{field: -32})
+
 
 class TestCacheModel:
+    def test_every_hit_returns_the_same_outcome(self):
+        cache = CacheModel()
+        cache.access(0, is_write=False)
+        first = cache.access(8, is_write=False)
+        second = cache.access(16, is_write=True)
+        assert first.hit and first is second
+        assert (first.fill_line, first.evicted_line, first.writeback_line) == (
+            None, None, None,
+        )
+
     def test_miss_then_hit(self):
         cache = CacheModel()
         first = cache.access(0, is_write=False)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analytic.smc import smc_bound
 from repro.cache.controller import CachedNaturalOrderController
+from repro.cache.model import CacheConfig
 from repro.core.l2stream import L2StreamingController
 from repro.core.smc import build_smc_system
 from repro.cpu.kernels import KERNELS
@@ -222,15 +223,24 @@ class TestKernelSkipEquivalence:
         stride=st.sampled_from([1, 2, 4]),
         window=st.sampled_from([2, 8]),
         refresh=st.booleans(),
+        l2_config=st.sampled_from([
+            None,  # the controller's default 64 KiB 2-way L2
+            CacheConfig(2048, 1, 32),
+            CacheConfig(4096, 2, 32),
+        ]),
     )
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_l2_streaming_skip_is_exact(
-        self, kernel, org, alignment, length, stride, window, refresh
+        self, kernel, org, alignment, length, stride, window, refresh,
+        l2_config,
     ):
+        """Small L2s reach the demand-refetch and writeback branches."""
+
         def run(dense):
             controller = L2StreamingController(
-                config_for(org), prefetch_window=window, refresh=refresh
+                config_for(org), l2_config=l2_config,
+                prefetch_window=window, refresh=refresh,
             )
             return controller.run(
                 KERNELS[kernel],
