@@ -19,7 +19,7 @@ RDRAM's bandwidth (Section 6, Figure 9).
 from __future__ import annotations
 
 from itertools import groupby
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -235,15 +235,14 @@ class StreamFifo:
         self._cursor = 0
         self.elements_consumed = 0
         self.elements_produced = 0
-        #: Optional instrumentation; samples an occupancy gauge (at
-        #: ``obs.now``, maintained by the engine) on every transition.
-        self.obs: Optional[Instrumentation] = None
 
-    def _sample_occupancy(self) -> None:
-        self.obs.counters.sample_gauge(
-            f"fifo.{self.descriptor.name}.occupancy",
-            self.obs.now,
-            self.occupancy,
+    def sample_occupancy(self, obs: Instrumentation, cycle: int) -> None:
+        """Record the occupancy gauge at ``cycle``, the cycle of the
+        tick whose transition changed it: the MSU samples after each
+        arrival and write issue, the processor after each pop and
+        push."""
+        obs.counters.sample_gauge(
+            f"fifo.{self.descriptor.name}.occupancy", cycle, self.occupancy
         )
 
     # ------------------------------------------------------------------
@@ -320,8 +319,6 @@ class StreamFifo:
             self.inflight += elements
         else:
             self.occupancy -= elements
-            if self.obs is not None:
-                self._sample_occupancy()
         return unit
 
     def note_arrival(self, elements: int) -> None:
@@ -342,8 +339,6 @@ class StreamFifo:
                 f"stream {self.descriptor.name}: FIFO overflow "
                 f"({self.occupancy}/{self.depth})"
             )
-        if self.obs is not None:
-            self._sample_occupancy()
 
     # ------------------------------------------------------------------
     # processor side
@@ -360,8 +355,6 @@ class StreamFifo:
             )
         self.occupancy -= 1
         self.elements_consumed += 1
-        if self.obs is not None:
-            self._sample_occupancy()
 
     def cpu_can_push(self) -> bool:
         """True if a processor store could enqueue an element."""
@@ -375,5 +368,3 @@ class StreamFifo:
             )
         self.occupancy += 1
         self.elements_produced += 1
-        if self.obs is not None:
-            self._sample_occupancy()

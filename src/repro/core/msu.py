@@ -73,7 +73,8 @@ class MemorySchedulingUnit:
         #: elements), a heap.  The issue order breaks ties in cycle.
         self.arrivals: List[Tuple[int, int, int, int]] = []
         #: Optional instrumentation; records access spans, idle spans
-        #: (with their cause), and scheduling counters.
+        #: (with their cause), scheduling counters, and the occupancy
+        #: of a FIFO its arrivals and write issues change.
         self.obs: Optional[Instrumentation] = None
         self._rearm = False
         self._idle_since: Optional[int] = None
@@ -127,11 +128,12 @@ class MemorySchedulingUnit:
         return "fifo"
 
     def attach_obs(self, obs: Instrumentation) -> None:
-        """Point the MSU, its device and its FIFOs at ``obs``."""
+        """Point the MSU and its device (its ``obs`` and its DATA-bus
+        gap log) at ``obs``.  The MSU samples its FIFOs' occupancy
+        gauges itself."""
         self.device.obs = obs
         self.device.gap_log = obs.gaps
         self.obs = obs
-        self.sbu.attach_obs(obs)
 
     def finish_observation(self, end_cycle: int) -> None:
         """Close a still-open idle span, and the device's open spans,
@@ -171,7 +173,10 @@ class MemorySchedulingUnit:
             sbu = self.sbu
             while arrivals and arrivals[0][0] <= cycle:
                 _, _, fifo_index, elements = heappop(arrivals)
-                sbu[fifo_index].note_arrival(elements)
+                fifo = sbu[fifo_index]
+                fifo.note_arrival(elements)
+                if self.obs is not None:
+                    fifo.sample_occupancy(self.obs, cycle)
             self._rearm = True
         if self._rearm:
             self._rearm = False
@@ -208,7 +213,10 @@ class MemorySchedulingUnit:
             # A miss issues exactly one ACT.
             self.activations += 1
             self.page_misses += 1
+        fifo.note_issue()
         if self.obs is not None:
+            if not fifo.is_read:
+                fifo.sample_occupancy(self.obs, cycle)
             self.obs.counters.incr("msu.decisions")
             if conflicts:
                 self.obs.counters.incr("msu.bank_conflicts", conflicts)
@@ -222,7 +230,6 @@ class MemorySchedulingUnit:
                 column=column,
                 decided=cycle,
             )
-        fifo.note_issue()
         self.packets_issued += 1
         self.last_data_end = max(self.last_data_end, data_end)
         self.next_decision = max(

@@ -91,34 +91,6 @@ class SchedulingPolicy:
         """Indices in round-robin order starting at ``current``."""
         return range(current, current + count)
 
-    @staticmethod
-    def bank_ready(
-        device: RdramDevice,
-        unit: AccessUnit,
-        cycle: int,
-        slack: int,
-    ) -> bool:
-        """True if issuing ``unit`` now would not wait on its bank.
-
-        A bank is ready when the needed row is already open and a COL
-        packet could start within ``slack`` cycles, or the bank is
-        closed and an ACT could start within ``slack`` cycles.  A bank
-        holding a different open row is never "ready" — it needs a
-        precharge/activate pair first.
-        """
-        bank_index, row, _, _, _ = unit
-        # A runtime page manager may owe this bank a precharge;
-        # materialize it before reading the open-row state.
-        device.sync_bank(bank_index, cycle)
-        bank = device.bank(bank_index)
-        if bank.open_row == row:
-            ready = max(cycle, bank.last_act_start + device.timing.t_rcd)
-        elif not bank.is_open:
-            ready = _act_ready(bank, cycle, device.timing)
-        else:
-            return False
-        return ready <= cycle + slack
-
 
 class RoundRobinPolicy(SchedulingPolicy):
     """The paper's MSU: stay on the current FIFO while it can accept

@@ -13,13 +13,12 @@ the same FIFOs on the memory side.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.errors import StreamError
 from repro.cpu.streams import StreamDescriptor
 from repro.core.fifo import StreamFifo, build_plan
 from repro.memsys.config import MemorySystemConfig
-from repro.obs.core import Instrumentation
 
 
 class StreamBufferUnit:
@@ -67,11 +66,6 @@ class StreamBufferUnit:
     def all_drained(self) -> bool:
         """True once every FIFO has finished its stream completely."""
         return all(fifo.fully_drained for fifo in self.fifos)
-
-    def attach_obs(self, obs: Optional[Instrumentation]) -> None:
-        """Point every FIFO's occupancy-gauge hook at ``obs``."""
-        for fifo in self.fifos:
-            fifo.obs = obs
 
     # ------------------------------------------------------------------
     # StreamPort protocol (processor side)

@@ -19,12 +19,15 @@ The processor is a :class:`~repro.sim.kernel.Simulation` component.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
 from repro.cpu.kernels import Kernel
 from repro.cpu.streams import Direction
 from repro.errors import ConfigurationError, require_int
 from repro.obs.core import Instrumentation
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.fifo import StreamFifo
 
 #: Cycles per element access at which CPU bandwidth equals the memory's
 #: peak bandwidth (8-byte element / 4 bytes-per-cycle).
@@ -45,6 +48,10 @@ class StreamPort(Protocol):
 
     def cpu_push(self, stream_index: int) -> None:
         """Enqueue one element into a write FIFO."""
+
+    def __getitem__(self, stream_index: int) -> "StreamFifo":
+        """The FIFO of a stream; only an instrumented processor reads
+        it, to sample the occupancy gauge after a retire."""
 
 
 class StreamProcessor:
@@ -94,8 +101,9 @@ class StreamProcessor:
         self.stall_cycles = 0
         self.first_element_cycle: Optional[int] = None
         self.last_retire_cycle: Optional[int] = None
-        #: Optional instrumentation; records retire counters and one
-        #: "cpu" span per blocked interval (a FIFO-not-ready stall).
+        #: Optional instrumentation; records retire counters, one
+        #: "cpu" span per blocked interval (a FIFO-not-ready stall),
+        #: and the occupancy of the FIFO each retire changes.
         self.obs: Optional[Instrumentation] = None
 
     @property
@@ -107,9 +115,6 @@ class StreamProcessor:
     def accesses_retired(self) -> int:
         """Element accesses completed so far."""
         return self._position
-
-    def attach_obs(self, obs: Instrumentation) -> None:
-        self.obs = obs
 
     def tick(self, cycle: int) -> None:
         """Attempt to retire the next access at ``cycle``.
@@ -152,6 +157,7 @@ class StreamProcessor:
             port.cpu_push(stream_index)
         if self.obs is not None:
             self.obs.counters.incr("cpu.retires")
+            port[stream_index].sample_occupancy(self.obs, cycle)
         if self.first_element_cycle is None:
             self.first_element_cycle = cycle
         self.last_retire_cycle = cycle

@@ -83,16 +83,12 @@ class NaturalOrderController(LineController):
         start cycle; :meth:`_drive` picks the kernel loop.
         """
         self._drive(
-            TransactionPump(steps, on_attach_obs=self._attach_obs),
+            TransactionPump(steps),
             max_cycles=20_000 + 500 * max(max_steps, 1),
             label=label,
             dense=dense,
             obs=obs,
         )
-
-    def _attach_obs(self, obs: Instrumentation) -> None:
-        self.device.obs = obs
-        self.device.gap_log = obs.gaps
 
     def run(
         self,
@@ -142,6 +138,9 @@ class NaturalOrderController(LineController):
             alignment=alignment.value,
             policy=self.POLICY,
         )
+        if obs is not None:
+            self.device.obs = obs
+            self.device.gap_log = obs.gaps
         self._simulate(
             self._transaction_steps(length, descriptors, builder, obs),
             max_steps=length * len(descriptors),

@@ -112,7 +112,9 @@ class LineController:
 
         One kernel run per controller run: the optional background
         refresh engine plus ``component``, on
-        :class:`~repro.sim.kernel.Simulation`.
+        :class:`~repro.sim.kernel.Simulation`.  The refresh engine
+        records into ``obs`` when one is given; the caller wires its
+        own device.
 
         Returns:
             The final visited cycle.
@@ -126,6 +128,7 @@ class LineController:
         components: List[Component] = []
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
+            refresh_engine.obs = obs
             components.append(refresh_engine)
         components.append(component)
         final_cycle = Simulation(
@@ -134,7 +137,6 @@ class LineController:
             max_cycles=max_cycles,
             label=label,
             dense=dense,
-            obs=obs,
         ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued

@@ -8,8 +8,9 @@ hook site and allocate nothing.  To instrument a run, construct an
 :class:`Instrumentation` and pass it to
 :func:`repro.sim.engine.run_smc` (or
 :func:`repro.sim.runner.simulate`, or
-:class:`repro.naturalorder.controller.NaturalOrderController`); the
-engine wires it to every component for you.
+:class:`repro.naturalorder.controller.NaturalOrderController`); that
+entry point wires it to the components of its run and closes their
+observations when the run ends.
 
 Three kinds of data are collected:
 
@@ -226,9 +227,6 @@ class Instrumentation:
         gaps: DATA-bus idle records, in bus order.
         meta: Run metadata filled in by the engine (kernel,
             organization, cycles, last_data_end, t_pack, t_rw, ...).
-        now: Current simulation cycle, maintained by the engine so
-            hooks without a cycle argument (FIFO push/pop) can
-            timestamp their samples.
         metrics: Time-series registry (:mod:`repro.obs.metrics`) that
             telemetry samples and windowed series land in.
         telemetry_window: Sampling period in cycles; when set, the
@@ -248,7 +246,6 @@ class Instrumentation:
         self.tracer = EventTracer()
         self.gaps: List[DataBusGap] = []
         self.meta: Dict[str, object] = {}
-        self.now: int = 0
         self.metrics = MetricsRegistry()
         self.telemetry_window = telemetry_window
 

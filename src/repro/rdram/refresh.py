@@ -99,9 +99,6 @@ class RefreshEngine:
         """Cycle at which the engine next wants to act."""
         return self._next_due
 
-    def attach_obs(self, obs: Instrumentation) -> None:
-        self.obs = obs
-
     def tick(self, cycle: int) -> None:
         """Perform at most one refresh action at ``cycle``.
 

@@ -11,8 +11,9 @@ MSU keeps it in its own heap and reports the earliest arrival as one
 of its next action cycles.  Between interesting cycles the kernel
 skips ahead; a blocked component is re-woken by the state changes
 that can unblock it (a refresh or a landing re-arms an idle MSU in the
-same cycle, a retire for the next one).  An instrumented run with a
-``telemetry_window`` also gets a
+same cycle, a retire for the next one).  An instrumented run points
+the refresh engines, the MSU and the processor at its ``obs``; with a
+``telemetry_window`` it also gets a
 :class:`~repro.obs.telemetry.TelemetryProbe`, wired last, that samples
 the MSU.
 
@@ -57,10 +58,11 @@ def run_smc(
             interesting one.  Slower but trivially correct; the
             property tests assert both modes produce identical
             results, validating the skip logic.
-        obs: Optional instrumentation to attach to every component for
-            this run.  Events are recorded only at state-change cycles,
-            which both the dense and skip engines visit, so the two
-            modes produce identical event streams.
+        obs: Optional instrumentation for the refresh engines, the
+            MSU (and its device) and the processor.  Each records only
+            at state-change cycles, with the cycle of its tick, and
+            both the dense and skip engines visit those cycles, so the
+            two modes produce identical event streams.
 
     Returns:
         The simulation result.
@@ -76,17 +78,22 @@ def run_smc(
         max_cycles = 10_000 + 100 * total_units
 
     components: List[Component] = [*system.refresh, msu, processor]
-    if obs is not None and obs.telemetry_window:
-        # The probe is passive (it cannot mask a deadlock) and only
-        # forces window-boundary visits, which the dense/skip
-        # equivalence contract proves cannot change results.
-        components.append(
-            TelemetryProbe(
+    probe: Optional[TelemetryProbe] = None
+    if obs is not None:
+        for engine in system.refresh:
+            engine.obs = obs
+        msu.attach_obs(obs)
+        processor.obs = obs
+        if obs.telemetry_window:
+            # The probe is passive (it cannot mask a deadlock) and only
+            # forces window-boundary visits, which the dense/skip
+            # equivalence contract proves cannot change results.
+            probe = TelemetryProbe(
                 obs.telemetry_window, obs.metrics, (msu.sample_telemetry,)
             )
-        )
+            components.append(probe)
 
-    simulation = Simulation(
+    Simulation(
         components,
         done=lambda: processor.done and sbu.all_drained and not msu.arrivals,
         label=(
@@ -95,13 +102,13 @@ def run_smc(
         ),
         max_cycles=max_cycles,
         dense=dense,
-        obs=obs,
-    )
-    simulation.run()
+    ).run()
 
     end_cycle = max(msu.last_data_end, (processor.last_retire_cycle or 0))
     if obs is not None:
-        simulation.finish(end_cycle)
+        msu.finish_observation(end_cycle)
+        if probe is not None:
+            probe.finish_observation(end_cycle)
         _record_meta(system, obs, end_cycle)
         finalize_telemetry(obs)
     if audit:

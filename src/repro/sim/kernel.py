@@ -18,15 +18,15 @@ the kernel owns the mechanics they all share:
   results, validating each controller's skip contract,
 * **watchdog and deadlock detection**: a run that stops making
   progress raises :class:`~repro.errors.SchedulingError` instead of
-  spinning,
-* **observability attachment**: instrumentation is pointed at every
-  component that accepts it and ``obs.now`` is maintained at each
-  visited cycle, so stall attribution works the same way for every
-  controller.
+  spinning.
 
 Controllers contribute only their wiring (components and a
 termination predicate) plus result assembly, for which
-:class:`ResultBuilder` provides the uniform counter set.
+:class:`ResultBuilder` provides the uniform counter set.  The kernel
+knows nothing of instrumentation: an instrumented run points its own
+components at its :class:`~repro.obs.core.Instrumentation` before the
+loop and closes their observations after it, and every component
+timestamps what it records with the cycle of the tick it is in.
 """
 
 from __future__ import annotations
@@ -42,11 +42,9 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    runtime_checkable,
 )
 
 from repro.errors import ConfigurationError, SchedulingError, require_int
-from repro.obs.core import Instrumentation
 from repro.sim.results import SimulationResult
 
 
@@ -78,24 +76,6 @@ class Component(Protocol):
         ...
 
 
-@runtime_checkable
-class ObservableComponent(Protocol):
-    """Optional instrumentation hooks a component may implement."""
-
-    def attach_obs(self, obs: Instrumentation) -> None:
-        """Point the component's ``obs`` attribute at ``obs``."""
-        ...
-
-
-@runtime_checkable
-class FinishingComponent(Protocol):
-    """Optional end-of-run hook a component may implement."""
-
-    def finish_observation(self, end_cycle: int) -> None:
-        """Close any open spans when the simulation ends."""
-        ...
-
-
 class Simulation:
     """One discrete-event run over a set of wired components.
 
@@ -103,9 +83,7 @@ class Simulation:
     checks the termination predicate, and advances the clock —
     skipping to the next interesting cycle unless ``dense``.  The
     clock is strictly monotonic: a visited cycle is never revisited.
-    The watchdog and deadlock detector guard every run;
-    instrumentation, when given, is attached to every component that
-    accepts it and ``obs.now`` tracks the visited cycle.
+    The watchdog and deadlock detector guard every run.
 
     Args:
         components: Ticked in order at every visited cycle.
@@ -114,7 +92,6 @@ class Simulation:
         max_cycles: Watchdog limit on the cycle counter.
         label: Identifies the run in watchdog/deadlock errors.
         dense: Visit every cycle instead of skipping.
-        obs: Optional instrumentation to attach for this run.
 
     Raises:
         ConfigurationError: If ``max_cycles`` is not an int of at
@@ -129,7 +106,6 @@ class Simulation:
         max_cycles: int,
         label: str = "simulation",
         dense: bool = False,
-        obs: Optional[Instrumentation] = None,
     ) -> None:
         if require_int("max_cycles", max_cycles) < 0:
             raise ConfigurationError(
@@ -139,7 +115,6 @@ class Simulation:
         self.max_cycles = max_cycles
         self.label = label
         self.dense = dense
-        self.obs = obs
         self._done = done
         # Per-cycle hot path: precompute which components count as
         # forward progress so the loop avoids getattr each visit.
@@ -147,10 +122,6 @@ class Simulation:
             (component, bool(getattr(component, "breaks_deadlock", True)))
             for component in self.components
         ]
-        if obs is not None:
-            for component in self.components:
-                if isinstance(component, ObservableComponent):
-                    component.attach_obs(obs)
 
     def run(self) -> int:
         """Drive the loop to completion.
@@ -166,13 +137,10 @@ class Simulation:
         components = self.components
         pairs = self._progress_pairs
         done = self._done
-        obs = self.obs
         dense = self.dense
         max_cycles = self.max_cycles
         cycle = 0
         while True:
-            if obs is not None:
-                obs.now = cycle
             for component in components:
                 component.tick(cycle)
             if done():
@@ -210,18 +178,6 @@ class Simulation:
                     f"({self.label})"
                 )
 
-    def finish(self, end_cycle: int) -> None:
-        """Close open observation spans on every component.
-
-        No-op for uninstrumented runs; callers invoke it with the
-        run's logical end cycle once that is known.
-        """
-        if self.obs is None:
-            return
-        for component in self.components:
-            if isinstance(component, FinishingComponent):
-                component.finish_observation(end_cycle)
-
 
 class TransactionPump:
     """Drives a transaction-level controller as a kernel component.
@@ -238,18 +194,10 @@ class TransactionPump:
         steps: Generator yielding each transaction's start lower
             bound; issuing happens inside the generator between
             yields.
-        on_attach_obs: Called with the instrumentation when the
-            simulation attaches it (controllers point their device's
-            ``obs`` here).
     """
 
-    def __init__(
-        self,
-        steps: Iterator[int],
-        on_attach_obs: Optional[Callable[[Instrumentation], None]] = None,
-    ) -> None:
+    def __init__(self, steps: Iterator[int]) -> None:
         self._steps = steps
-        self._on_attach_obs = on_attach_obs
         self._next_start: Optional[int] = next(steps, None)
 
     @property
@@ -264,10 +212,6 @@ class TransactionPump:
     @property
     def next_action_cycle(self) -> Optional[int]:
         return self._next_start
-
-    def attach_obs(self, obs: Instrumentation) -> None:
-        if self._on_attach_obs is not None:
-            self._on_attach_obs(obs)
 
 
 @dataclass

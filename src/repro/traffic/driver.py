@@ -299,7 +299,6 @@ class ChannelServer:
         self.completed = 0
         self.last_data_end = 0
         self.bank_bytes: Dict[int, int] = {}
-        self.client_bytes: Dict[int, int] = {}
         self.client_bank_bytes: Dict[Tuple[int, int], int] = {}
         self._busy_until = 0
         #: While the regulator blocks every queued request: the next
@@ -519,9 +518,6 @@ class ChannelServer:
         self._busy_until = data_end
         self.last_data_end = max(self.last_data_end, data_end)
         self.completed += 1
-        self.client_bytes[request.client] = (
-            self.client_bytes.get(request.client, 0) + line_bytes
-        )
         pair = (request.client, first_bank)
         self.client_bank_bytes[pair] = (
             self.client_bank_bytes.get(pair, 0) + line_bytes
@@ -1039,15 +1035,15 @@ def run_traffic(
             wall_s=time.perf_counter() - wall_started,
         )
     bank_bytes: Dict[int, int] = {}
-    client_bytes: Dict[int, int] = {}
     client_bank_bytes: Dict[Tuple[int, int], int] = {}
     for server in servers:
         for bank, moved in server.bank_bytes.items():
             bank_bytes[bank] = bank_bytes.get(bank, 0) + moved
-        for client, served in server.client_bytes.items():
-            client_bytes[client] = client_bytes.get(client, 0) + served
         for pair, served in server.client_bank_bytes.items():
             client_bank_bytes[pair] = client_bank_bytes.get(pair, 0) + served
+    client_bytes: Dict[int, int] = {}
+    for (client, _), served in client_bank_bytes.items():
+        client_bytes[client] = client_bytes.get(client, 0) + served
     channel_bytes = tuple(m.bytes_transferred for m in memories)
     cycles = max(server.last_data_end for server in servers)
     for server in servers:

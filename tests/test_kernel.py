@@ -157,13 +157,15 @@ class TestSimulation:
 
 
 class TestLayering:
-    """The kernel builds no telemetry probe (the SMC wiring does), and
-    the serial FPM model is a plain loop, not a kernel run."""
+    """The kernel knows nothing of instrumentation (each instrumented
+    run wires its own, and the SMC wiring builds the telemetry probe),
+    and the serial FPM model is a plain loop, not a kernel run."""
 
     @pytest.mark.parametrize(
         "module, banned",
         [
             ("repro.sim.kernel", "repro.obs.telemetry"),
+            ("repro.sim.kernel", "repro.obs"),
             ("repro.fpm", "repro.sim"),
             ("repro.fpm.device", "repro.sim"),
             ("repro.fpm.smc", "repro.sim"),

@@ -95,14 +95,24 @@ class TestBankAware:
         # which every closed bank satisfies; first serviceable wins.
         assert msu.policy.choose(0, sbu, 0, device) == 0
 
-    def test_bank_holding_other_row_not_ready(self):
+    def test_bank_holding_other_row_charges_precharge_and_activate(self):
         device, sbu, msu = make_system(
             BankAwarePolicy(), alignment=Alignment.ALIGNED
         )
-        unit = sbu[0].next_unit()
-        bank, row, _, _, _ = unit
+        timing = device.timing
+        bank, row, _, _, _ = sbu[0].next_unit()
         device.issue_act(bank, row + 1, 0)
-        assert not msu.policy.bank_ready(device, unit, 50, slack=4)
+        estimate = msu.policy._estimate_col_start
+        # The precharge waits out t_RAS after the ACT at cycle 0, or
+        # goes at the decision cycle once that has passed; t_RP and
+        # t_RCD follow before the COL packet.
+        assert estimate(device, sbu[0], 5) == (
+            timing.t_ras + timing.t_rp + timing.t_rcd
+        )
+        late = timing.t_ras + 10
+        assert estimate(device, sbu[0], late) == (
+            late + timing.t_rp + timing.t_rcd
+        )
 
 
 def timing_slack():
