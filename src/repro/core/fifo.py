@@ -64,9 +64,10 @@ def build_plan(
     :class:`~repro.cpu.streams.StreamDescriptor`, the mapping is cli,
     pi or swizzle and the core has no doubled banks; every other
     stream (indexed streams, registered and stateful mappings,
-    doubled banks, or no numpy) is decomposed element by element
-    through :func:`~repro.memsys.address.get_address_mapping`.  Both
-    give the same units.  A stateful mapping is planned at epoch 0.
+    doubled banks, or no numpy) walks its elements one by one and
+    decomposes each run of elements in one DATA packet once, through
+    :func:`~repro.memsys.address.get_address_mapping`.  Both give the
+    same units.  A stateful mapping is planned at epoch 0.
 
     Raises:
         ConfigurationError: If the stream leaves the memory, or no page
@@ -80,12 +81,14 @@ def build_plan(
         and not config.geometry.doubled_banks
     ):
         return _vector_plan(descriptor, config, closed)
-    mapping = get_address_mapping(config)
-    # Runs of consecutive elements in one DATA packet (same location).
+    decompose = get_address_mapping(config).decompose
+    # Runs of consecutive elements in one DATA packet, each packet
+    # decomposed once: the map is a bijection at packet granularity,
+    # so same packet means same location.
     runs = [
-        (location, sum(1 for _ in elements))
-        for location, elements in groupby(
-            mapping.decompose(address - address % DATA_PACKET_BYTES)
+        (decompose(packet), sum(1 for _ in elements))
+        for packet, elements in groupby(
+            address - address % DATA_PACKET_BYTES
             for address in map(descriptor.element_address, range(descriptor.length))
         )
     ]

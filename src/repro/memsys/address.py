@@ -29,12 +29,18 @@ mapping, subclass :class:`AddressMapping`, implement
 ``_decompose``/``_compose``, and decorate with
 :func:`register_mapping` — consumers pick it up by name with no
 further wiring (see ``docs/architecture.md``).
+
+The line controllers and the traffic server place a cacheline's DATA
+packets with :meth:`AddressMapping.line_locations`, which decomposes a
+line once under a mapping that declares ``line_in_row`` (cli, pi,
+swizzle, and :class:`ChannelStriping` over them) and each packet
+otherwise; ``tests/test_line_locations.py`` checks every declaration.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, NamedTuple, Type
+from typing import Iterable, Iterator, List, NamedTuple, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
@@ -82,6 +88,19 @@ class AddressMapping:
     #: kernel (the batch engine precomputes access plans, which a
     #: mid-run re-arrangement would invalidate).
     stateful = False
+
+    #: True when the DATA packets of every line-aligned cacheline lie
+    #: in one bank and row at consecutive columns, so
+    #: :meth:`line_locations` decomposes a line once and counts up its
+    #: columns.  Only a static mapping may declare it.
+    line_in_row = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A new _decompose may move a line's packets apart, so the
+        # flag is not inherited past it: the class declares it again.
+        if "_decompose" in cls.__dict__ and "line_in_row" not in cls.__dict__:
+            cls.line_in_row = False
 
     def __init__(self, config: MemorySystemConfig) -> None:
         self.config = config
@@ -144,6 +163,37 @@ class AddressMapping:
         if not 0 <= byte_offset < DATA_PACKET_BYTES:
             raise ConfigurationError(f"byte offset {byte_offset} out of range")
         return self._compose(location, byte_offset)
+
+    def line_locations(self, address: int) -> Iterable[Tuple[int, int, int]]:
+        """The (bank, row, column) of each DATA packet of the cacheline
+        at ``address``, in issue order.
+
+        A :attr:`line_in_row` mapping decomposes the line once.  Any
+        other mapping yields each packet lazily, decomposed only when
+        the caller reaches it: after the previous packet has issued, a
+        stateful map may have moved.  So iterate the result once, in
+        order.
+
+        Raises:
+            ConfigurationError: If ``address`` is not line-aligned, or
+                the line is outside the device.
+        """
+        if address % self._line_bytes:
+            raise ConfigurationError(
+                f"line address {address:#x} is not aligned to the "
+                f"{self._line_bytes}-byte cacheline"
+            )
+        if not self.line_in_row:
+            return self._packet_locations(address)
+        bank, row, column = self.decompose(address)
+        return [
+            (bank, row, packet)
+            for packet in range(column, column + self._packets_per_line)
+        ]
+
+    def _packet_locations(self, address: int) -> Iterator[Location]:
+        for offset in range(0, self._line_bytes, DATA_PACKET_BYTES):
+            yield self.decompose(address + offset)
 
     def bank_of(self, address: int) -> int:
         """Bank holding ``address`` (convenience for placement logic)."""
@@ -257,9 +307,11 @@ class ChannelStriping(AddressMapping):
         self._bank_order = list(range(self._num_banks))
         self._bank_rank = list(range(self._num_banks))
         self.remap_events = 0
-        # Statefulness is inherited from the wrapped mapping: the
-        # selector stage itself is a pure divmod.
+        # Statefulness, and whether a line stays in its row, are
+        # inherited from the wrapped mapping: the selector stage is a
+        # pure divmod that moves whole lines.
         self.stateful = base.stateful
+        self.line_in_row = base.line_in_row
 
     @property
     def channels(self) -> int:
@@ -342,6 +394,7 @@ class CachelineInterleaving(AddressMapping):
     """The paper's CLI map: successive cachelines in successive banks."""
 
     name = "cli"
+    line_in_row = True
 
     def _decompose(self, address: int) -> Location:
         line = address // self._line_bytes
@@ -371,6 +424,7 @@ class PageInterleaving(AddressMapping):
     """The paper's PI map: successive pages in successive banks."""
 
     name = "pi"
+    line_in_row = True
 
     def _decompose(self, address: int) -> Location:
         page = address // self._page_bytes
@@ -405,6 +459,7 @@ class SwizzleInterleaving(AddressMapping):
     """
 
     name = "swizzle"
+    line_in_row = True
 
     def _twist(self, rank: int, row: int) -> int:
         if self._num_banks & (self._num_banks - 1) == 0:

@@ -63,7 +63,9 @@ class LineController:
     ) -> Tuple[int, int, int, int, int, int]:
         """Issue one full-cacheline transaction, no earlier than ``start_at``.
 
-        Each DATA packet of the line routes through the device's shared
+        Each DATA packet of the line, placed by the mapping's
+        :meth:`~repro.memsys.address.AddressMapping.line_locations`,
+        routes through the device's shared
         access path (:meth:`repro.rdram.device.RdramDevice.issue_access`),
         which owns the open/conflict decision and consults the page
         manager; the plan-time precharge flag goes on the last packet of
@@ -74,19 +76,23 @@ class LineController:
             (first command start, first DATA packet start, last DATA
             packet end, precharges forced by bank conflicts, page hits,
             page misses).
+
+        Raises:
+            ConfigurationError: If ``line_address`` is not line-aligned
+                or is outside the memory.
         """
-        decompose = self.device.mapping.decompose
         issue_access = self.device.issue_access
         last = self.config.packets_per_cacheline - 1
         plans_precharge = self.device.page_manager.plans_precharge
         forced = 0
         hits = 0
-        for offset in range(last + 1):
-            location = decompose(line_address + offset * 16)
+        for offset, (bank, row, column) in enumerate(
+            self.device.mapping.line_locations(line_address)
+        ):
             cmd, _, data_start, data_end, conflicts, page_hit = issue_access(
-                location.bank,
-                location.row,
-                location.column,
+                bank,
+                row,
+                column,
                 start_at,
                 direction,
                 precharge=plans_precharge and offset == last,

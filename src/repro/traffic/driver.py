@@ -12,13 +12,15 @@ components:
   channels are independent kernel components, exactly as independent
   memory controllers would be.
 
-A server resolves each request address through the mapping once: for
-a static mapping it caches the address's :class:`RequestPlan` (first
+A server places a request's DATA packets with the mapping's
+:meth:`~repro.memsys.address.AddressMapping.line_locations`.  For a
+static mapping it caches the address's :class:`RequestPlan` (first
 bank and row, plus every DATA packet's location) for the run, and the
 scheduler, the regulator and the issue loop all read that plan.  A
 stateful mapping (``dream``) may re-arrange its bijection after any
 issued access, so its requests are decomposed afresh at the moment
-each decision needs them, exactly as an uncached server would.
+each decision needs them, and each packet just before it issues,
+exactly as an uncached server would.
 
 Each completed request's latency (arrival to last DATA packet end)
 is tallied, and the run fills an :class:`~repro.obs.metrics.Histogram`
@@ -56,7 +58,6 @@ from itertools import islice
 from typing import (
     Deque,
     Dict,
-    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -230,11 +231,6 @@ class ArrivalPump:
         return self._pending[0].arrival if self._pending else None
 
 
-#: One DATA packet's location: (global bank, channel-local bank, row,
-#: column).
-PacketLocation = Tuple[int, int, int, int]
-
-
 class RequestPlan(NamedTuple):
     """Where one request's cacheline lives, resolved once.
 
@@ -242,13 +238,14 @@ class RequestPlan(NamedTuple):
         bank: Global bank of the first DATA packet (the bank the
             scheduler, the regulator and the byte tallies key on).
         row: Row of the first DATA packet.
-        packets: Every DATA packet's :data:`PacketLocation`, in issue
-            order.
+        packets: Every DATA packet's (global bank, row, column), in
+            issue order, from
+            :meth:`~repro.memsys.address.AddressMapping.line_locations`.
     """
 
     bank: int
     row: int
-    packets: Tuple[PacketLocation, ...]
+    packets: Tuple[Tuple[int, int, int], ...]
 
 
 class ChannelServer:
@@ -339,24 +336,13 @@ class ChannelServer:
     def idle(self) -> bool:
         return not self.queue
 
-    def _location(self, address: int) -> PacketLocation:
-        location = self.mapping.decompose(address)
-        return (
-            location.bank,
-            location.bank - self.bank_offset,
-            location.row,
-            location.column,
-        )
-
     def plan(self, address: int) -> RequestPlan:
         """The cached :class:`RequestPlan` of a static-mapping address."""
         plan = self._plans.get(address)
         if plan is None:
-            packets = tuple(
-                self._location(address + offset * DATA_PACKET_BYTES)
-                for offset in range(self._packet_count)
-            )
-            plan = RequestPlan(packets[0][0], packets[0][2], packets)
+            packets = tuple(self.mapping.line_locations(address))
+            bank, row, _ = packets[0]
+            plan = RequestPlan(bank, row, packets)
             self._plans[address] = plan
         return plan
 
@@ -391,12 +377,6 @@ class ChannelServer:
                 plan = self.plan(request.address)
             rows.append((plan.bank, plan.row))
         return rows
-
-    def _live_packets(self, address: int) -> Iterator[PacketLocation]:
-        # Stateful mappings: each packet is decomposed just before it
-        # issues, after the previous packet may have moved the map.
-        for offset in range(self._packet_count):
-            yield self._location(address + offset * DATA_PACKET_BYTES)
 
     def note_refresh(self, span: Tuple[int, int]) -> None:
         """Record one refresh of this channel: ``(start, end)`` from its
@@ -486,23 +466,25 @@ class ChannelServer:
         last = self._packet_count - 1
         page_manager = self.memory.page_manager
         plans = page_manager is not None and page_manager.plans_precharge
+        # A stateful mapping places each packet just before it issues.
         packets = (
-            self._live_packets(request.address)
+            self.mapping.line_locations(request.address)
             if self._stateful
             else self.plan(request.address).packets
         )
         issue_access = self.memory.issue_access
+        bank_offset = self.bank_offset
         direction = request.direction
         bank_bytes = self.bank_bytes
         window = self.window
         data_end = cycle
         first_bank = 0
         transfer = 0
-        for offset, (bank, local, row, column) in enumerate(packets):
+        for offset, (bank, row, column) in enumerate(packets):
             if offset == 0:
                 first_bank = bank
             _, _, data_start, data_end, _, _ = issue_access(
-                local,
+                bank - bank_offset,
                 row,
                 column,
                 cycle,
