@@ -6,10 +6,13 @@ modules over :class:`~repro.sim.sweep.Sweep` over
 ``cache=`` through every signature would couple all of them to the
 execution backend.  Instead, :func:`execution` installs an ambient
 :class:`ExecutionContext`; :func:`repro.exec.pool.run_specs` picks up
-the worker count and cache from it, and
-:func:`repro.sim.runner.simulate` consults the cache directly, so any
+the worker count and cache from it, and a direct
+:func:`repro.sim.runner.simulate` call consults the cache, so any
 code path that simulates a previously seen point gets the stored
-result.
+result.  ``run_specs`` owns the cache reads and writes of its own
+points: it looks each one up and stores each fresh result once, and
+runs the ``simulate`` of a miss under an empty context, so neither
+that call nor a pool worker touches a cache again.
 
     >>> from repro.exec import execution
     >>> with execution(workers=4, cache="~/.cache/repro"):
@@ -35,7 +38,8 @@ class ExecutionContext:
     Attributes:
         workers: Process-pool size for sweep fan-out; None or <= 1
             means in-process serial execution.
-        cache: Result cache consulted and filled by every simulation.
+        cache: Result cache that ``run_specs`` batches and direct
+            ``simulate`` calls consult and fill.
         stats: Optional sweep-level metrics accumulator; every
             :func:`~repro.exec.pool.run_specs` batch inside the
             context reports into it.

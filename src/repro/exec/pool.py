@@ -85,6 +85,16 @@ def _maybe_crash(spec: RunSpec) -> None:
     os._exit(73)
 
 
+def _simulate(spec: RunSpec) -> SimulationResult:
+    """Simulate a point :func:`run_specs` missed in its cache.
+
+    The ambient cache is masked: ``run_specs`` already looked the
+    point up and stores the result itself, in the cache it was given.
+    """
+    with _context.execution():
+        return _runner.simulate(spec)
+
+
 def _worker_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Process-pool worker: dict in, dict out.
 
@@ -96,7 +106,7 @@ def _worker_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     spec = RunSpec.from_dict(payload)
     _maybe_crash(spec)
     started = time.perf_counter()
-    result = _runner.simulate(spec).to_dict()
+    result = _simulate(spec).to_dict()
     return {
         "result": result,
         "wall_s": time.perf_counter() - started,
@@ -251,7 +261,7 @@ def run_specs(
             for index in sorted(pending):
                 dispatched(index)
                 started = time.perf_counter()
-                result = _runner.simulate(specs[index])
+                result = _simulate(specs[index])
                 landed(
                     index,
                     result,

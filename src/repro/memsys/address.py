@@ -461,70 +461,8 @@ class SwizzleInterleaving(AddressMapping):
     name = "swizzle"
     line_in_row = True
 
-    def _twist(self, rank: int, row: int) -> int:
-        if self._num_banks & (self._num_banks - 1) == 0:
-            return rank ^ (row % self._num_banks)
-        return (rank + row) % self._num_banks
-
-    def _untwist(self, rank: int, row: int) -> int:
-        if self._num_banks & (self._num_banks - 1) == 0:
-            return rank ^ (row % self._num_banks)
-        return (rank - row) % self._num_banks
-
-    def _decompose(self, address: int) -> Location:
-        page = address // self._page_bytes
-        row = page // self._num_banks
-        rank = self._twist(page % self._num_banks, row)
-        bank = self._bank_order[rank]
-        column = (address % self._page_bytes) // DATA_PACKET_BYTES
-        return Location(bank=bank, row=row, column=column)
-
-    def _compose(self, location: Location, byte_offset: int) -> int:
-        rank = self._untwist(self._bank_rank[location.bank], location.row)
-        page = location.row * self._num_banks + rank
-        return (
-            page * self._page_bytes
-            + location.column * DATA_PACKET_BYTES
-            + byte_offset
-        )
-
-
-@register_mapping
-class DreamInterleaving(AddressMapping):
-    """DReAM-style dynamic re-arrangement of the bank bits.
-
-    Decomposes like :class:`SwizzleInterleaving` — page interleaving
-    with a row-dependent bank permutation — but the permutation
-    carries an evolving *shift* driven by online monitoring.  The
-    device model feeds every issued access through
-    :meth:`observe_access`; per-bank-slot hit counters accumulate and,
-    every ``remap_epoch_accesses`` accesses, the mapping checks for
-    imbalance.  When the hottest slot draws more than twice its fair
-    share of the epoch's traffic, the shift rotates by that slot's
-    index (plus one), re-spreading the hot pages over different banks
-    for subsequent accesses and counting one remap event.
-
-    At any instant the map is an exact bijection (the shift enters the
-    per-row permutation the same way swizzle's row term does); only
-    *which* bijection is active evolves.  Like the published DReAM
-    scheme, data migration on re-arrangement is not modeled — this is
-    a bandwidth/latency model, so a remap simply changes where future
-    decompositions land.
-    """
-
-    name = "dream"
-    stateful = True
-
-    def __init__(self, config: MemorySystemConfig) -> None:
-        super().__init__(config)
-        self.epoch_accesses = config.remap_epoch_accesses
-        self.reset()
-
-    def reset(self) -> None:
-        self._shift = 0
-        self._observed = 0
-        self._slot_hits = [0] * self._num_banks
-        self.remap_events = 0
+    #: Added to the row before it permutes the bank; DReAM moves it.
+    _shift = 0
 
     def _twist(self, rank: int, row: int) -> int:
         if self._num_banks & (self._num_banks - 1) == 0:
@@ -552,6 +490,44 @@ class DreamInterleaving(AddressMapping):
             + location.column * DATA_PACKET_BYTES
             + byte_offset
         )
+
+
+@register_mapping
+class DreamInterleaving(SwizzleInterleaving):
+    """DReAM-style dynamic re-arrangement of the bank bits.
+
+    A :class:`SwizzleInterleaving` whose *shift* is driven by online
+    monitoring.  The device model feeds every issued access through
+    :meth:`observe_access`; per-bank-slot hit counters accumulate and,
+    every ``remap_epoch_accesses`` accesses, the mapping checks for
+    imbalance.  When the hottest slot draws more than twice its fair
+    share of the epoch's traffic, the shift rotates by that slot's
+    index (plus one), re-spreading the hot pages over different banks
+    for subsequent accesses and counting one remap event.
+
+    At any instant the map is an exact bijection (the shift enters the
+    per-row permutation the same way swizzle's row term does); only
+    *which* bijection is active evolves.  Like the published DReAM
+    scheme, data migration on re-arrangement is not modeled — this is
+    a bandwidth/latency model, so a remap simply changes where future
+    decompositions land.
+    """
+
+    name = "dream"
+    stateful = True
+    # A remap may fall between two packets of a line.
+    line_in_row = False
+
+    def __init__(self, config: MemorySystemConfig) -> None:
+        super().__init__(config)
+        self.epoch_accesses = config.remap_epoch_accesses
+        self.reset()
+
+    def reset(self) -> None:
+        self._shift = 0
+        self._observed = 0
+        self._slot_hits = [0] * self._num_banks
+        self.remap_events = 0
 
     def observe_access(self, bank: int, row: int, now: int) -> int:
         if 0 <= bank < self._num_banks:

@@ -168,16 +168,14 @@ class MemorySystemConfig:
             object.__setattr__(self, "page_policy", PagePolicy(self.page_policy))
         except ValueError:
             pass
-        if self.page_timeout_cycles <= 0:
-            raise ConfigurationError(
-                "page_timeout_cycles must be positive, got "
-                f"{self.page_timeout_cycles}"
-            )
-        if self.remap_epoch_accesses <= 0:
-            raise ConfigurationError(
-                "remap_epoch_accesses must be positive, got "
-                f"{self.remap_epoch_accesses}"
-            )
+        for name in (
+            "cacheline_bytes", "page_timeout_cycles", "remap_epoch_accesses"
+        ):
+            value = getattr(self, name)
+            if require_int(name, value) <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive, got {value}"
+                )
         if self.cacheline_bytes % DATA_PACKET_BYTES:
             raise ConfigurationError(
                 "cacheline size must be an integer multiple of the DATA "

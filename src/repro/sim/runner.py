@@ -4,6 +4,9 @@
 frozen, hashable, JSON-serializable description of one simulation.
 The result cache and the process-pool sweep backend
 (:mod:`repro.exec`) are both keyed on :meth:`RunSpec.canonical_key`.
+A spec is checked and normalized once, when it is built, and
+:func:`canonical_memory` is the one rule that spells its memory, so
+equal work has one key.
 
 :func:`simulate` picks the loop itself: the vectorized
 :func:`~repro.sim.batch.run_smc_batch` whenever
@@ -18,11 +21,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, require_int
 from repro.cpu.kernels import KERNELS, Kernel, get_kernel
-from repro.cpu.streams import Alignment, Direction, StreamSpec
+from repro.cpu.streams import Alignment, Direction, StreamSpec, check_extent
 from repro.core.policies import POLICIES, SchedulingPolicy
 from repro.core.smc import build_smc_system
 from repro.memsys.address import MAPPINGS, list_mappings
@@ -109,6 +112,49 @@ def _canonical_policy_name(value: Union[str, PagePolicy]) -> str:
             f"registered policies: {list_page_policies()}"
         )
     return name
+
+
+def canonical_memory(
+    organization: Union[str, MemorySystemConfig],
+    interleaving: Optional[Union[str, Interleaving]] = None,
+    page_policy: Optional[Union[str, PagePolicy]] = None,
+) -> Tuple[Union[str, MemorySystemConfig], Optional[str], Optional[str]]:
+    """The one spelling of a memory, as ``(organization, interleaving,
+    page_policy)``.
+
+    ``organization`` (a name in any case, or a config without a
+    topology) is resolved and the overrides are applied to it; its
+    mapping and page-policy names, overridden or its own, become
+    registry names.  The result is then named one way: the design
+    point's name if it equals one; else, if it differs from ``cli``
+    only in its mapping and page policy, ``"cli"`` plus the overrides
+    that differ from ``cli``'s; else the whole config, with no
+    overrides.
+
+    Raises:
+        ConfigurationError: On an unknown organization, mapping or
+            page-policy name.
+    """
+    config = resolve_config(organization)
+    config = apply_policy_overrides(
+        config,
+        config.interleaving_name if interleaving is None else interleaving,
+        config.page_policy_name if page_policy is None else page_policy,
+    )
+    for name, factory in ORGANIZATIONS.items():
+        if config == factory():
+            return name, None, None
+    cli = MemorySystemConfig.cli()
+    if dataclasses.replace(
+        config, interleaving=cli.interleaving, page_policy=cli.page_policy
+    ) != cli:
+        return config, None, None
+    mapping, policy = config.interleaving_name, config.page_policy_name
+    return (
+        "cli",
+        None if mapping == cli.interleaving_name else mapping,
+        None if policy == cli.page_policy_name else policy,
+    )
 
 
 def resolve_policy(
@@ -234,10 +280,15 @@ class RunSpec:
     A frozen record of one simulation's parameters.  On
     construction, values are normalized to their canonical form where
     one exists — a registered :class:`~repro.cpu.kernels.Kernel`
-    becomes its name, a config equal to the paper's CLI/PI design
-    point becomes ``"cli"``/``"pi"``, a registry policy instance
-    becomes its name — so that equal work hashes equally regardless of
-    how the caller spelled it.
+    becomes its name, a registry policy instance becomes its name, and
+    the memory gets its one spelling from :func:`canonical_memory` —
+    so that equal work compares and hashes equally however the caller
+    spelled it.  Construction also rejects, with a
+    :class:`~repro.errors.ReproError` naming the field, what
+    :func:`simulate` would reject later: unknown organization, kernel,
+    policy, mapping and page-policy names, a non-bool ``audit`` or
+    ``refresh``, and a ``length`` or ``stride`` that is not a
+    positive int.
 
     Unregistered kernels (e.g. from :func:`~repro.compiler.compile_loop`)
     and custom configs serialize structurally; only custom
@@ -245,15 +296,14 @@ class RunSpec:
     the registry cannot be serialized (and therefore cannot be cached
     or sent to worker processes — run them serially instead).
 
-    The ``interleaving`` and ``page_policy`` fields override the
-    organization's own choices with any registered address mapping or
-    page-management policy by name.  They too are normalized: enum
-    members become their registry names, and an override equal to what
-    the organization would pick anyway collapses to None, so e.g.
-    ``RunSpec(organization="cli", page_policy="closed")`` and
-    ``RunSpec(organization="cli")`` hash equally.  A custom config
-    that differs from a named design point only in these two choices
-    is decomposed into the name plus overrides for the same reason.
+    The ``interleaving`` and ``page_policy`` fields layer any
+    registered address mapping or page-management policy onto the
+    organization by name, and ``channels``/``devices`` give its
+    topology; a config carrying its own topology moves it into those
+    two fields.  So ``RunSpec(organization="pi", page_policy="closed")``,
+    ``RunSpec(organization="cli", interleaving="pi")`` and
+    ``RunSpec(organization=MemorySystemConfig.pi(page_policy="closed"))``
+    are one spec with one key.
 
     Note that runtime instrumentation (the ``obs`` argument of
     :func:`simulate`) is deliberately *not* part of the spec: it does
@@ -287,6 +337,12 @@ class RunSpec:
                 f"telemetry window must be positive, got {window}"
             )
         require_int("fifo_depth", self.fifo_depth)
+        for name in ("audit", "refresh"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigurationError(
+                    f"{name} must be a bool, got {value!r}"
+                )
         # Validates the channel/device counts exactly as the config
         # layer will; the instance itself is discarded.
         MemoryTopology(
@@ -318,55 +374,23 @@ class RunSpec:
             object.__setattr__(
                 self, "devices", organization.topology.devices_per_channel
             )
-            object.__setattr__(
-                self,
-                "organization",
-                dataclasses.replace(organization, topology=MemoryTopology()),
+            organization = dataclasses.replace(
+                organization, topology=MemoryTopology()
             )
+        memory = canonical_memory(
+            organization, self.interleaving, self.page_policy
+        )
+        for name, value in zip(
+            ("organization", "interleaving", "page_policy"), memory
+        ):
+            object.__setattr__(self, name, value)
         kernel = self.kernel
-        if isinstance(kernel, Kernel) and KERNELS.get(kernel.name) == kernel:
+        if not isinstance(kernel, Kernel):
+            kernel = get_kernel(kernel)
+        if KERNELS.get(kernel.name) == kernel:
             object.__setattr__(self, "kernel", kernel.name)
-        if self.interleaving is not None:
-            object.__setattr__(
-                self, "interleaving",
-                _canonical_mapping_name(self.interleaving),
-            )
-        if self.page_policy is not None:
-            object.__setattr__(
-                self, "page_policy",
-                _canonical_policy_name(self.page_policy),
-            )
-        organization = self.organization
-        if isinstance(organization, str):
-            if organization.lower() in ORGANIZATIONS:
-                object.__setattr__(self, "organization", organization.lower())
-        elif isinstance(organization, MemorySystemConfig):
-            self._canonicalize_config(organization)
-        organization = self.organization
-        if isinstance(organization, str) and organization in ORGANIZATIONS:
-            # Overrides that restate the named organization's own
-            # defaults carry no information; drop them.
-            base = ORGANIZATIONS[organization]()
-            if self.interleaving == base.interleaving_name:
-                object.__setattr__(self, "interleaving", None)
-            if self.page_policy == base.page_policy_name:
-                object.__setattr__(self, "page_policy", None)
-            if self.interleaving is not None or self.page_policy is not None:
-                # Overrides that turn one named organization into
-                # another collapse to the bare name, so e.g.
-                # cli + interleaving=pi + page_policy=open hashes the
-                # same as plain "pi".
-                effective = apply_policy_overrides(
-                    base,
-                    interleaving=self.interleaving,
-                    page_policy=self.page_policy,
-                )
-                for name, factory in ORGANIZATIONS.items():
-                    if effective == factory():
-                        object.__setattr__(self, "organization", name)
-                        object.__setattr__(self, "interleaving", None)
-                        object.__setattr__(self, "page_policy", None)
-                        break
+        # As placement checks them, on the kernel's first stream.
+        check_extent(kernel.streams[0].name, self.length, self.stride)
         alignment = self.alignment
         if isinstance(alignment, Alignment):
             object.__setattr__(self, "alignment", alignment.value)
@@ -379,55 +403,10 @@ class RunSpec:
                 )
             object.__setattr__(self, "alignment", name)
         policy = self.policy
-        if (
-            isinstance(policy, SchedulingPolicy)
-            and type(policy) is POLICIES.get(policy.name)
-        ):
+        if not isinstance(policy, SchedulingPolicy):
+            resolve_policy(policy)
+        elif type(policy) is POLICIES.get(policy.name):
             object.__setattr__(self, "policy", policy.name)
-
-    def _canonicalize_config(self, config: MemorySystemConfig) -> None:
-        """Reduce a config to a named organization where possible.
-
-        An exact match becomes the bare name.  A config that differs
-        from a named design point only in its interleaving/page-policy
-        choices becomes the name plus override fields — but only when
-        the caller gave no explicit overrides, so an explicit override
-        is never silently combined with a conflicting config.
-        """
-        for name, factory in ORGANIZATIONS.items():
-            if config == factory():
-                object.__setattr__(self, "organization", name)
-                return
-        if self.interleaving is not None or self.page_policy is not None:
-            return
-        for name, factory in ORGANIZATIONS.items():
-            base = factory()
-            restored = dataclasses.replace(
-                config,
-                interleaving=base.interleaving,
-                page_policy=base.page_policy,
-                page_timeout_cycles=base.page_timeout_cycles,
-                remap_epoch_accesses=base.remap_epoch_accesses,
-            )
-            if restored == base:
-                if (
-                    config.page_timeout_cycles != base.page_timeout_cycles
-                    or config.remap_epoch_accesses
-                    != base.remap_epoch_accesses
-                ):
-                    # These knobs have no override field; keep the
-                    # config structural so the values are preserved.
-                    return
-                object.__setattr__(self, "organization", name)
-                if config.interleaving_name != base.interleaving_name:
-                    object.__setattr__(
-                        self, "interleaving", config.interleaving_name
-                    )
-                if config.page_policy_name != base.page_policy_name:
-                    object.__setattr__(
-                        self, "page_policy", config.page_policy_name
-                    )
-                return
 
     def to_dict(self) -> Dict[str, Any]:
         """This spec as a JSON-safe dict (inverse of :meth:`from_dict`).
@@ -553,8 +532,10 @@ def simulate(
     If a result cache is active (via
     :func:`repro.exec.context.execution`) and holds this spec, the
     stored result is returned without simulating; fresh results are
-    stored back.  Instrumented runs (``obs`` given) always simulate,
-    since a cached result carries no event record.
+    stored back.  :func:`~repro.exec.pool.run_specs` masks that cache
+    for the points it simulates, since it reads and writes their
+    entries itself.  Instrumented runs (``obs`` given) always
+    simulate, since a cached result carries no event record.
 
     Args:
         spec: The full run specification.

@@ -47,6 +47,26 @@ class TestValidation:
                 cacheline_bytes=48 * 16 // 16 * 16,  # 768, divides nothing
             )
 
+    @pytest.mark.parametrize(
+        "field", ["cacheline_bytes", "page_timeout_cycles", "remap_epoch_accesses"]
+    )
+    @pytest.mark.parametrize("value", [32.0, 2.5, True, "32"])
+    def test_count_fields_must_be_ints(self, field, value):
+        with pytest.raises(
+            ConfigurationError, match=f"{field} must be an integer"
+        ):
+            MemorySystemConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["cacheline_bytes", "page_timeout_cycles", "remap_epoch_accesses"]
+    )
+    @pytest.mark.parametrize("value", [0, -32])
+    def test_count_fields_must_be_positive(self, field, value):
+        with pytest.raises(
+            ConfigurationError, match=f"{field} must be positive, got {value}"
+        ):
+            MemorySystemConfig(**{field: value})
+
 
 class TestDerivedQuantities:
     def test_paper_constants(self):

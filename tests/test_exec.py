@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -320,3 +322,58 @@ class TestExecutionContext:
         with execution(cache=tmp_path) as context:
             assert isinstance(context.cache, ResultCache)
             assert context.cache.root == tmp_path
+
+
+def _log_cache_calls(monkeypatch, log) -> None:
+    """Append one ``"<get|put> <cache root>"`` line per cache call.
+
+    Forked pool workers inherit the patch and append to the same file.
+    """
+    for kind in ("get", "put"):
+        method = getattr(ResultCache, kind)
+
+        def logged(self, *args, kind=kind, method=method):
+            with open(log, "a") as out:
+                out.write(f"{kind} {self.root}\n")
+            return method(self, *args)
+
+        monkeypatch.setattr(ResultCache, kind, logged)
+
+
+class TestOneCacheRoundTrip:
+    """``run_specs`` reads and writes its own points' cache entries once."""
+
+    SPECS = [
+        RunSpec(kernel=kernel, length=64, fifo_depth=8)
+        for kernel in ("copy", "daxpy", "vaxpy", "hydro")
+    ]
+
+    @pytest.fixture(params=[1, 2], ids=["serial", "pooled"])
+    def workers(self, request):
+        if request.param > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the cache patch only by fork")
+        return request.param
+
+    def test_one_get_and_one_put_per_fresh_point(
+        self, tmp_path, monkeypatch, workers
+    ):
+        log = tmp_path / "calls.log"
+        _log_cache_calls(monkeypatch, log)
+        with execution(cache=tmp_path / "cache"):
+            run_specs(self.SPECS, workers=workers)
+        calls = Counter(line.split()[0] for line in log.read_text().splitlines())
+        assert calls == {"get": len(self.SPECS), "put": len(self.SPECS)}
+
+    def test_explicit_cache_leaves_the_ambient_one_alone(
+        self, tmp_path, monkeypatch, workers
+    ):
+        log = tmp_path / "calls.log"
+        _log_cache_calls(monkeypatch, log)
+        given = ResultCache(tmp_path / "given")
+        ambient = ResultCache(tmp_path / "ambient")
+        with execution(cache=ambient):
+            run_specs(self.SPECS, workers=workers, cache=given)
+        assert len(given) == len(self.SPECS)
+        assert len(ambient) == 0
+        roots = {line.split()[1] for line in log.read_text().splitlines()}
+        assert roots == {str(given.root)}
