@@ -19,6 +19,7 @@ RDRAM's bandwidth (Section 6, Figure 9).
 from __future__ import annotations
 
 from itertools import groupby
+from operator import itemgetter
 from typing import List, Sequence, Tuple
 
 from repro.errors import (
@@ -201,7 +202,8 @@ def check_fifo_depth(
     """Raise a :class:`StreamError` naming the stream unless ``depth``
     is an int that holds the largest unit of its plan ``units``."""
     require_int(f"stream {descriptor.name}: FIFO depth", depth, StreamError)
-    largest = max(elements for _, _, _, elements, _ in units)
+    # A unit's fourth field is the elements it carries.
+    largest = max(map(itemgetter(3), units))
     if depth < largest:
         raise StreamError(
             f"stream {descriptor.name}: FIFO depth {depth} smaller than "
@@ -233,6 +235,9 @@ class StreamFifo:
         self.descriptor = descriptor
         self.depth = depth
         self.units = units
+        #: True for a read stream (the MSU fills it, the CPU pops it).
+        self.is_read = descriptor.direction is Direction.READ
+        self._unit_count = len(units)
         self.occupancy = 0
         self.inflight = 0
         self._cursor = 0
@@ -256,13 +261,9 @@ class StreamFifo:
         return self.descriptor.direction
 
     @property
-    def is_read(self) -> bool:
-        return self.descriptor.direction is Direction.READ
-
-    @property
     def exhausted(self) -> bool:
         """True once every access unit has been issued to memory."""
-        return self._cursor >= len(self.units)
+        return self._cursor >= self._unit_count
 
     def next_unit(self) -> AccessUnit:
         """The next access unit to issue.
@@ -287,9 +288,10 @@ class StreamFifo:
     @property
     def serviceable(self) -> bool:
         """True if the MSU could issue this FIFO's next access now."""
-        if self.exhausted:
+        cursor = self._cursor
+        if cursor >= self._unit_count:
             return False
-        _, _, _, elements, _ = self.units[self._cursor]
+        _, _, _, elements, _ = self.units[cursor]
         if self.is_read:
             return self.occupancy + self.inflight + elements <= self.depth
         return self.occupancy >= elements

@@ -170,10 +170,10 @@ class MemorySchedulingUnit:
         scheduling decision."""
         arrivals = self.arrivals
         if arrivals and arrivals[0][0] <= cycle:
-            sbu = self.sbu
+            fifos = self.sbu.fifos
             while arrivals and arrivals[0][0] <= cycle:
                 _, _, fifo_index, elements = heappop(arrivals)
-                fifo = sbu[fifo_index]
+                fifo = fifos[fifo_index]
                 fifo.note_arrival(elements)
                 if self.obs is not None:
                     fifo.sample_occupancy(self.obs, cycle)
@@ -195,7 +195,7 @@ class MemorySchedulingUnit:
             if self.obs is not None:
                 self.obs.counters.incr("msu.fifo_switches")
             self.current = choice
-        fifo = self.sbu[choice]
+        fifo = self.sbu.fifos[choice]
         unit = fifo.next_unit()
         bank, row, column, elements, precharge = unit
         direction = _READ if fifo.is_read else _WRITE
@@ -203,7 +203,7 @@ class MemorySchedulingUnit:
         # access path (issue_access), shared with every controller.
         _, col_start, _, data_end, conflicts, page_hit = (
             self.device.issue_access(
-                bank, row, column, cycle, direction, precharge=precharge
+                bank, row, column, cycle, direction, precharge
             )
         )
         self.bank_conflicts += conflicts

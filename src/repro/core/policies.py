@@ -86,11 +86,6 @@ class SchedulingPolicy:
     ) -> None:
         """Optional hook run after each issued access."""
 
-    @staticmethod
-    def _scan_order(current: int, count: int) -> range:
-        """Indices in round-robin order starting at ``current``."""
-        return range(current, current + count)
-
 
 class RoundRobinPolicy(SchedulingPolicy):
     """The paper's MSU: stay on the current FIFO while it can accept
@@ -105,10 +100,11 @@ class RoundRobinPolicy(SchedulingPolicy):
         current: int,
         device: RdramDevice,
     ) -> Optional[int]:
-        count = len(sbu)
-        for offset in self._scan_order(current, count):
+        fifos = sbu.fifos
+        count = len(fifos)
+        for offset in range(current, current + count):
             index = offset % count
-            if sbu[index].serviceable:
+            if fifos[index].serviceable:
                 return index
         return None
 
@@ -171,7 +167,7 @@ class BankAwarePolicy(SchedulingPolicy):
         slack = self.slack if self.slack is not None else device.timing.t_rcd
         best: Optional[int] = None
         best_estimate = 0
-        for offset in self._scan_order(current, count):
+        for offset in range(current, current + count):
             index = offset % count
             fifo = sbu[index]
             if not fifo.serviceable:

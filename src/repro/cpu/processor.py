@@ -90,11 +90,13 @@ class StreamProcessor:
         self.port = port
         self.access_interval = access_interval
         self._on_retire = on_retire
-        self._schedule: List[Tuple[int, Direction]] = [
-            (stream_index, spec.direction)
-            for __ in range(length)
+        #: One iteration's accesses, in order: (stream index, read?).
+        #: Access ``p`` of the loop is ``_pattern[p % len(_pattern)]``.
+        self._pattern: List[Tuple[int, bool]] = [
+            (stream_index, spec.direction is Direction.READ)
             for stream_index, spec in enumerate(kernel.streams)
         ]
+        self._accesses = length * len(self._pattern)
         self._position = 0
         self._next_attempt = 0
         self._blocked_since: Optional[int] = None
@@ -109,7 +111,7 @@ class StreamProcessor:
     @property
     def done(self) -> bool:
         """True once every access in the loop has retired."""
-        return self._position >= len(self._schedule)
+        return self._position >= self._accesses
 
     @property
     def accesses_retired(self) -> int:
@@ -126,11 +128,13 @@ class StreamProcessor:
         count is exact even when the simulation engine skips over
         cycles in which no component can act.
         """
-        if self.done or cycle < self._next_attempt:
+        position = self._position
+        if position >= self._accesses or cycle < self._next_attempt:
             return
         port = self.port
-        stream_index, direction = self._schedule[self._position]
-        if direction is Direction.READ:
+        pattern = self._pattern
+        stream_index, reading = pattern[position % len(pattern)]
+        if reading:
             ready = port.cpu_can_pop(stream_index)
         else:
             ready = port.cpu_can_push(stream_index)
@@ -143,15 +147,13 @@ class StreamProcessor:
             if self.obs is not None and cycle > self._blocked_since:
                 self.obs.tracer.add_span(
                     "cpu",
-                    "stall:read"
-                    if direction is Direction.READ
-                    else "stall:write",
+                    "stall:read" if reading else "stall:write",
                     self._blocked_since,
                     cycle,
                     stream=stream_index,
                 )
             self._blocked_since = None
-        if direction is Direction.READ:
+        if reading:
             port.cpu_pop(stream_index)
         else:
             port.cpu_push(stream_index)
@@ -161,7 +163,7 @@ class StreamProcessor:
         if self.first_element_cycle is None:
             self.first_element_cycle = cycle
         self.last_retire_cycle = cycle
-        self._position += 1
+        self._position = position + 1
         self._next_attempt = cycle + self.access_interval
         if self._on_retire is not None:
             self._on_retire(cycle + 1)
@@ -171,6 +173,6 @@ class StreamProcessor:
         """Next cycle at which the processor can act on its own, or
         None when it is blocked (it must be woken by a FIFO change) or
         done."""
-        if self.done or self._blocked_since is not None:
+        if self._position >= self._accesses or self._blocked_since is not None:
             return None
         return self._next_attempt

@@ -95,7 +95,7 @@ class LineController:
                 column,
                 start_at,
                 direction,
-                precharge=plans_precharge and offset == last,
+                plans_precharge and offset == last,
             )
             forced += conflicts
             if page_hit:

@@ -190,8 +190,9 @@ def record_data_gap(
     Must be called after the access's COL start is computed but before
     any bus/bank state is updated, and only when the DATA packet
     starts after the bus frees (``col_start + delay`` beyond
-    ``memory._data_bus_free``): :meth:`RdramDevice.issue_col` tests
-    that, so an access with no gap costs no call.  ``memory`` is the
+    ``memory._data_bus_free``): :meth:`RdramDevice.issue_access` and
+    :meth:`RdramDevice.issue_col` test that, so an access with no gap
+    costs no call.  ``memory`` is the
     :class:`RdramDevice` issuing the access; ``reading`` is True for a
     COL RD.
     """
@@ -641,6 +642,16 @@ class RdramDevice:
         paper's CLI+closed and PI+open pairings are bit-identical to
         the pre-registry code.
 
+        The access commits in this one frame: the target bank's PRER,
+        the ACT and the COL packet (with its via-COL precharge) are
+        computed and committed here, with the same bounds, protocol
+        checks, trace and gap records and obs counters and spans, in
+        the same order, as :meth:`issue_prer`, :meth:`issue_act` and
+        :meth:`issue_col` called in sequence; only an open double-bank
+        neighbor is closed through :meth:`issue_prer`.
+        ``tests/test_issue_contract.py`` keeps that chained sequence as
+        the reference this path is checked against.
+
         The attached :class:`~repro.memsys.pagemanager.PageManager` is
         consulted when it has runtime behavior: due timeouts are
         materialized before the bank is inspected, the access is fed
@@ -668,16 +679,52 @@ class RdramDevice:
             manager.sync(self, bank, now)
             for neighbor in neighbors:
                 manager.sync(self, neighbor, now)
+        obs = self.obs
+        record = self.record_trace
+        t_pack = self._t_pack
         # Read after the syncs: they may have closed the bank.
         open_rows = self._open_rows
+        act_starts = self._act_starts
         open_row = open_rows[bank]
         page_hit = open_row == row
         first_cmd: Optional[int] = None
         conflicts = 0
         if not page_hit:
             if open_row is not None:
-                conflicts += 1
-                first_cmd = self.issue_prer(bank, now)
+                # PRER to the bank, as issue_prer: after t_RAS from its
+                # ACT, overlapping its last COL by at most t_CPOL.
+                conflicts = 1
+                legal = act_starts[bank] + self._t_ras
+                bound = self._col_ends[bank] - self._t_cpol
+                if legal < bound:
+                    legal = bound
+                start = legal
+                if start < now:
+                    start = now
+                if start < self._row_bus_free:
+                    start = self._row_bus_free
+                if obs is not None:
+                    obs.counters.incr("device.row_prer")
+                    obs.tracer.add_span(
+                        f"bank{bank}",
+                        f"row {open_row}",
+                        act_starts[bank],
+                        start,
+                        via_col=False,
+                    )
+                if start < legal:
+                    raise ProtocolError(
+                        f"bank {bank}: PRER at {start} before legal cycle "
+                        f"{legal}"
+                    )
+                open_rows[bank] = None
+                self._prer_starts[bank] = start
+                self._row_bus_free = start + t_pack
+                if record:
+                    self.trace.append(
+                        RowPacket(RowCommand.PRER, bank, None, start)
+                    )
+                first_cmd = start
             for neighbor in neighbors:
                 # Double-bank cores: an adjacent open bank shares the
                 # sense amps and must be precharged first.
@@ -686,29 +733,169 @@ class RdramDevice:
                     start = self.issue_prer(neighbor, now)
                     if first_cmd is None:
                         first_cmd = start
-            start = self.issue_act(bank, row, now)
+            # ACT, as issue_act: t_RC after the bank's last ACT, t_RP
+            # after its last PRER, the ROW bus, t_RR per device, and
+            # t_RP after a double-bank neighbor's PRER.
+            if not 0 <= row < self._rows_per_bank:
+                raise ProtocolError(
+                    f"row {row} out of range 0..{self._rows_per_bank - 1}"
+                )
+            if open_rows[bank] is not None:
+                raise ProtocolError(
+                    f"bank {bank}: ACT while row {open_rows[bank]} is open; "
+                    "precharge first"
+                )
+            prer_starts = self._prer_starts
+            legal = act_starts[bank] + self._t_rc
+            bound = prer_starts[bank] + self._t_rp
+            if legal < bound:
+                legal = bound
+            start = legal
+            if start < now:
+                start = now
+            if start < self._row_bus_free:
+                start = self._row_bus_free
+            device = bank // self._banks_per_device
+            bound = self._last_act_by_device[device] + self._t_rr
+            if start < bound:
+                start = bound
+            for neighbor in neighbors:
+                if open_rows[neighbor] is not None:
+                    raise ProtocolError(
+                        f"bank {bank}: ACT while adjacent bank {neighbor} "
+                        "is open (shared sense amps on a double-bank core)"
+                    )
+                bound = prer_starts[neighbor] + self._t_rp
+                if start < bound:
+                    start = bound
+            if obs is not None:
+                obs.counters.incr("device.row_act")
+            if start < legal:
+                raise ProtocolError(
+                    f"bank {bank}: ACT at {start} before legal cycle {legal}"
+                )
+            open_rows[bank] = row
+            act_starts[bank] = start
+            self._row_bus_free = start + t_pack
+            self._last_act_by_device[device] = start
+            if record:
+                self.trace.append(RowPacket(RowCommand.ACT, bank, row, start))
             if first_cmd is None:
                 first_cmd = start
         if runtime:
             manager.observe(self, bank, row)
             if not precharge:
                 precharge = manager.close_after(self, bank, row)
-        col_start, data_start, data_end = self.issue_col(
-            bank, row, column, now, direction, precharge
-        )
+        # COL, as issue_col: t_RCD after the ACT, the COL bus (plus a
+        # slot for an explicit write-buffer retire), the DATA bus and
+        # the write-to-read turnaround.
+        if not 0 <= column < self._packets_per_page:
+            raise ProtocolError(
+                f"column {column} out of range "
+                f"0..{self._packets_per_page - 1}"
+            )
+        if open_rows[bank] != row:
+            raise ProtocolError(
+                f"bank {bank}: COL to row {row} but open row is "
+                f"{open_rows[bank]}"
+            )
+        reading = direction is _READ
+        delay = self._read_delay if reading else self._write_delay
+        retire = reading and self.explicit_retire and self._retire_pending
+        col_bus_free = self._col_bus_free
+        if retire:
+            col_bus_free += t_pack
+        act_start = act_starts[bank]
+        col_start = act_start + self._t_rcd
+        if col_start < now:
+            col_start = now
+        if col_start < col_bus_free:
+            col_start = col_bus_free
+        data_start = col_start + delay
+        data_bus_free = self._data_bus_free
+        if data_start < data_bus_free:
+            data_start = data_bus_free
+        if reading and self._last_data_dir is _WRITE:
+            turnaround = self._last_write_data_end + self._t_rw
+            if data_start < turnaround:
+                data_start = turnaround
+        col_start = data_start - delay
+        if obs is not None:
+            obs.counters.incr("device.data_packets")
+        if self.gap_log is not None and data_start > data_bus_free:
+            record_data_gap(
+                self.gap_log, self, bank, now, reading, col_start, delay
+            )
+        if retire:
+            if record:
+                self.trace.append(
+                    ColPacket(ColCommand.RET, bank, row, 0, col_start - t_pack)
+                )
+            self._retire_pending = False
+        if col_start < act_start + self._t_rcd:
+            raise ProtocolError(
+                f"bank {bank}: COL at {col_start} before legal cycle "
+                f"{act_start + self._t_rcd}"
+            )
+        col_end = col_start + t_pack
+        self._col_ends[bank] = col_end
+        self._col_bus_free = col_end
+        data_end = data_start + t_pack
+        self._data_bus_free = data_end
+        self._last_data_dir = direction
+        if not reading:
+            self._last_write_data_end = data_end
+            self._retire_pending = True
+        self._data_packets_moved += 1
+        if record:
+            self.trace.append(
+                ColPacket(
+                    ColCommand.RD if reading else ColCommand.WR,
+                    bank,
+                    row,
+                    column,
+                    col_start,
+                )
+            )
+            self.trace.append(DataPacket(direction, bank, data_start, col_start))
+        if precharge:
+            # The precharge rides the COL packet, as in issue_col.
+            legal = act_start + self._t_ras
+            bound = col_end - self._t_cpol
+            if legal < bound:
+                legal = bound
+            start = legal if legal > col_start else col_start
+            if obs is not None:
+                obs.tracer.add_span(
+                    f"bank{bank}",
+                    f"row {open_rows[bank]}",
+                    act_start,
+                    start,
+                    via_col=True,
+                )
+            if start < legal:
+                raise ProtocolError(
+                    f"bank {bank}: PRER at {start} before legal cycle {legal}"
+                )
+            open_rows[bank] = None
+            self._prer_starts[bank] = start
+            if record:
+                self.trace.append(
+                    RowPacket(RowCommand.PRER, bank, None, start, True)
+                )
         if first_cmd is None:
             first_cmd = col_start
         mapping = self.mapping
         if mapping is not None and mapping.stateful:
             remaps = mapping.observe_access(bank, row, now)
-            if remaps and self.obs is not None:
-                self.obs.counters.incr("device.remap_events", remaps)
-        if self.obs is not None:
-            self.obs.counters.incr(
+            if remaps and obs is not None:
+                obs.counters.incr("device.remap_events", remaps)
+        if obs is not None:
+            obs.counters.incr(
                 "device.page_hits" if page_hit else "device.page_misses"
             )
             if conflicts:
-                self.obs.counters.incr("device.bank_conflicts", conflicts)
+                obs.counters.incr("device.bank_conflicts", conflicts)
         return first_cmd, col_start, data_start, data_end, conflicts, page_hit
 
     def sync_bank(self, index: int, now: int) -> None:

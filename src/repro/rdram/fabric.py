@@ -129,20 +129,23 @@ class MemoryFabric:
         self._obs: Optional[Instrumentation] = None
         self._gap_log: Optional[List[DataBusGap]] = None
         self._mapping = None
+        #: (channel memory, local bank) of every global bank, in order.
+        self._routes: List[Tuple[RdramDevice, int]] = [
+            (memory, local)
+            for memory in self.channel_memories
+            for local in range(self.geometry.banks_per_channel)
+        ]
 
     # ------------------------------------------------------------------
     # routing
 
-    def _route(self, global_bank: int) -> Tuple[object, int]:
-        if not 0 <= global_bank < self.geometry.num_banks:
+    def _route(self, global_bank: int) -> Tuple[RdramDevice, int]:
+        if not 0 <= global_bank < len(self._routes):
             raise ProtocolError(
                 f"global bank {global_bank} out of range "
-                f"0..{self.geometry.num_banks - 1}"
+                f"0..{len(self._routes) - 1}"
             )
-        return (
-            self.channel_memories[self.geometry.channel_of(global_bank)],
-            self.geometry.local_bank(global_bank),
-        )
+        return self._routes[global_bank]
 
     # ------------------------------------------------------------------
     # queries (RdramDevice interface)
@@ -290,9 +293,7 @@ class MemoryFabric:
         unchanged.
         """
         memory, local = self._route(bank)
-        return memory.issue_access(
-            local, row, column, now, direction, precharge=precharge
-        )
+        return memory.issue_access(local, row, column, now, direction, precharge)
 
     def sync_bank(self, index: int, now: int) -> None:
         """Materialize page-manager actions due on a global bank."""

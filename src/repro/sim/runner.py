@@ -336,7 +336,12 @@ class RunSpec:
             raise ConfigurationError(
                 f"telemetry window must be positive, got {window}"
             )
-        require_int("fifo_depth", self.fifo_depth)
+        # At least 1 here; how much a stream's plan needs (2 elements
+        # for a stride-1 unit) is check_fifo_depth's, at build time.
+        if require_int("fifo_depth", self.fifo_depth) < 1:
+            raise ConfigurationError(
+                f"fifo_depth must be at least 1, got {self.fifo_depth}"
+            )
         for name in ("audit", "refresh"):
             value = getattr(self, name)
             if not isinstance(value, bool):

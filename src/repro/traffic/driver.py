@@ -489,7 +489,7 @@ class ChannelServer:
                 column,
                 cycle,
                 direction,
-                precharge=plans and offset == last,
+                plans and offset == last,
             )
             transfer += data_end - data_start
             if window:

@@ -7,8 +7,13 @@ exactly what the traced one does, every returned tuple must agree
 with the packets the traced device recorded for that access, and the
 bank state the device keeps must be the one its own trace replays to.
 
+``issue_access`` commits an access's PRER, ACT and COL in its own
+frame.  :func:`chained_access` is the same access as the single-command
+sequence (``issue_prer``, ``issue_act``, ``issue_col``), the reference
+the fused path must equal in every result, state, record and error.
+
 A DATA packet starting at cycle s holds the bus until s + t_PACK.  The
-second half checks that every consumer agrees with the trace on that
+last part checks that every consumer agrees with the trace on that
 at a non-default t_PACK: run ends, the batch engine and the traffic
 layer's latency attribution.
 """
@@ -17,15 +22,19 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.smc import build_smc_system
 from repro.cpu.kernels import KERNELS
+from repro.errors import ProtocolError
+from repro.memsys.address import get_address_mapping
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import PAGE_POLICIES
+from repro.memsys.pagemanager import PAGE_POLICIES, PageManager
 from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
+from repro.obs.core import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.rdram.audit import audit_memory, audit_trace
 from repro.rdram.channel import ChannelGeometry, make_memory
@@ -187,6 +196,176 @@ class TestTracedMatchesUntraced:
         # runtime manager whose hooks read none.
         monkeypatch.setattr(device_module, "BankState", no_object)
         drive("hybrid")
+
+
+def chained_access(device, bank, row, column, now, direction, precharge=False):
+    """One access as the single-command sequence: the reference for
+    ``RdramDevice.issue_access``.
+
+    Syncs a runtime page manager on the bank and its neighbors,
+    precharges the bank if it holds another row and every open
+    double-bank neighbor, activates, consults the manager, issues the
+    COL packet, then feeds a stateful mapping and counts the access.
+    """
+    device.open_row(bank)  # the bounds check comes first
+    neighbors = device.geometry.neighbors(bank)
+    manager = device.page_manager
+    runtime = manager is not None and manager.runtime
+    if runtime:
+        manager.sync(device, bank, now)
+        for neighbor in neighbors:
+            manager.sync(device, neighbor, now)
+    open_row = device.open_row(bank)
+    page_hit = open_row == row
+    first_cmd = None
+    conflicts = 0
+    if not page_hit:
+        if open_row is not None:
+            conflicts += 1
+            first_cmd = device.issue_prer(bank, now)
+        for neighbor in neighbors:
+            if device.open_row(neighbor) is not None:
+                conflicts += 1
+                start = device.issue_prer(neighbor, now)
+                if first_cmd is None:
+                    first_cmd = start
+        start = device.issue_act(bank, row, now)
+        if first_cmd is None:
+            first_cmd = start
+    if runtime:
+        manager.observe(device, bank, row)
+        if not precharge:
+            precharge = manager.close_after(device, bank, row)
+    col_start, data_start, data_end = device.issue_col(
+        bank, row, column, now, direction, precharge
+    )
+    if first_cmd is None:
+        first_cmd = col_start
+    obs = device.obs
+    mapping = device.mapping
+    if mapping is not None and mapping.stateful:
+        remaps = mapping.observe_access(bank, row, now)
+        if remaps and obs is not None:
+            obs.counters.incr("device.remap_events", remaps)
+    if obs is not None:
+        obs.counters.incr(
+            "device.page_hits" if page_hit else "device.page_misses"
+        )
+        if conflicts:
+            obs.counters.incr("device.bank_conflicts", conflicts)
+    return first_cmd, col_start, data_start, data_end, conflicts, page_hit
+
+
+def _dream(geometry):
+    """A ``dream`` mapping over ``geometry``'s banks that re-arranges
+    every few accesses."""
+    return get_address_mapping(
+        MemorySystemConfig(
+            geometry=RdramGeometry(num_banks=geometry.num_banks),
+            interleaving="dream",
+            remap_epoch_accesses=3,
+        )
+    )
+
+
+def _records(device):
+    """Everything an access leaves behind beyond the device's state:
+    its trace, gap log, obs counters (in first-count order), gauges
+    and spans, and the attached mapping's monitor."""
+    obs = device.obs
+    counters = obs and list(obs.counters.counters.items())
+    return (
+        list(device.trace),
+        list(device.gap_log),
+        counters,
+        obs and obs.tracer.spans,
+        obs and obs.counters.gauges,
+        device.mapping and vars(device.mapping),
+    )
+
+
+class TestFusedMatchesChained:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        explicit_retire=st.booleans(),
+        policy=st.sampled_from(("open", "closed", "timeout", "hybrid")),
+        record_trace=st.booleans(),
+        observed=st.booleans(),
+        stateful=st.booleans(),
+        ops=accesses,
+    )
+    def test_same_tuples_state_and_records(
+        self, geometry, explicit_retire, policy, record_trace, observed,
+        stateful, ops,
+    ):
+        fused, chained = (
+            _device(geometry, explicit_retire, policy, record_trace)
+            for _ in range(2)
+        )
+        for device in (fused, chained):
+            if observed:
+                device.obs = Instrumentation()
+                device.gap_log = device.obs.gaps
+            else:
+                device.gap_log = []
+            if stateful:
+                device.mapping = _dream(geometry)
+        now = 0
+        for bank, row, column, gap, write, precharge in ops:
+            now += gap
+            args = (
+                bank % geometry.num_banks,
+                row,
+                column,
+                now,
+                BusDirection.WRITE if write else BusDirection.READ,
+                precharge,
+            )
+            assert fused.issue_access(*args) == chained_access(chained, *args)
+            assert _state(fused) == _state(chained)
+            assert _records(fused) == _records(chained)
+
+    @pytest.mark.parametrize(
+        "bank, row, column, match",
+        [
+            (-1, 0, 0, "bank index -1 out of range"),
+            (8, 0, 0, "bank index 8 out of range"),
+            # The bank holds row 0: its PRER commits before the row fails.
+            (0, 1024, 0, "row 1024 out of range"),
+            # The ACT commits before the column fails.
+            (1, 0, 64, "column 64 out of range"),
+        ],
+    )
+    def test_same_error_after_the_same_commands(self, bank, row, column, match):
+        devices = []
+        for access in (RdramDevice.issue_access, chained_access):
+            device = _device(GEOMETRIES[0], False, "open", True)
+            device.obs = Instrumentation()
+            access(device, 0, 0, 0, 0, BusDirection.READ)
+            with pytest.raises(ProtocolError, match=match):
+                access(device, bank, row, column, 40, BusDirection.READ)
+            devices.append(device)
+        fused, chained = devices
+        assert _state(fused) == _state(chained)
+        assert fused.trace == chained.trace
+        assert fused.obs == chained.obs
+
+    def test_col_refused_when_the_manager_closed_the_row(self):
+        class ClosingManager(PageManager):
+            """Closes the bank while observing the access."""
+
+            name = "closing"
+            runtime = True
+
+            def observe(self, memory, bank_index, row):
+                memory.autoclose(bank_index, 0)
+
+        for access in (RdramDevice.issue_access, chained_access):
+            device = RdramDevice()
+            device.page_manager = ClosingManager()
+            with pytest.raises(ProtocolError, match="COL to row 0 but open"):
+                access(device, 0, 0, 0, 0, BusDirection.READ)
 
 
 #: A valid timing whose packets last eight cycles (t_RW = t_PACK + t_RDLY).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 
 from repro.cpu.kernels import COPY, DAXPY, DOT
 from repro.cpu.processor import MATCHED_ACCESS_INTERVAL, StreamProcessor
@@ -140,3 +141,19 @@ class TestCompletion:
             proc.tick(cycle)
         assert proc.first_element_cycle == 0
         assert proc.last_retire_cycle == 6
+
+
+class TestMemory:
+    def test_building_does_not_grow_with_length(self):
+        # The processor keeps one iteration's access pattern, not one
+        # entry per element access (50.6 MB at this length before).
+        def allocated(length):
+            tracemalloc.start()
+            try:
+                StreamProcessor(DAXPY, length=length, port=FakePort())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = allocated(1024)
+        assert allocated(262_144) <= short + 1024

@@ -187,17 +187,29 @@ class TestConstructionChecks:
             ({"stride": "2"}, StreamError,
              "stride must be an integer, got '2'"),
             ({"stride": -1}, StreamError, "stride must be positive"),
+            ({"fifo_depth": 0}, ConfigurationError,
+             "fifo_depth must be at least 1, got 0"),
+            ({"fifo_depth": -5}, ConfigurationError,
+             "fifo_depth must be at least 1, got -5"),
         ],
         ids=[
             "organization", "config-mapping", "config-page-policy",
             "kernel", "policy", "refresh-str", "refresh-int", "audit-int",
             "audit-none", "length-float", "length-bool", "length-zero",
-            "stride-str", "stride-negative",
+            "stride-str", "stride-negative", "fifo-depth-zero",
+            "fifo-depth-negative",
         ],
     )
     def test_rejected_when_built(self, fields, error, match):
         with pytest.raises(error, match=match):
             RunSpec(**fields)
+
+    def test_fifo_depth_the_plan_needs_is_checked_when_simulated(self):
+        # A stride-1 unit carries two elements: the plan, not the spec,
+        # knows that.
+        spec = RunSpec("daxpy", length=64, fifo_depth=1)
+        with pytest.raises(StreamError, match="smaller than a 2-element"):
+            simulate(spec)
 
 
 class _Built(Exception):
