@@ -76,21 +76,19 @@ class CachedNaturalOrderController(NaturalOrderController):
         length: int,
         stride: int = 1,
         alignment: Alignment = Alignment.STAGGERED,
-        descriptors: Optional[List[StreamDescriptor]] = None,
-        flush_at_end: bool = True,
         dense: bool = False,
     ) -> SimulationResult:
         """Execute one kernel through the cache.
+
+        Every dirty line is written back when the loop finishes,
+        charged to the computation, as a following computation would
+        observe it.
 
         Args:
             kernel: The inner loop.
             length: Vector length in elements.
             stride: Stride in elements.
             alignment: Vector base placement.
-            descriptors: Pre-placed streams overriding placement.
-            flush_at_end: Write every dirty line back when the loop
-                finishes (charged to the computation, as a following
-                computation would observe it).
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
 
@@ -101,14 +99,13 @@ class CachedNaturalOrderController(NaturalOrderController):
         """
         self.device.reset()
         self.cache = CacheModel(self.cache_config)
-        if descriptors is None:
-            descriptors = place_streams(
-                kernel.streams,
-                self.config,
-                length=length,
-                stride=stride,
-                alignment=alignment,
-            )
+        descriptors = place_streams(
+            kernel.streams,
+            self.config,
+            length=length,
+            stride=stride,
+            alignment=alignment,
+        )
         builder = ResultBuilder(
             kernel=kernel.name,
             organization=self.config.describe(),
@@ -119,9 +116,7 @@ class CachedNaturalOrderController(NaturalOrderController):
             policy=self.POLICY,
         )
         self._simulate(
-            self._cached_steps(
-                length, descriptors, builder, flush_at_end
-            ),
+            self._cached_steps(length, descriptors, builder),
             # Every miss can carry a writeback, plus the final flush.
             max_steps=3 * length * len(descriptors),
             label=f"{self.POLICY}: kernel={kernel.name}, "
@@ -145,7 +140,6 @@ class CachedNaturalOrderController(NaturalOrderController):
         length: int,
         descriptors: List[StreamDescriptor],
         builder: ResultBuilder,
-        flush_at_end: bool,
     ) -> Iterator[int]:
         """Generate the cache-filtered transaction stream.
 
@@ -217,11 +211,10 @@ class CachedNaturalOrderController(NaturalOrderController):
                     yield start_at
                     issue(outcome.writeback_line, _WRITE, start_at)
 
-        if flush_at_end:
-            for line_address in cache.flush_dirty_lines():
-                start_at = prepare(clock.value)
-                yield start_at
-                issue(line_address, _WRITE, start_at)
+        for line_address in cache.flush_dirty_lines():
+            start_at = prepare(clock.value)
+            yield start_at
+            issue(line_address, _WRITE, start_at)
 
 
 class _ProgramClock:

@@ -27,7 +27,6 @@ from repro.errors import StreamError
 from repro.core.policies import SchedulingPolicy
 from repro.core.smc import SmcSystem, build_smc_system
 from repro.cpu.kernels import Kernel
-from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
 from repro.cpu.streams import Direction, StreamSpec
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.sim.results import SimulationResult
@@ -96,7 +95,6 @@ def build_gather_system(
     config: MemorySystemConfig,
     fifo_depth: int,
     policy: Optional[SchedulingPolicy] = None,
-    access_interval: int = MATCHED_ACCESS_INTERVAL,
     record_trace: bool = False,
     name: str = "gather",
 ) -> SmcSystem:
@@ -113,7 +111,6 @@ def build_gather_system(
         config: Memory organization.
         fifo_depth: FIFO depth in elements.
         policy: MSU policy (paper round-robin by default).
-        access_interval: CPU pacing (2 = matched bandwidth).
         record_trace: Record packets for auditing.
         name: Kernel name for reports.
 
@@ -143,7 +140,6 @@ def build_gather_system(
         length=length,
         fifo_depth=fifo_depth,
         policy=policy,
-        access_interval=access_interval,
         record_trace=record_trace,
         descriptors=descriptors,
     )

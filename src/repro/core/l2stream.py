@@ -33,13 +33,10 @@ from repro.cpu.kernels import Kernel
 from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
 from repro.cpu.streams import Alignment, Direction, place_streams
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
-from repro.naturalorder.line import LineController
+from repro.naturalorder.line import MAX_OUTSTANDING, LineController
 from repro.rdram.packets import BusDirection
 from repro.sim.kernel import ResultBuilder
 from repro.sim.results import SimulationResult
-
-#: Concurrent line fetches in flight, matching the device pipeline.
-MAX_OUTSTANDING_LINES = 4
 
 # Read per line: a global costs less than a lookup on the enum class.
 _READ = BusDirection.READ
@@ -334,7 +331,7 @@ class _L2Run:
             self.issue(self.pending_writebacks.popleft(), _WRITE, cycle)
             self.controller.writebacks_streamed += 1
         # Prefetch round-robin: one line issue per cycle at most.
-        if len(self.inflight) < MAX_OUTSTANDING_LINES:
+        if len(self.inflight) < MAX_OUTSTANDING:
             stream = self._prefetch_stream()
             if stream is not None:
                 line_address = stream.lines[stream.prefetch_cursor]
@@ -397,7 +394,7 @@ class _L2Run:
         next attempts after it.
         """
         if self.pending_writebacks or (
-            len(self.inflight) < MAX_OUTSTANDING_LINES
+            len(self.inflight) < MAX_OUTSTANDING
             and self._prefetch_stream() is not None
         ):
             return self._last_cycle + 1

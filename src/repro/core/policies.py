@@ -33,6 +33,10 @@ from repro.rdram.timing import RdramTiming
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.msu import MemorySchedulingUnit
 
+#: Access units :class:`SpeculativePrechargePolicy` looks ahead in the
+#: current stream's plan for the next page crossing.
+LOOKAHEAD_UNITS = 4
+
 
 def _act_ready(bank: BankState, cycle: int, timing: RdramTiming) -> int:
     """Earliest cycle >= ``cycle`` the closed ``bank`` allows an ACT:
@@ -119,9 +123,8 @@ class BankAwarePolicy(SchedulingPolicy):
     column timing, a closed bank adds the activate, and a bank holding
     the wrong row adds a full precharge/activate turnaround — and
     services the minimum.  The current FIFO is kept while its estimate
-    is within ``slack`` cycles (hysteresis, so committed row bursts are
-    not abandoned; defaults to t_RCD), and ties go to round-robin
-    order for fairness.
+    is within t_RCD cycles (hysteresis, so committed row bursts are
+    not abandoned), and ties go to round-robin order for fairness.
 
     The paper's conclusion anticipates that such policies "warrant
     further study to determine how robust their performances are";
@@ -133,9 +136,6 @@ class BankAwarePolicy(SchedulingPolicy):
     """
 
     name = "bank-aware"
-
-    def __init__(self, slack: Optional[int] = None) -> None:
-        self.slack = slack
 
     def _estimate_col_start(
         self, device: RdramDevice, fifo, cycle: int
@@ -164,7 +164,7 @@ class BankAwarePolicy(SchedulingPolicy):
         device: RdramDevice,
     ) -> Optional[int]:
         count = len(sbu)
-        slack = self.slack if self.slack is not None else device.timing.t_rcd
+        t_rcd = device.timing.t_rcd
         best: Optional[int] = None
         best_estimate = 0
         for offset in range(current, current + count):
@@ -173,7 +173,7 @@ class BankAwarePolicy(SchedulingPolicy):
             if not fifo.serviceable:
                 continue
             estimate = self._estimate_col_start(device, fifo, cycle)
-            if index == current and estimate <= cycle + slack:
+            if index == current and estimate <= cycle + t_rcd:
                 return current
             if best is None or estimate < best_estimate:
                 best = index
@@ -185,17 +185,15 @@ class SpeculativePrechargePolicy(RoundRobinPolicy):
     """Round-robin plus early precharge/activate across page crossings.
 
     After each access, look ahead in the current stream's access plan;
-    if a different (bank, row) is coming up within ``lookahead`` units,
-    open that row now so the t_RP + t_RCD latency overlaps the
-    remaining transfers of the current page.  Designed for open-page
+    if a different (bank, row) is coming up within
+    :data:`LOOKAHEAD_UNITS` units, open that row now so the t_RP +
+    t_RCD latency overlaps the remaining transfers of the current
+    page.  Designed for open-page
     (PI) systems, where the paper identifies page-crossing overhead as
     the factor keeping long-stream SMC performance below its bound.
     """
 
     name = "speculative-precharge"
-
-    def __init__(self, lookahead: int = 4) -> None:
-        self.lookahead = lookahead
 
     def speculate(
         self,
@@ -206,7 +204,7 @@ class SpeculativePrechargePolicy(RoundRobinPolicy):
     ) -> None:
         fifo = msu.sbu[fifo_index]
         bank_here, row_here, _, _, _ = unit
-        for bank, row, _, _, _ in fifo.upcoming_units(self.lookahead):
+        for bank, row, _, _, _ in fifo.upcoming_units(LOOKAHEAD_UNITS):
             if bank == bank_here and row == row_here:
                 continue
             msu.device.sync_bank(bank, cycle)

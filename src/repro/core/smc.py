@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.cpu.kernels import Kernel
-from repro.cpu.processor import MATCHED_ACCESS_INTERVAL, StreamProcessor
+from repro.cpu.processor import StreamProcessor
 from repro.cpu.streams import Alignment, StreamDescriptor, place_streams
 from repro.core.msu import MemorySchedulingUnit
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
@@ -63,7 +63,6 @@ def build_smc_system(
     stride: int = 1,
     alignment: Alignment = Alignment.STAGGERED,
     policy: Optional[SchedulingPolicy] = None,
-    access_interval: int = MATCHED_ACCESS_INTERVAL,
     record_trace: bool = False,
     descriptors: Optional[Sequence[StreamDescriptor]] = None,
     refresh: bool = False,
@@ -86,8 +85,6 @@ def build_smc_system(
             placement of vector base addresses.
         policy: MSU scheduling policy; defaults to the paper's
             round-robin.
-        access_interval: CPU pacing in cycles per element, an int of
-            at least 1; 2 matches bandwidths as the paper assumes.
         record_trace: Record the full packet trace on the device (for
             auditing/timelines; slows long runs).
         descriptors: Pre-placed streams, overriding automatic
@@ -98,10 +95,6 @@ def build_smc_system(
 
     Returns:
         The wired system.
-
-    Raises:
-        ConfigurationError: If ``access_interval`` is not an int of at
-            least 1.
     """
     if descriptors is None:
         placed = place_streams(
@@ -116,13 +109,7 @@ def build_smc_system(
     device = make_memory(config, record_trace=record_trace)
     sbu = StreamBufferUnit.from_descriptors(placed, config, fifo_depth)
     msu = MemorySchedulingUnit(device, sbu, policy or RoundRobinPolicy())
-    processor = StreamProcessor(
-        kernel,
-        length,
-        sbu,
-        access_interval=access_interval,
-        on_retire=msu.wake,
-    )
+    processor = StreamProcessor(kernel, length, sbu, on_retire=msu.wake)
     return SmcSystem(
         kernel=kernel,
         config=config,

@@ -7,13 +7,14 @@ in cache, and all computation is assumed to be infinitely fast." and
 supply".
 
 The processor walks the kernel's accesses in natural program order —
-one element of each stream per iteration — and can complete one 64-bit
-element access every ``access_interval`` interface-clock cycles.  At
-the Direct RDRAM peak of 4 bytes/cycle, an 8-byte element every 2
-cycles exactly matches peak bandwidth.  A read retires by popping the
-head of the corresponding FIFO (the memory-mapped head register of
-Section 3); a write retires by pushing into the write FIFO.  If the
-FIFO is not ready, the processor stalls and retries every cycle.
+one element of each stream per iteration — and completes at most one
+64-bit element access every :data:`MATCHED_ACCESS_INTERVAL`
+interface-clock cycles.  At the Direct RDRAM peak of 4 bytes/cycle, an
+8-byte element every 2 cycles exactly matches peak bandwidth (Section
+4.1).  A read retires by popping the head of the corresponding FIFO
+(the memory-mapped head register of Section 3); a write retires by
+pushing into the write FIFO.  If the FIFO is not ready, the processor
+stalls and retries every cycle.
 The processor is a :class:`~repro.sim.kernel.Simulation` component.
 """
 
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
 from repro.cpu.kernels import Kernel
 from repro.cpu.streams import Direction
-from repro.errors import ConfigurationError, require_int
 from repro.obs.core import Instrumentation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,16 +61,10 @@ class StreamProcessor:
         kernel: The inner loop being executed.
         length: Vector length in elements (the paper's L_s).
         port: The stream buffer unit the accesses pop and push.
-        access_interval: Minimum cycles between successive element
-            accesses; 2 models the paper's matched-bandwidth CPU.
         on_retire: Called after each retire with the next cycle, at
             which the FIFO change it made is visible (the SMC wiring
             passes the MSU's ``wake``: a pop frees read-FIFO space and
             a push feeds a write FIFO).
-
-    Raises:
-        ConfigurationError: If ``access_interval`` is not an int of at
-            least 1.
     """
 
     def __init__(
@@ -78,17 +72,11 @@ class StreamProcessor:
         kernel: Kernel,
         length: int,
         port: StreamPort,
-        access_interval: int = MATCHED_ACCESS_INTERVAL,
         on_retire: Optional[Callable[[int], None]] = None,
     ) -> None:
-        if require_int("access_interval", access_interval) < 1:
-            raise ConfigurationError(
-                f"access_interval must be at least 1, got {access_interval}"
-            )
         self.kernel = kernel
         self.length = length
         self.port = port
-        self.access_interval = access_interval
         self._on_retire = on_retire
         #: One iteration's accesses, in order: (stream index, read?).
         #: Access ``p`` of the loop is ``_pattern[p % len(_pattern)]``.
@@ -164,7 +152,7 @@ class StreamProcessor:
             self.first_element_cycle = cycle
         self.last_retire_cycle = cycle
         self._position = position + 1
-        self._next_attempt = cycle + self.access_interval
+        self._next_attempt = cycle + MATCHED_ACCESS_INTERVAL
         if self._on_retire is not None:
             self._on_retire(cycle + 1)
 

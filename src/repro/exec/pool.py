@@ -292,10 +292,15 @@ def _run_pooled(
             max_workers=min(workers, len(pending))
         ) as pool:
             futures = {}
-            for index in sorted(pending):
-                if dispatched is not None:
-                    dispatched(index)
-                futures[pool.submit(_worker_run, payloads[index])] = index
+            try:
+                for index in sorted(pending):
+                    if dispatched is not None:
+                        dispatched(index)
+                    futures[pool.submit(_worker_run, payloads[index])] = index
+            except BrokenProcessPool as error:
+                # A worker died before every point was submitted: the
+                # submitted ones still land or break below.
+                crash = error
             for future in as_completed(futures):
                 index = futures[future]
                 try:

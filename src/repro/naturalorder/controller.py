@@ -36,16 +36,12 @@ from repro.cpu.streams import (
     place_streams,
 )
 from repro.memsys.config import ELEMENT_BYTES
-from repro.naturalorder.line import LineController
+from repro.naturalorder.line import MAX_OUTSTANDING, LineController
 from repro.obs.core import Instrumentation
 from repro.obs.telemetry import finalize_telemetry
 from repro.rdram.packets import BusDirection
 from repro.sim.kernel import ResultBuilder, TransactionPump
 from repro.sim.results import SimulationResult
-
-#: The Direct RDRAM's pipelined microarchitecture "supports up to four
-#: outstanding requests" (Section 2.2).
-MAX_OUTSTANDING = 4
 
 # Read per line: a global costs less than a lookup on the enum class.
 _READ = BusDirection.READ
@@ -96,7 +92,6 @@ class NaturalOrderController(LineController):
         length: int,
         stride: int = 1,
         alignment: Alignment = Alignment.STAGGERED,
-        descriptors: Optional[List[StreamDescriptor]] = None,
         obs: Optional[Instrumentation] = None,
         dense: bool = False,
     ) -> SimulationResult:
@@ -107,7 +102,6 @@ class NaturalOrderController(LineController):
             length: Vector length in elements.
             stride: Stride in elements.
             alignment: Vector base placement.
-            descriptors: Pre-placed streams overriding placement.
             obs: Optional instrumentation; records one "controller"
                 span per cacheline transaction plus the device-level
                 gaps and counters (see :mod:`repro.obs`).
@@ -121,14 +115,13 @@ class NaturalOrderController(LineController):
             though whole lines move on the bus.
         """
         self.device.reset()
-        if descriptors is None:
-            descriptors = place_streams(
-                kernel.streams,
-                self.config,
-                length=length,
-                stride=stride,
-                alignment=alignment,
-            )
+        descriptors = place_streams(
+            kernel.streams,
+            self.config,
+            length=length,
+            stride=stride,
+            alignment=alignment,
+        )
         builder = ResultBuilder(
             kernel=kernel.name,
             organization=self.config.describe(),

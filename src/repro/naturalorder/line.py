@@ -24,6 +24,11 @@ if TYPE_CHECKING:
     from repro.obs.core import Instrumentation
     from repro.sim.kernel import Component
 
+#: The Direct RDRAM's pipelined microarchitecture "supports up to four
+#: outstanding requests" (Section 2.2): the line fetches a controller
+#: keeps in flight.
+MAX_OUTSTANDING = 4
+
 
 class LineController:
     """Whole-cacheline transactions on one RDRAM device or channel.

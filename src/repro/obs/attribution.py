@@ -16,8 +16,7 @@ precharge/activate latency, FIFO stalls — so this pass classifies
     t_RCD) had to complete before the next column access.  The run's
     startup latency lands here.
 ``command_bus``
-    Idle because the COL command bus (or an explicit retire slot) was
-    occupied.
+    Idle because the COL command bus was occupied.
 ``fifo``
     The device was ready but the MSU had no serviceable FIFO: every
     read FIFO was full (or covered by in-flight data) and every write

@@ -191,8 +191,7 @@ class DataBusGap(NamedTuple):
         bank_until: Bank readiness bound — the earliest the bank's
             activate/precharge/t_RCD state allowed data, regardless of
             when the controller asked.
-        colbus_until: COL command-bus occupancy bound (including a
-            retire slot under ``explicit_retire``).
+        colbus_until: COL command-bus occupancy bound.
         request_until: Earliest data had the device been entirely
             unconstrained — the controller's request cycle plus the
             fixed command-to-data pipeline delay.  Idle cycles beyond

@@ -19,7 +19,6 @@ from repro.errors import ProtocolError
 from repro.rdram.device import NEVER
 from repro.rdram.packets import (
     BusDirection,
-    ColCommand,
     ColPacket,
     DataPacket,
     RowCommand,
@@ -192,11 +191,6 @@ def audit_trace(
                 f"col bus collision at cycle {packet.start}",
             )
             col_bus_free = packet.start + timing.t_pack
-            if packet.command is ColCommand.RET:
-                # A write-buffer retire occupies the COL bus but
-                # addresses no bank row and moves no data.
-                report.col_packets += 1
-                continue
             _check(
                 bank.open_row == packet.row,
                 f"COL to bank {packet.bank} row {packet.row} but open row "

@@ -163,8 +163,5 @@ class RambusChannel(RdramDevice):
         timing: Optional[RdramTiming] = None,
         geometry: Optional[ChannelGeometry] = None,
         record_trace: bool = True,
-        explicit_retire: bool = False,
     ) -> None:
-        super().__init__(
-            timing, geometry or ChannelGeometry(), record_trace, explicit_retire
-        )
+        super().__init__(timing, geometry or ChannelGeometry(), record_trace)

@@ -202,9 +202,6 @@ def record_data_gap(
         turnaround_until = memory._last_write_data_end + memory._t_rw
     else:
         turnaround_until = idle_from
-    col_bus_free = memory._col_bus_free
-    if reading and memory.explicit_retire and memory._retire_pending:
-        col_bus_free += memory._t_pack
     bank_ready = memory._act_starts[bank] + memory._t_rcd
     # Positional: keyword arguments double the tuple's build cost.
     gap_log.append(
@@ -215,7 +212,7 @@ def record_data_gap(
             "read" if reading else "write",
             turnaround_until,
             (bank_ready if bank_ready > 0 else 0) + delay,
-            col_bus_free + delay,
+            memory._col_bus_free + delay,
             now + delay,
         )
     )
@@ -226,10 +223,10 @@ class RdramDevice:
 
     A plain :class:`RdramGeometry` is one device, the paper's system.
     A :class:`~repro.rdram.channel.ChannelGeometry` puts up to 32
-    devices on the channel: they share the ROW, COL and DATA buses,
-    the DATA-bus turnaround and the write-buffer retire slot, while
-    each keeps its own banks and its own t_RR spacing between ACTs.
-    Bank indices are global (device d's bank b is index
+    devices on the channel: they share the ROW, COL and DATA buses
+    and the DATA-bus turnaround (which folds in the write-buffer
+    retire), while each keeps its own banks and its own t_RR spacing
+    between ACTs.  Bank indices are global (device d's bank b is index
     ``d * banks_per_device + b``), so every controller runs unmodified
     on any device count.
 
@@ -247,18 +244,10 @@ class RdramDevice:
         timing: Optional[RdramTiming] = None,
         geometry: Optional[RdramGeometry] = None,
         record_trace: bool = True,
-        explicit_retire: bool = False,
     ) -> None:
         self.timing = timing or RdramTiming()
         self.geometry = geometry or RdramGeometry()
         self.record_trace = record_trace
-        #: When True, the write-buffer retire is modeled as an explicit
-        #: COL RET packet occupying the COL bus between the last WR and
-        #: the next RD, instead of being folded into t_RW alone.  Both
-        #: models yield identical data timing (t_RW = t_PACK + t_RDLY);
-        #: the explicit form additionally consumes a COL-bus slot, as
-        #: the real protocol does.
-        self.explicit_retire = explicit_retire
         #: Optional instrumentation; attach one to record counters and
         #: bank-row spans.  None (the default) costs one branch per
         #: issue.
@@ -320,7 +309,6 @@ class RdramDevice:
         self._last_write_data_end = NEVER
         self._last_data_dir: Optional[BusDirection] = None
         self._data_packets_moved = 0
-        self._retire_pending = False
 
     # ------------------------------------------------------------------
     # queries
@@ -438,16 +426,11 @@ class RdramDevice:
             )
         reading = direction is _READ
         delay = self._read_delay if reading else self._write_delay
-        col_bus_free = self._col_bus_free
-        if reading and self.explicit_retire and self._retire_pending:
-            # A COL RET packet must go out between the last WR and this
-            # RD; leave it a COL-bus slot.
-            col_bus_free += self._t_pack
         start = self._act_starts[bank] + self._t_rcd
         if start < now:
             start = now
-        if start < col_bus_free:
-            start = col_bus_free
+        if start < self._col_bus_free:
+            start = self._col_bus_free
         data_start = start + delay
         if data_start < self._data_bus_free:
             data_start = self._data_bus_free
@@ -572,12 +555,6 @@ class RdramDevice:
             record_data_gap(
                 self.gap_log, self, bank, now, reading, start, delay
             )
-        if reading and self.explicit_retire and self._retire_pending:
-            if self.record_trace:
-                self.trace.append(
-                    ColPacket(ColCommand.RET, bank, row, 0, start - t_pack)
-                )
-            self._retire_pending = False
         act_start = self._act_starts[bank]
         if start < act_start + self._t_rcd:
             raise ProtocolError(
@@ -593,7 +570,6 @@ class RdramDevice:
         self._last_data_dir = direction
         if not reading:
             self._last_write_data_end = data_end
-            self._retire_pending = True
         self._data_packets_moved += 1
         if self.record_trace:
             self.trace.append(
@@ -786,9 +762,8 @@ class RdramDevice:
             manager.observe(self, bank, row)
             if not precharge:
                 precharge = manager.close_after(self, bank, row)
-        # COL, as issue_col: t_RCD after the ACT, the COL bus (plus a
-        # slot for an explicit write-buffer retire), the DATA bus and
-        # the write-to-read turnaround.
+        # COL, as issue_col: t_RCD after the ACT, the COL bus, the DATA
+        # bus and the write-to-read turnaround.
         if not 0 <= column < self._packets_per_page:
             raise ProtocolError(
                 f"column {column} out of range "
@@ -801,16 +776,12 @@ class RdramDevice:
             )
         reading = direction is _READ
         delay = self._read_delay if reading else self._write_delay
-        retire = reading and self.explicit_retire and self._retire_pending
-        col_bus_free = self._col_bus_free
-        if retire:
-            col_bus_free += t_pack
         act_start = act_starts[bank]
         col_start = act_start + self._t_rcd
         if col_start < now:
             col_start = now
-        if col_start < col_bus_free:
-            col_start = col_bus_free
+        if col_start < self._col_bus_free:
+            col_start = self._col_bus_free
         data_start = col_start + delay
         data_bus_free = self._data_bus_free
         if data_start < data_bus_free:
@@ -826,12 +797,6 @@ class RdramDevice:
             record_data_gap(
                 self.gap_log, self, bank, now, reading, col_start, delay
             )
-        if retire:
-            if record:
-                self.trace.append(
-                    ColPacket(ColCommand.RET, bank, row, 0, col_start - t_pack)
-                )
-            self._retire_pending = False
         if col_start < act_start + self._t_rcd:
             raise ProtocolError(
                 f"bank {bank}: COL at {col_start} before legal cycle "
@@ -845,7 +810,6 @@ class RdramDevice:
         self._last_data_dir = direction
         if not reading:
             self._last_write_data_end = data_end
-            self._retire_pending = True
         self._data_packets_moved += 1
         if record:
             self.trace.append(

@@ -31,15 +31,12 @@ class RowCommand(enum.Enum):
 class ColCommand(enum.Enum):
     """Commands carried by COL packets.
 
-    RET retires the device's write buffer; it addresses no bank row
-    and appears in traces only when the device models retires
-    explicitly (``explicit_retire=True``) rather than folding them
-    into the t_RW turnaround.
+    The write-buffer retire has no packet of its own: as in the paper
+    (Section 5), its latency is folded into the t_RW turnaround.
     """
 
     RD = "RD"
     WR = "WR"
-    RET = "RET"
 
 
 class BusDirection(enum.Enum):
@@ -78,7 +75,7 @@ class ColPacket(NamedTuple):
     """A COL command packet occupying the col bus for t_PACK cycles.
 
     Attributes:
-        command: RD, WR or RET.
+        command: RD or WR.
         bank: Target bank index.
         row: Row the access is served from (the open row).
         column: Column address, in DATA-packet units within the row.

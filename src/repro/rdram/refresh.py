@@ -12,7 +12,7 @@ floor.
 
 The engine refreshes in the background: when a refresh comes due and
 its target bank (or, on double-bank cores, a neighbor) is busy, the
-refresh is deferred briefly; after ``force_after`` deferrals the
+refresh is deferred briefly; after :data:`FORCE_AFTER` deferrals the
 engine closes the page itself, modeling a real controller's refresh
 deadline taking priority over open-page policy.
 
@@ -36,6 +36,10 @@ DEFAULT_INTERVAL_CYCLES = 1562
 #: Cycles to wait before retrying a deferred refresh.
 RETRY_CYCLES = 16
 
+#: Deferrals tolerated before the engine precharges a busy bank itself
+#: to meet the retention deadline.
+FORCE_AFTER = 8
+
 
 class RefreshEngine:
     """Issues one row refresh (ACT + PRER) every ``interval`` cycles.
@@ -44,8 +48,6 @@ class RefreshEngine:
         device: The device being refreshed.
         interval: Cycles between refreshes; the default meets a 32 ms
             retention window for the paper's 8x1024-row geometry.
-        force_after: Deferrals tolerated before the engine precharges a
-            busy bank itself to meet the retention deadline.
         on_fire: Called with :attr:`last_refresh` after each refresh,
             e.g. to re-arm a scheduler whose bank state the refresh
             changed, or to hand the span to the traffic server that
@@ -53,7 +55,7 @@ class RefreshEngine:
 
     Raises:
         ConfigurationError: If ``interval`` is not an int of at least
-            1, or ``force_after`` not an int of at least 0.
+            1.
     """
 
     #: A pending refresh cannot unblock a stalled computation.
@@ -63,20 +65,14 @@ class RefreshEngine:
         self,
         device: RdramDevice,
         interval: int = DEFAULT_INTERVAL_CYCLES,
-        force_after: int = 8,
         on_fire: Optional[Callable[[Tuple[int, int]], None]] = None,
     ) -> None:
         if require_int("refresh interval", interval) < 1:
             raise ConfigurationError(
                 f"refresh interval must be at least 1, got {interval}"
             )
-        if require_int("refresh force_after", force_after) < 0:
-            raise ConfigurationError(
-                f"refresh force_after must be at least 0, got {force_after}"
-            )
         self.device = device
         self.interval = interval
-        self.force_after = force_after
         self._on_fire = on_fire
         self._next_due = interval
         self._bank_cursor = 0
@@ -116,7 +112,7 @@ class RefreshEngine:
         for index in banks:
             device.sync_bank(index, cycle)
         if any(device.open_row(index) is not None for index in banks):
-            if self._deferrals_in_a_row < self.force_after:
+            if self._deferrals_in_a_row < FORCE_AFTER:
                 self._deferrals_in_a_row += 1
                 self.deferrals += 1
                 if self.obs is not None:

@@ -33,7 +33,7 @@ from repro.rdram.packets import (
 SLOT = 4
 
 _ROW_LABEL = {RowCommand.ACT: "A", RowCommand.PRER: "P"}
-_COL_LABEL = {ColCommand.RD: "R", ColCommand.WR: "W", ColCommand.RET: "T"}
+_COL_LABEL = {ColCommand.RD: "R", ColCommand.WR: "W"}
 
 
 def render_trace(

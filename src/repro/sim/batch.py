@@ -47,13 +47,18 @@ from typing import Callable, Deque, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, SchedulingError, require_int
 from repro.cpu.kernels import Kernel
+from repro.cpu.processor import MATCHED_ACCESS_INTERVAL
 from repro.cpu.streams import Alignment, Direction, place_streams
 from repro.core.fifo import build_plan, check_fifo_depth
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
 from repro.memsys.address import MAPPINGS, get_address_mapping
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.rdram.device import NEVER
-from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RETRY_CYCLES
+from repro.rdram.refresh import (
+    DEFAULT_INTERVAL_CYCLES,
+    FORCE_AFTER,
+    RETRY_CYCLES,
+)
 from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.sim.kernel import Component, ResultBuilder, Simulation
 from repro.sim.results import SimulationResult
@@ -118,7 +123,6 @@ def run_smc_batch(
     stride: int = 1,
     alignment: Alignment = Alignment.STAGGERED,
     refresh: bool = False,
-    access_interval: int = 2,
     max_cycles: Optional[int] = None,
 ) -> SimulationResult:
     """Simulate an SMC system on the batch fast path.
@@ -130,9 +134,8 @@ def run_smc_batch(
 
     Raises:
         ConfigurationError: If the configuration needs the event
-            kernel (check :func:`batch_unsupported_reason` first),
-            ``max_cycles`` is not an int of at least 0, or
-            ``access_interval`` is not an int of at least 1.
+            kernel (check :func:`batch_unsupported_reason` first), or
+            ``max_cycles`` is not an int of at least 0.
         SchedulingError: On deadlock or watchdog expiry (same messages
             as the event kernel).
     """
@@ -142,10 +145,6 @@ def run_smc_batch(
     if max_cycles is not None and require_int("max_cycles", max_cycles) < 0:
         raise ConfigurationError(
             f"max_cycles must be at least 0, got {max_cycles}"
-        )
-    if require_int("access_interval", access_interval) < 1:
-        raise ConfigurationError(
-            f"access_interval must be at least 1, got {access_interval}"
         )
     descriptors = place_streams(
         kernel.streams, config, length=length, stride=stride, alignment=alignment
@@ -185,6 +184,7 @@ def run_smc_batch(
     inflight = [0] * num_fifos
 
     # CPU (StreamProcessor semantics, matched-bandwidth pacing).
+    cpu_interval = MATCHED_ACCESS_INTERVAL
     pattern = [
         (index, spec.direction is Direction.READ)
         for index, spec in enumerate(kernel.streams)
@@ -279,7 +279,7 @@ def run_smc_batch(
                 if cycle < refresh_due[channel]:
                     continue
                 target = channel * banks_per_channel + refresh_bank[channel]
-                if open_row[target] >= 0 and refresh_deferrals[channel] < 8:
+                if open_row[target] >= 0 and refresh_deferrals[channel] < FORCE_AFTER:
                     refresh_deferrals[channel] += 1
                     refresh_due[channel] = cycle + RETRY_CYCLES
                     continue
@@ -482,7 +482,7 @@ def run_smc_batch(
                     first_retire = cycle
                 last_retire = cycle
                 position += 1
-                cpu_next = cycle + access_interval
+                cpu_next = cycle + cpu_interval
                 if next_decision >= _IDLE:
                     next_decision = cycle + 1
 

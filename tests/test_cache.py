@@ -139,13 +139,16 @@ class TestCachedController:
         assert controller.cache.miss_rate == pytest.approx(512 / 3072)
 
     def test_flush_accounts_for_trailing_writebacks(self, cli_config):
-        with_flush = CachedNaturalOrderController(cli_config).run(
-            COPY, length=512, flush_at_end=True
+        # The run ends by writing every dirty line back, so the bus
+        # moves each fill and each writeback exactly once: at length
+        # 512, (256 + 128) lines of 32 bytes.
+        controller = CachedNaturalOrderController(cli_config)
+        result = controller.run(COPY, length=512)
+        cache = controller.cache
+        assert result.transferred_bytes == (
+            (cache.misses + cache.writebacks) * cli_config.cacheline_bytes
         )
-        without = CachedNaturalOrderController(cli_config).run(
-            COPY, length=512, flush_at_end=False
-        )
-        assert with_flush.transferred_bytes > without.transferred_bytes
+        assert (cache.misses, cache.writebacks) == (256, 128)
 
     def test_strided_conflicts_hurt_direct_mapped(self, cli_config):
         """Section 6's prediction: strided vectors leave a larger

@@ -161,22 +161,18 @@ class TestRandomAccessProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         device=st.sampled_from(DEVICE_GEOMETRIES),
-        explicit_retire=st.booleans(),
         num_devices=st.sampled_from((2, 4)),
         ops=accesses,
     )
     def test_channels_match_device_and_pass_audit(
-        self, device, explicit_retire, num_devices, ops
+        self, device, num_devices, ops
     ):
         def channel(devices):
             return RambusChannel(
-                geometry=ChannelGeometry(num_devices=devices, device=device),
-                explicit_retire=explicit_retire,
+                geometry=ChannelGeometry(num_devices=devices, device=device)
             )
 
-        plain = _replay(
-            RdramDevice(geometry=device, explicit_retire=explicit_retire), ops
-        )
+        plain = _replay(RdramDevice(geometry=device), ops)
         assert _replay(channel(1), ops) == plain
         audit_trace(
             plain,

@@ -42,7 +42,6 @@ from repro.rdram import device as device_module
 from repro.rdram.device import NEVER, BankState, RdramDevice, RdramGeometry
 from repro.rdram.packets import (
     BusDirection,
-    ColCommand,
     ColPacket,
     DataPacket,
     RowCommand,
@@ -78,12 +77,8 @@ accesses = st.lists(
 )
 
 
-def _device(geometry, explicit_retire, policy, record_trace):
-    device = RdramDevice(
-        geometry=geometry,
-        record_trace=record_trace,
-        explicit_retire=explicit_retire,
-    )
+def _device(geometry, policy, record_trace):
+    device = RdramDevice(geometry=geometry, record_trace=record_trace)
     device.page_manager = PAGE_POLICIES[policy]()
     return device
 
@@ -105,7 +100,7 @@ def _replayed_banks(trace, num_banks, t_pack):
             else:
                 banks[packet.bank][0] = None
                 banks[packet.bank][2] = packet.start
-        elif isinstance(packet, ColPacket) and packet.command is not ColCommand.RET:
+        elif isinstance(packet, ColPacket):
             banks[packet.bank][3] = packet.start + t_pack
     return [BankState(*bank) for bank in banks]
 
@@ -116,12 +111,8 @@ def _check_against_trace(issued, packets, t_pack):
     row_bus = [
         p for p in packets if isinstance(p, RowPacket) and not p.via_col
     ]
-    cols = [
-        p for p in packets
-        if isinstance(p, ColPacket) and p.command is not ColCommand.RET
-    ]
+    (col,) = [p for p in packets if isinstance(p, ColPacket)]
     (data,) = [p for p in packets if isinstance(p, DataPacket)]
-    (col,) = cols
     assert col_start == col.start == data.source_col_start
     assert data_start == data.start
     assert data_end - data_start == t_pack
@@ -136,15 +127,12 @@ class TestTracedMatchesUntraced:
     @settings(max_examples=80, deadline=None)
     @given(
         geometry=st.sampled_from(GEOMETRIES),
-        explicit_retire=st.booleans(),
         policy=st.sampled_from(("open", "closed", "timeout", "hybrid")),
         ops=accesses,
     )
-    def test_same_tuples_state_and_trace(
-        self, geometry, explicit_retire, policy, ops
-    ):
-        traced = _device(geometry, explicit_retire, policy, True)
-        untraced = _device(geometry, explicit_retire, policy, False)
+    def test_same_tuples_state_and_trace(self, geometry, policy, ops):
+        traced = _device(geometry, policy, True)
+        untraced = _device(geometry, policy, False)
         t_pack = traced.timing.t_pack
         now = 0
         for bank, row, column, gap, write, precharge in ops:
@@ -179,10 +167,10 @@ class TestTracedMatchesUntraced:
             raise AssertionError(f"untraced device built {fields}")
 
         def drive(policy):
-            device = _device(GEOMETRIES[2], True, policy, False)
+            device = _device(GEOMETRIES[2], policy, False)
             read, write = BusDirection.READ, BusDirection.WRITE
             device.issue_access(0, 0, 0, 0, write)  # ACT
-            device.issue_access(0, 1, 0, 10, read)  # PRER, ACT, RET
+            device.issue_access(0, 1, 0, 10, read)  # PRER, ACT
             device.issue_access(1, 0, 0, 20, read, True)  # neighbor PRER, via-COL PRER
             device.issue_access(3, 0, 0, 30, read)
             device.issue_access(3, 0, 1, 2000, read)  # autoclose on timeout
@@ -288,7 +276,6 @@ class TestFusedMatchesChained:
     @settings(max_examples=150, deadline=None)
     @given(
         geometry=st.sampled_from(GEOMETRIES),
-        explicit_retire=st.booleans(),
         policy=st.sampled_from(("open", "closed", "timeout", "hybrid")),
         record_trace=st.booleans(),
         observed=st.booleans(),
@@ -296,12 +283,10 @@ class TestFusedMatchesChained:
         ops=accesses,
     )
     def test_same_tuples_state_and_records(
-        self, geometry, explicit_retire, policy, record_trace, observed,
-        stateful, ops,
+        self, geometry, policy, record_trace, observed, stateful, ops,
     ):
         fused, chained = (
-            _device(geometry, explicit_retire, policy, record_trace)
-            for _ in range(2)
+            _device(geometry, policy, record_trace) for _ in range(2)
         )
         for device in (fused, chained):
             if observed:
@@ -340,7 +325,7 @@ class TestFusedMatchesChained:
     def test_same_error_after_the_same_commands(self, bank, row, column, match):
         devices = []
         for access in (RdramDevice.issue_access, chained_access):
-            device = _device(GEOMETRIES[0], False, "open", True)
+            device = _device(GEOMETRIES[0], "open", True)
             device.obs = Instrumentation()
             access(device, 0, 0, 0, 0, BusDirection.READ)
             with pytest.raises(ProtocolError, match=match):

@@ -132,21 +132,6 @@ class TestSimulation:
                 max_cycles=bound,
             )
 
-    # 0, -1 and True used to run as an interval of 1, 2.5 gave a
-    # float cycle count, and "2" raised a bare TypeError.
-    @pytest.mark.parametrize("interval", [0, -1, True, 2.5, "2"])
-    def test_both_loops_check_the_access_interval(self, interval):
-        with pytest.raises(ConfigurationError, match="access_interval"):
-            build_smc_system(
-                KERNELS["copy"], MemorySystemConfig.cli(), length=64,
-                fifo_depth=16, access_interval=interval,
-            )
-        with pytest.raises(ConfigurationError, match="access_interval"):
-            run_smc_batch(
-                KERNELS["copy"], MemorySystemConfig.cli(), length=64,
-                fifo_depth=16, access_interval=interval,
-            )
-
     @pytest.mark.parametrize("bound", BAD_BOUNDS)
     def test_batch_loop_checks_the_watchdog_bound(self, bound):
         with pytest.raises(ConfigurationError, match="max_cycles"):

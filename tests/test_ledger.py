@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import ObservabilityError
+from repro.errors import ExecutionError, ObservabilityError
 from repro.exec import ResultCache, execution, run_specs
+from repro.exec import pool as pool_module
 from repro.obs.ledger import Ledger, LedgerWriter
 from repro.sim.runner import RunSpec
 
@@ -140,6 +143,38 @@ class TestCrashPath:
         counts = ledger.counts()
         assert counts.get("retried", 0) > 0
         assert counts.get("failed", 0) > 0
+        assert ledger.verify() == []
+
+    def test_submit_time_crash_is_retried_then_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # A pool whose worker died refuses new work: submit() raises
+        # BrokenProcessPool itself.  Each pool here breaks on its second
+        # submit, so every pool lands one point and the rest are charged
+        # an attempt, as for a crash seen through a future.
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.submits = 0
+
+            def submit(self, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 2:
+                    raise BrokenProcessPool("worker died during submit")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(
+            pool_module, "ProcessPoolExecutor", BreaksOnSecondSubmit
+        )
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(ExecutionError, match="crashed 2 times"):
+            with execution(workers=2, ledger=path):
+                run_specs(SPECS, retries=1)
+        ledger = Ledger.load(path)
+        counts = ledger.counts()
+        assert counts["completed"] == 2
+        assert counts["retried"] == len(SPECS) - 1
+        assert counts["failed"] == len(SPECS) - 2
         assert ledger.verify() == []
 
     def test_crash_once_recovers_with_retried_event(

@@ -11,7 +11,7 @@ from repro.cpu.streams import Alignment, place_streams
 from repro.memsys.config import MemorySystemConfig
 from repro.rdram.device import RdramDevice
 from repro.rdram.packets import ColPacket
-from repro.rdram.refresh import RefreshEngine
+from repro.rdram.refresh import FORCE_AFTER, RefreshEngine
 
 
 def make_msu(kernel=DAXPY, org="cli", length=32, depth=8, alignment=Alignment.STAGGERED):
@@ -113,14 +113,24 @@ class TestIssuing:
         msu.tick(900)
         assert msu.packets_issued == 2
         engine = RefreshEngine(
-            device, interval=1000, force_after=0, on_fire=msu.note_refresh
+            device, interval=1000, on_fire=msu.note_refresh
         )
         # Refresh engines tick before the MSU in each visited cycle.
-        engine.tick(1000)
-        msu.tick(1000)
+        # Bank 0 is open, so the engine defers FORCE_AFTER times, which
+        # re-arms nothing, then forces the precharge and refreshes.
+        cycle = 1000
+        for _ in range(FORCE_AFTER):
+            engine.tick(cycle)
+            msu.tick(cycle)
+            assert msu.packets_issued == 2
+            cycle = engine.next_action_cycle
+        engine.tick(cycle)
+        msu.tick(cycle)
+        assert engine.deferrals == FORCE_AFTER
+        assert engine.forced_precharges == 1
         assert engine.refreshes_issued == 1
         assert msu.packets_issued == 3
-        assert msu.next_decision > 1000
+        assert msu.next_decision > cycle
 
 
 class TestStats:

@@ -29,7 +29,7 @@ class TestPacketSemantics:
 
     def test_command_vocabulary(self):
         assert {c.value for c in RowCommand} == {"ACT", "PRER"}
-        assert {c.value for c in ColCommand} == {"RD", "WR", "RET"}
+        assert {c.value for c in ColCommand} == {"RD", "WR"}
         assert {d.value for d in BusDirection} == {"read", "write"}
 
     def test_packets_are_hashable_values(self):

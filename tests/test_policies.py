@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+
+import pytest
 
 from repro.core.policies import (
     POLICIES,
@@ -11,10 +14,13 @@ from repro.core.policies import (
 )
 from repro.core.msu import MemorySchedulingUnit
 from repro.core.sbu import StreamBufferUnit
-from repro.cpu.kernels import DAXPY, TRIAD
+from repro.core.smc import build_smc_system
+from repro.cpu.kernels import DAXPY, TRIAD, VAXPY
 from repro.cpu.streams import Alignment, place_streams
 from repro.memsys.config import MemorySystemConfig
 from repro.rdram.device import RdramDevice
+from repro.sim.engine import run_smc
+from repro.sim.runner import RunSpec, simulate
 
 
 def make_system(policy, org="cli", alignment=Alignment.STAGGERED, length=32, depth=8):
@@ -37,6 +43,26 @@ class TestRegistry:
         assert RoundRobinPolicy().name == "round-robin"
         assert BankAwarePolicy().name == "bank-aware"
         assert SpeculativePrechargePolicy().name == "speculative-precharge"
+
+    @pytest.mark.parametrize("org, fifo_depth", [("cli", 16), ("pi", 64)])
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_registry_name_fully_names_the_policy(self, name, org, fifo_depth):
+        # RunSpec files a registry instance under its bare name, which
+        # is right only if the class has nothing else to configure.
+        cls = POLICIES[name]
+        assert list(inspect.signature(cls).parameters) == []
+        spec = dict(
+            kernel="vaxpy", organization=org, length=1024, fifo_depth=fifo_depth
+        )
+        by_instance = RunSpec(policy=cls(), **spec)
+        by_name = RunSpec(policy=name, **spec)
+        assert by_instance.canonical_key() == by_name.canonical_key()
+        direct = run_smc(build_smc_system(
+            VAXPY, getattr(MemorySystemConfig, org)(), length=1024,
+            fifo_depth=fifo_depth, policy=cls(),
+        ))
+        assert simulate(by_instance) == direct
+        assert simulate(by_name) == direct
 
 
 class TestRoundRobin:
@@ -125,7 +151,7 @@ class TestSpeculativePrecharge:
         descriptors = place_streams(TRIAD.streams, config, length=256)
         device = RdramDevice(timing=config.timing, geometry=config.geometry)
         sbu = StreamBufferUnit.from_descriptors(descriptors, config, 32)
-        msu = MemorySchedulingUnit(device, sbu, SpeculativePrechargePolicy(lookahead=80))
+        msu = MemorySchedulingUnit(device, sbu, SpeculativePrechargePolicy())
         cycle = 0
         while msu.speculative_activations == 0 and cycle < 3000:
             msu.tick(cycle)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro.cpu.kernels import COPY, DAXPY, DOT
+from repro.cpu.kernels import COPY, DAXPY
 from repro.cpu.processor import MATCHED_ACCESS_INTERVAL, StreamProcessor
 
 
@@ -51,12 +51,6 @@ class TestPacing:
             proc.tick(cycle)
         assert port.pops == [0, 0]
         assert port.pushes == [1, 1]
-
-    def test_respects_custom_interval(self):
-        proc = StreamProcessor(DOT, length=2, port=FakePort(), access_interval=5)
-        for cycle in range(25):
-            proc.tick(cycle)
-        assert proc.last_retire_cycle == 15  # accesses at 0, 5, 10, 15
 
     def test_retire_hook_gets_the_next_cycle(self):
         woken = []

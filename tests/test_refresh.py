@@ -8,7 +8,11 @@ from repro.errors import ConfigurationError
 from repro.memsys.pagemanager import TimeoutPageManager
 from repro.rdram.audit import audit_trace
 from repro.rdram.packets import BusDirection, RowCommand, RowPacket
-from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RefreshEngine
+from repro.rdram.refresh import (
+    DEFAULT_INTERVAL_CYCLES,
+    FORCE_AFTER,
+    RefreshEngine,
+)
 from repro.sim.runner import RunSpec, simulate
 
 
@@ -36,7 +40,7 @@ class TestEngineMechanics:
         audit_trace(device.trace)
 
     def test_cursor_walks_banks_then_rows(self, device):
-        engine = RefreshEngine(device, interval=10, force_after=0)
+        engine = RefreshEngine(device, interval=10)
         cycle = 0
         while engine.refreshes_issued < 9:
             engine.tick(cycle)
@@ -49,9 +53,7 @@ class TestEngineMechanics:
     def test_busy_bank_defers(self, device):
         device.issue_act(0, 3, 0)
         fired = []
-        engine = RefreshEngine(
-            device, interval=10, force_after=2, on_fire=fired.append
-        )
+        engine = RefreshEngine(device, interval=10, on_fire=fired.append)
         engine.tick(10)
         assert engine.deferrals == 1
         assert engine.refreshes_issued == 0
@@ -61,13 +63,14 @@ class TestEngineMechanics:
     def test_deadline_forces_precharge(self, device):
         device.issue_act(0, 3, 0)
         fired = []
-        engine = RefreshEngine(
-            device, interval=10, force_after=1, on_fire=fired.append
-        )
-        engine.tick(10)   # first deferral
-        assert (engine.deferrals, engine.refreshes_issued) == (1, 0)
-        engine.tick(engine.next_action_cycle + 30)
-        assert engine.deferrals == 1
+        engine = RefreshEngine(device, interval=10, on_fire=fired.append)
+        cycle = 10
+        for deferrals in range(1, FORCE_AFTER + 1):
+            engine.tick(cycle)
+            assert (engine.deferrals, engine.refreshes_issued) == (deferrals, 0)
+            cycle = engine.next_action_cycle
+        engine.tick(cycle + 30)
+        assert engine.deferrals == FORCE_AFTER
         assert engine.forced_precharges == 1
         assert engine.refreshes_issued == 1
         assert fired == [engine.last_refresh]
@@ -93,11 +96,6 @@ class TestEngineMechanics:
     def test_interval_must_be_an_int_of_at_least_one(self, device, interval):
         with pytest.raises(ConfigurationError, match="interval"):
             RefreshEngine(device, interval=interval)
-
-    @pytest.mark.parametrize("force_after", [-1, 2.5, True, "8"])
-    def test_force_after_must_be_a_nonnegative_int(self, device, force_after):
-        with pytest.raises(ConfigurationError, match="force_after"):
-            RefreshEngine(device, force_after=force_after)
 
 
 class TestRefreshInSimulation:

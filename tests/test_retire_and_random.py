@@ -1,4 +1,4 @@
-"""Tests for explicit write-buffer retire and the random-access driver."""
+"""Tests for the random-access driver."""
 
 from __future__ import annotations
 
@@ -9,61 +9,6 @@ from repro.memsys.config import MemorySystemConfig
 from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.rdram.audit import audit_trace
 from repro.rdram.channel import ChannelGeometry
-from repro.rdram.device import RdramDevice
-from repro.rdram.packets import BusDirection, ColCommand, ColPacket
-
-
-class TestExplicitRetire:
-    def test_ret_packet_emitted_between_wr_and_rd(self, timing):
-        device = RdramDevice(explicit_retire=True)
-        device.issue_act(0, 0, 0)
-        write_col, _, _ = device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        write_col_end = write_col + timing.t_pack
-        read_col, _, _ = device.issue_col(
-            0, 0, 1, write_col_end, BusDirection.READ
-        )
-        rets = [
-            p for p in device.trace
-            if isinstance(p, ColPacket) and p.command is ColCommand.RET
-        ]
-        assert len(rets) == 1
-        assert write_col_end <= rets[0].start <= read_col - timing.t_pack
-        audit_trace(device.trace, timing)
-
-    def test_data_timing_matches_folded_model(self, timing):
-        """Explicit retires must not change data timing: t_RW already
-        folds the retire slot in."""
-        explicit = RdramDevice(explicit_retire=True)
-        folded = RdramDevice(explicit_retire=False)
-        for device in (explicit, folded):
-            device.issue_act(0, 0, 0)
-            device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        _, e_data, _ = explicit.issue_col(0, 0, 1, 0, BusDirection.READ)
-        _, f_data, _ = folded.issue_col(0, 0, 1, 0, BusDirection.READ)
-        assert e_data == f_data
-
-    def test_no_ret_between_consecutive_writes(self):
-        device = RdramDevice(explicit_retire=True)
-        device.issue_act(0, 0, 0)
-        device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        device.issue_col(0, 0, 1, 0, BusDirection.WRITE)
-        rets = [
-            p for p in device.trace
-            if isinstance(p, ColPacket) and p.command is ColCommand.RET
-        ]
-        assert rets == []
-
-    def test_only_first_read_after_writes_pays(self):
-        device = RdramDevice(explicit_retire=True)
-        device.issue_act(0, 0, 0)
-        device.issue_col(0, 0, 0, 0, BusDirection.WRITE)
-        device.issue_col(0, 0, 1, 0, BusDirection.READ)
-        device.issue_col(0, 0, 2, 0, BusDirection.READ)
-        rets = [
-            p for p in device.trace
-            if isinstance(p, ColPacket) and p.command is ColCommand.RET
-        ]
-        assert len(rets) == 1
 
 
 class TestRandomAccessDriver:
