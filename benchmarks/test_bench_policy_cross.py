@@ -10,22 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.memsys.config import Interleaving, MemorySystemConfig, PagePolicy
+from repro.memsys.config import MemorySystemConfig
 from repro.sim.runner import RunSpec, simulate
 
 PAIRINGS = {
-    "cli-closed": MemorySystemConfig(
-        interleaving=Interleaving.CACHELINE, page_policy=PagePolicy.CLOSED
-    ),
-    "cli-open": MemorySystemConfig(
-        interleaving=Interleaving.CACHELINE, page_policy=PagePolicy.OPEN
-    ),
-    "pi-closed": MemorySystemConfig(
-        interleaving=Interleaving.PAGE, page_policy=PagePolicy.CLOSED
-    ),
-    "pi-open": MemorySystemConfig(
-        interleaving=Interleaving.PAGE, page_policy=PagePolicy.OPEN
-    ),
+    f"{mapping}-{policy}": MemorySystemConfig(
+        interleaving=mapping, page_policy=policy
+    )
+    for mapping in ("cli", "pi")
+    for policy in ("closed", "open")
 }
 
 

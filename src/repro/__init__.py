@@ -73,12 +73,7 @@ from repro.errors import (
     SchedulingError,
     StreamError,
 )
-from repro.memsys import (
-    Interleaving,
-    Location,
-    MemorySystemConfig,
-    PagePolicy,
-)
+from repro.memsys import Location, MemorySystemConfig
 from repro.fpm import FpmMemorySystem, run_fpm
 from repro.obs import Instrumentation, StallAttribution, attribute_stalls
 from repro.naturalorder import NaturalOrderController
@@ -109,7 +104,7 @@ from repro.sim import (
     sweep,
 )
 from repro.exec import ResultCache, execution, run_specs
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.registry import EXPERIMENTS
 
 __version__ = "1.0.0"
 
@@ -154,10 +149,8 @@ __all__ = [
     "ReproError",
     "SchedulingError",
     "StreamError",
-    "Interleaving",
     "Location",
     "MemorySystemConfig",
-    "PagePolicy",
     "FpmMemorySystem",
     "run_fpm",
     "Instrumentation",
@@ -189,7 +182,6 @@ __all__ = [
     "ResultCache",
     "execution",
     "run_specs",
-    "get_experiment",
-    "list_experiments",
+    "EXPERIMENTS",
     "__version__",
 ]

@@ -42,11 +42,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.analytic import equations as eq
-from repro.memsys.config import (
-    ELEMENTS_PER_PACKET,
-    Interleaving,
-    MemorySystemConfig,
-)
+from repro.memsys.config import ELEMENTS_PER_PACKET, MemorySystemConfig
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,7 @@ def natural_order_bound(
     packets_per_line = l_c // w_p
     turnaround = timing.t_rw + timing.t_rdly if num_write_streams else 0
 
-    if config.interleaving is Interleaving.CACHELINE:
+    if config.interleaving == "cli":
         if s == 1:
             # No pipelining partner: fall back to the serial line time
             # of eq. 5.2/5.3.
@@ -136,7 +132,7 @@ def natural_order_bound(
     total_cycles = 0.0
     if length:
         groups = max(1, length // l_c)
-        if config.interleaving is Interleaving.CACHELINE:
+        if config.interleaving == "cli":
             total_cycles = (groups - 1) * group + t_last
         else:
             total_cycles = t_init + groups * group
@@ -181,7 +177,7 @@ def single_stream_fill_bound(
     l_c = config.elements_per_cacheline
     l_p = config.elements_per_page
     w_p = ELEMENTS_PER_PACKET
-    if config.interleaving is Interleaving.CACHELINE:
+    if config.interleaving == "cli":
         t_avg = eq.eq_5_3_single_stream_closed(timing, l_c, w_p, stride)
     elif include_page_overhead:
         t_avg = eq.eq_5_8_single_stream_open(timing, l_c, l_p, w_p, stride)

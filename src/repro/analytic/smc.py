@@ -23,11 +23,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.analytic import equations as eq
-from repro.memsys.config import (
-    ELEMENTS_PER_PACKET,
-    Interleaving,
-    MemorySystemConfig,
-)
+from repro.memsys.config import ELEMENTS_PER_PACKET, MemorySystemConfig
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def smc_bound(
     timing = config.timing
     s = num_read_streams + num_write_streams
     w_p = ELEMENTS_PER_PACKET if stride == 1 else 1
-    if config.interleaving is Interleaving.CACHELINE:
+    if config.interleaving == "cli":
         delta_1 = eq.eq_5_16_startup_delay_cli(
             timing, num_read_streams, fifo_depth, w_p
         )

@@ -71,14 +71,13 @@ def build_plan(
     same units.  A stateful mapping is planned at epoch 0.
 
     Raises:
-        ConfigurationError: If the stream leaves the memory, or no page
-            policy is registered under the configuration's name.
+        ConfigurationError: If the stream leaves the memory.
     """
-    closed = PAGE_POLICIES.resolve(config.page_policy_name).plans_precharge
+    closed = PAGE_POLICIES[config.page_policy].plans_precharge
     if (
         _np is not None
         and isinstance(descriptor, StreamDescriptor)
-        and config.interleaving_name in ("cli", "pi", "swizzle")
+        and config.interleaving in ("cli", "pi", "swizzle")
         and not config.geometry.doubled_banks
     ):
         return _vector_plan(descriptor, config, closed)
@@ -139,7 +138,7 @@ def _vector_plan(
         pkt = (line // channels) * line_bytes + pkt % line_bytes
     num_banks = geometry.num_banks
     page_bytes = geometry.page_bytes
-    name = config.interleaving_name
+    name = config.interleaving
     if name == "cli":
         lines_per_page = page_bytes // line_bytes
         packets_per_line = line_bytes // DATA_PACKET_BYTES

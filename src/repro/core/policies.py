@@ -23,12 +23,13 @@ Three policies are provided:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Type
 
 from repro.core.fifo import AccessUnit
 from repro.core.sbu import StreamBufferUnit
 from repro.rdram.device import BankState, RdramDevice
 from repro.rdram.timing import RdramTiming
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.msu import MemorySchedulingUnit
@@ -36,6 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Access units :class:`SpeculativePrechargePolicy` looks ahead in the
 #: current stream's plan for the next page crossing.
 LOOKAHEAD_UNITS = 4
+
+
+#: MSU scheduling policies by name (``RunSpec(policy=...)``, ``--policy``).
+POLICIES: Registry[Type["SchedulingPolicy"]] = Registry("policy")
 
 
 def _act_ready(bank: BankState, cycle: int, timing: RdramTiming) -> int:
@@ -91,6 +96,7 @@ class SchedulingPolicy:
         """Optional hook run after each issued access."""
 
 
+@POLICIES.register
 class RoundRobinPolicy(SchedulingPolicy):
     """The paper's MSU: stay on the current FIFO while it can accept
     accesses, then advance to the next serviceable FIFO in order."""
@@ -113,6 +119,7 @@ class RoundRobinPolicy(SchedulingPolicy):
         return None
 
 
+@POLICIES.register
 class BankAwarePolicy(SchedulingPolicy):
     """Service the FIFO whose bank can deliver data soonest.
 
@@ -181,6 +188,7 @@ class BankAwarePolicy(SchedulingPolicy):
         return best
 
 
+@POLICIES.register
 class SpeculativePrechargePolicy(RoundRobinPolicy):
     """Round-robin plus early precharge/activate across page crossings.
 
@@ -224,11 +232,3 @@ class SpeculativePrechargePolicy(RoundRobinPolicy):
             msu.device.issue_act(bank, row, cycle)
             msu.speculative_activations += 1
             return
-
-
-#: Registry for configuration by name.
-POLICIES = {
-    RoundRobinPolicy.name: RoundRobinPolicy,
-    BankAwarePolicy.name: BankAwarePolicy,
-    SpeculativePrechargePolicy.name: SpeculativePrechargePolicy,
-}

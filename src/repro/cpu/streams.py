@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.errors import ConfigurationError, StreamError, require_int
-from repro.memsys.config import ELEMENT_BYTES, Interleaving, MemorySystemConfig
+from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 
 
 class Direction(enum.Enum):
@@ -180,7 +180,7 @@ def place_streams(
     footprint = (
         (length - 1) * stride * max_factor + max_offset + 1
     ) * ELEMENT_BYTES
-    if config.interleaving is Interleaving.CACHELINE:
+    if config.interleaving == "cli":
         stagger_unit = config.cacheline_bytes
     else:
         stagger_unit = config.geometry.page_bytes

@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
+from repro.errors import require_int
 from repro.exec.cache import ResultCache
 from repro.exec.stats import SweepStats
 from repro.obs.ledger import LedgerWriter
@@ -91,7 +92,11 @@ def execution(
     :class:`~repro.obs.ledger.LedgerWriter` (or a JSONL file path)
     receiving one event per spec lifecycle transition.  A ledger
     opened here from a path is closed when the block exits.
+    ``workers`` is an int or None, as in
+    :func:`~repro.exec.pool.run_specs`.
     """
+    if workers is not None:
+        require_int("workers", workers)
     opened = ledger is not None and not isinstance(ledger, LedgerWriter)
     writer = coerce_ledger(ledger)
     context = ExecutionContext(

@@ -10,9 +10,9 @@ regardless of backend:
 * ``workers > 1`` fans the remaining points out over a process pool,
   streaming per-point progress back as completions arrive;
 * a worker crash (segfault, OOM-kill, ``os._exit``) breaks the pool;
-  the unfinished points are resubmitted to a fresh pool, once per
-  point by default, before :class:`~repro.errors.ExecutionError` is
-  raised.
+  the unfinished points are resubmitted to a fresh pool, up to
+  :data:`RETRIES` times per point, before
+  :class:`~repro.errors.ExecutionError` is raised.
 
 Specs cross the process boundary as their
 :meth:`~repro.sim.runner.RunSpec.to_dict` form and results return as
@@ -29,7 +29,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, require_int
 from repro.exec import context as _context
 from repro.exec.cache import ResultCache
 from repro.exec.stats import SweepStats
@@ -61,6 +61,10 @@ class ProgressEvent:
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
+
+#: How many worker crashes a sweep point may be involved in and still
+#: be resubmitted.
+RETRIES = 1
 
 # Test hooks: set REPRO_EXEC_CRASH_KERNEL=<kernel name> to make worker
 # processes die (os._exit) when they pick up that kernel, simulating a
@@ -120,7 +124,6 @@ def run_specs(
     workers: Optional[int] = None,
     cache: Union[ResultCache, str, "os.PathLike[str]", None] = None,
     progress: Optional[ProgressCallback] = None,
-    retries: int = 1,
     stats: Optional["SweepStats"] = None,
     ledger: Optional[LedgerWriter] = None,
 ) -> List[SimulationResult]:
@@ -128,7 +131,7 @@ def run_specs(
 
     Args:
         specs: The points to simulate.
-        workers: Pool size; None falls back to the active
+        workers: Pool size, an int; None falls back to the active
             :func:`~repro.exec.context.execution` context, and values
             <= 1 run serially in-process.
         cache: Result cache (or its directory path); None falls back
@@ -136,8 +139,6 @@ def run_specs(
             fresh results are stored.
         progress: Callback receiving a :class:`ProgressEvent` per
             completed point, in completion order.
-        retries: How many times a point may be involved in a worker
-            crash and still be resubmitted.
         stats: Sweep-level metrics accumulator
             (:class:`~repro.exec.stats.SweepStats`); None falls back
             to the active context's.  Receives every completed point
@@ -153,12 +154,15 @@ def run_specs(
 
     Raises:
         ExecutionError: When crashes exhaust the retry budget.
-        ConfigurationError: When ``workers > 1`` and a spec is not
-            serializable for transport.
+        ConfigurationError: When ``workers`` is not an int or None, or
+            ``workers > 1`` and a spec is not serializable for
+            transport.
     """
     specs = list(specs)
     if workers is None:
         workers = _context.active_workers()
+    else:
+        require_int("workers", workers)
     cache = _context.coerce_cache(cache)
     if cache is None:
         cache = _context.active_cache()
@@ -256,7 +260,7 @@ def run_specs(
             return results  # fully warm
 
         if pooled:
-            _run_pooled(pending, workers, retries, landed, dispatched, note)
+            _run_pooled(pending, workers, landed, dispatched, note)
         else:
             for index in sorted(pending):
                 dispatched(index)
@@ -277,10 +281,9 @@ def run_specs(
 def _run_pooled(
     pending: Dict[int, RunSpec],
     workers: int,
-    retries: int,
     landed: Callable[..., None],
-    dispatched: Optional[Callable[[int], None]] = None,
-    note: Optional[Callable[..., Optional[float]]] = None,
+    dispatched: Callable[[int], None],
+    note: Callable[..., Optional[float]],
 ) -> None:
     """Drain ``pending`` through process pools, retrying after crashes."""
     # Serialize up front so unserializable specs fail fast and clearly.
@@ -294,8 +297,7 @@ def _run_pooled(
             futures = {}
             try:
                 for index in sorted(pending):
-                    if dispatched is not None:
-                        dispatched(index)
+                    dispatched(index)
                     futures[pool.submit(_worker_run, payloads[index])] = index
             except BrokenProcessPool as error:
                 # A worker died before every point was submitted: the
@@ -318,30 +320,27 @@ def _run_pooled(
             continue  # pending is empty; loop exits
         # We cannot tell which in-flight point killed the worker, so
         # every unfinished point is charged one attempt and resubmitted.
-        exhausted = _charge_crash(pending, attempts, retries)
-        if note is not None:
-            for index in sorted(pending):
-                if attempts[index] > retries:
-                    note("failed", index, attempts=attempts[index])
-                else:
-                    note("retried", index, attempt=attempts[index])
+        exhausted = _charge_crash(pending, attempts)
+        for index in sorted(pending):
+            if attempts[index] > RETRIES:
+                note("failed", index, attempts=attempts[index])
+            else:
+                note("retried", index, attempt=attempts[index])
         if exhausted:
             labels = ", ".join(spec.describe() for spec in exhausted)
             raise ExecutionError(
-                f"worker pool crashed {retries + 1} times while running "
+                f"worker pool crashed {RETRIES + 1} times while running "
                 f"{len(exhausted)} sweep point(s): {labels}"
             ) from crash
 
 
 def _charge_crash(
-    pending: Dict[int, RunSpec],
-    attempts: Dict[int, int],
-    retries: int,
+    pending: Dict[int, RunSpec], attempts: Dict[int, int]
 ) -> Sequence[RunSpec]:
     """Charge an attempt to every unfinished point; return the exhausted."""
     exhausted = []
     for index in sorted(pending):
         attempts[index] += 1
-        if attempts[index] > retries:
+        if attempts[index] > RETRIES:
             exhausted.append(pending[index])
     return exhausted

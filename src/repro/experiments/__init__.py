@@ -16,16 +16,11 @@ from repro.experiments import (
     timelines,
 )
 from repro.experiments.rendering import ExperimentTable, render_all
-from repro.experiments.registry import (
-    Experiment,
-    get_experiment,
-    list_experiments,
-)
+from repro.experiments.registry import EXPERIMENTS, Experiment
 
 __all__ = [
+    "EXPERIMENTS",
     "Experiment",
-    "get_experiment",
-    "list_experiments",
     "cache_reality",
     "channel",
     "doublebank",

@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.exec import execution
 from repro.exec.stats import SweepStats
 from repro.experiments import rendering
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.rendering import ExperimentTable
 
 
@@ -33,16 +33,12 @@ def _chartable(slug: str) -> bool:
     return slug.startswith(("figure7", "figure8", "figure9", "channel"))
 
 
-#: Registry names in default run order (kept as a tuple for back-compat).
-EXPERIMENTS = tuple(list_experiments())
-
-
 def collect(names: Sequence[str]) -> List[Tuple[str, ExperimentTable]]:
     """Run the named experiments, returning (slug, table) pairs."""
     out: List[Tuple[str, ExperimentTable]] = []
     for name in names:
         try:
-            experiment = get_experiment(name)
+            experiment = EXPERIMENTS.resolve(name)
         except ConfigurationError as error:
             raise SystemExit(str(error)) from None
         out.extend(experiment.build())
@@ -142,26 +138,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(list_policies() + "\n")
         return 0
     if args.list:
-        for name in list_experiments():
+        for experiment in EXPERIMENTS.values():
             sys.stdout.write(
-                f"{name:14s} {get_experiment(name).description}\n"
+                f"{experiment.name:14s} {experiment.description}\n"
             )
         return 0
     if args.interleaving or args.page_policy:
         from repro.experiments import policy_matrix
-        from repro.sim.runner import (
-            _canonical_mapping_name,
-            _canonical_policy_name,
-        )
+        from repro.memsys.address import MAPPINGS
+        from repro.memsys.pagemanager import PAGE_POLICIES
 
         try:
             policy_matrix.configure(
                 mappings=(
-                    [_canonical_mapping_name(n) for n in args.interleaving]
+                    [MAPPINGS.resolve(n.lower()).name
+                     for n in args.interleaving]
                     if args.interleaving else None
                 ),
                 page_policies=(
-                    [_canonical_policy_name(n) for n in args.page_policy]
+                    [PAGE_POLICIES.resolve(n.lower()).name
+                     for n in args.page_policy]
                     if args.page_policy else None
                 ),
             )
@@ -178,7 +174,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=args.workers, cache=args.cache, stats=stats,
         ledger=args.ledger,
     ):
-        results = collect(args.experiments or EXPERIMENTS)
+        results = collect(args.experiments or list(EXPERIMENTS))
         for slug, table in results:
             sys.stdout.write(table.render())
             sys.stdout.write("\n")

@@ -33,9 +33,9 @@ from repro.experiments.rendering import ExperimentTable
 from repro.memsys.config import MemorySystemConfig
 from repro.traffic import (
     COMPONENTS,
+    SCHEDULERS,
     BankBudgetRegulator,
     TrafficWorkload,
-    list_schedulers,
     run_traffic,
 )
 
@@ -182,7 +182,7 @@ def run(
             "cycles",
         ),
     )
-    for name in list_schedulers():
+    for name in SCHEDULERS.names():
         result = run_traffic(
             SCHED_CONFIG, workload=SCHED_WORKLOAD, scheduler=name
         )

@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cpu.kernels import PAPER_KERNELS, get_kernel
 from repro.exec.pool import run_specs
 from repro.experiments.rendering import ExperimentTable
-from repro.memsys.address import list_mappings
-from repro.memsys.pagemanager import list_page_policies
+from repro.memsys.address import MAPPINGS
+from repro.memsys.pagemanager import PAGE_POLICIES
 from repro.naturalorder.controller import NaturalOrderController
 from repro.sim.runner import RunSpec, apply_policy_overrides, resolve_config
 
@@ -60,8 +60,8 @@ def run(
     Returns:
         Two tables: SMC results, then the natural-order baseline.
     """
-    mappings = list(_mapping_filter or list_mappings())
-    policies = list(_policy_filter or list_page_policies())
+    mappings = list(_mapping_filter or MAPPINGS.names())
+    policies = list(_policy_filter or PAGE_POLICIES.names())
     grid = [
         (kernel, policy) for kernel in kernels for policy in policies
     ]

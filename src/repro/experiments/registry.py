@@ -5,19 +5,18 @@ a builder producing ``(slug, ExperimentTable)`` pairs — one per table
 or figure panel it regenerates.  The CLI, the test suite, and
 programmatic callers all resolve experiments the same way::
 
-    >>> from repro.experiments.registry import get_experiment
-    >>> tables = get_experiment("figure8").build()
+    >>> from repro.experiments.registry import EXPERIMENTS
+    >>> tables = EXPERIMENTS.resolve("figure8").build()
 
-:func:`list_experiments` preserves registration order, which is the
-paper's presentation order and the CLI's default run order.
+``list(EXPERIMENTS)`` is in registration order, which is the paper's
+presentation order and the CLI's default run order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
-from repro.errors import ConfigurationError
 from repro.experiments import (
     cache_reality,
     channel,
@@ -35,6 +34,7 @@ from repro.experiments import (
     timelines,
 )
 from repro.experiments.rendering import ExperimentTable
+from repro.registry import Registry
 
 #: What a registered builder returns: named tables ready to render.
 Tables = List[Tuple[str, ExperimentTable]]
@@ -55,39 +55,20 @@ class Experiment:
     build: Callable[[], Tables]
 
 
-_REGISTRY: Dict[str, Experiment] = {}
+#: Experiments by name, in registration (paper) order.
+EXPERIMENTS: Registry[Experiment] = Registry("experiment")
 
 
-def register(name: str, description: str) -> Callable[[Callable[[], Tables]], Callable[[], Tables]]:
-    """Decorator registering a builder under ``name``."""
+def register(
+    name: str, description: str
+) -> Callable[[Callable[[], Tables]], Callable[[], Tables]]:
+    """Decorator registering a builder in :data:`EXPERIMENTS`."""
 
     def decorator(build: Callable[[], Tables]) -> Callable[[], Tables]:
-        if name in _REGISTRY:
-            raise ConfigurationError(f"experiment {name!r} registered twice")
-        _REGISTRY[name] = Experiment(name, description, build)
+        EXPERIMENTS.register(Experiment(name, description, build))
         return build
 
     return decorator
-
-
-def get_experiment(name: str) -> Experiment:
-    """Look up an experiment by registry name.
-
-    Raises:
-        ConfigurationError: If no experiment has that name.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; choose from "
-            f"{', '.join(_REGISTRY)}"
-        ) from None
-
-
-def list_experiments() -> List[str]:
-    """Registered experiment names, in registration (paper) order."""
-    return list(_REGISTRY)
 
 
 @register("figure1", "DRAM family timing parameters (static table)")

@@ -27,7 +27,7 @@ Every mapping is an exact bijection between byte addresses and
 round-trip all registered mappings over random geometries.  To add a
 mapping, subclass :class:`AddressMapping`, implement
 ``_decompose``/``_compose``, and decorate with
-:func:`register_mapping` — consumers pick it up by name with no
+``@MAPPINGS.register`` — consumers pick it up by name with no
 further wiring (see ``docs/architecture.md``).
 
 The line controllers and the traffic server place a cacheline's DATA
@@ -40,7 +40,7 @@ otherwise; ``tests/test_line_locations.py`` checks every declaration.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, List, NamedTuple, Tuple, Type
+from typing import Iterable, Iterator, NamedTuple, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
@@ -253,23 +253,7 @@ class AddressMapping:
 
 
 #: Registry of mapping strategies by name (see :mod:`repro.registry`).
-MAPPINGS: Registry[Type[AddressMapping]] = Registry(
-    "address mapping",
-    class_label="mapping class",
-    unknown_template=(
-        "unknown address mapping {name!r}; registered mappings: {names}"
-    ),
-)
-
-
-def register_mapping(cls: Type[AddressMapping]) -> Type[AddressMapping]:
-    """Class decorator adding a mapping to the registry by its name."""
-    return MAPPINGS.register(cls)
-
-
-def list_mappings() -> List[str]:
-    """Registered mapping names, sorted."""
-    return MAPPINGS.names()
+MAPPINGS: Registry[Type[AddressMapping]] = Registry("address mapping")
 
 
 class ChannelStriping(AddressMapping):
@@ -371,13 +355,8 @@ def get_address_mapping(config: MemorySystemConfig) -> AddressMapping:
     the :class:`ChannelStriping` selector stage.  The single-channel,
     single-device case constructs the bare mapping exactly as before.
 
-    Raises:
-        ConfigurationError: If no mapping is registered under the
-            configuration's ``interleaving`` name (the message lists
-            the registered names).
     """
-    name = config.interleaving_name
-    cls = MAPPINGS.resolve(name)
+    cls = MAPPINGS[config.interleaving]
     if config.topology.single:
         return cls(config)
     per_channel = dataclasses.replace(
@@ -389,7 +368,7 @@ def get_address_mapping(config: MemorySystemConfig) -> AddressMapping:
     return ChannelStriping(config, base)
 
 
-@register_mapping
+@MAPPINGS.register
 class CachelineInterleaving(AddressMapping):
     """The paper's CLI map: successive cachelines in successive banks."""
 
@@ -419,7 +398,7 @@ class CachelineInterleaving(AddressMapping):
         )
 
 
-@register_mapping
+@MAPPINGS.register
 class PageInterleaving(AddressMapping):
     """The paper's PI map: successive pages in successive banks."""
 
@@ -443,7 +422,7 @@ class PageInterleaving(AddressMapping):
         )
 
 
-@register_mapping
+@MAPPINGS.register
 class SwizzleInterleaving(AddressMapping):
     """Page interleaving with a row-dependent bank permutation.
 
@@ -492,7 +471,7 @@ class SwizzleInterleaving(AddressMapping):
         )
 
 
-@register_mapping
+@MAPPINGS.register
 class DreamInterleaving(SwizzleInterleaving):
     """DReAM-style dynamic re-arrangement of the bank bits.
 

@@ -10,9 +10,7 @@ cacheline size.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Union
 
 from repro.errors import ConfigurationError, require_int
 from repro.rdram.device import RdramGeometry
@@ -24,50 +22,6 @@ ELEMENT_BYTES = 8
 #: Elements per DATA packet (the paper's w_p): two 64-bit words fit in
 #: one 128-bit DATA packet.
 ELEMENTS_PER_PACKET = DATA_PACKET_BYTES // ELEMENT_BYTES
-
-
-class Interleaving(enum.Enum):
-    """How contiguous addresses are spread across RDRAM banks.
-
-    CACHELINE (the paper's CLI): successive cachelines reside in
-    different banks.  PAGE (the paper's PI): a whole RDRAM page maps to
-    one bank, so crossing a page boundary means switching banks.
-    SWIZZLE: page-granular like PI, but the bank is XOR-permuted with
-    the row so vertically aligned pages of different vectors spread
-    across banks instead of colliding (a DReAM-style remap ablation).
-
-    Each value is the registry name of an
-    :class:`~repro.memsys.address.AddressMapping` strategy; strings
-    are accepted anywhere an ``Interleaving`` is, so out-of-tree
-    mappings registered under new names work without extending this
-    enum.
-    """
-
-    CACHELINE = "cli"
-    PAGE = "pi"
-    SWIZZLE = "swizzle"
-
-
-class PagePolicy(enum.Enum):
-    """Sense-amp management after a burst of accesses to a bank.
-
-    CLOSED precharges after every access burst — best when successive
-    accesses go to different pages.  OPEN leaves the sense amps
-    unprecharged — best when successive accesses hit the same page.
-    TIMEOUT auto-precharges a bank left idle for
-    ``page_timeout_cycles``.  HYBRID predicts open-vs-closed per row
-    with saturating counters (HAPPY-style).
-
-    Each value is the registry name of a
-    :class:`~repro.memsys.pagemanager.PageManager` strategy; strings
-    are accepted anywhere a ``PagePolicy`` is, so out-of-tree policies
-    registered under new names work without extending this enum.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    TIMEOUT = "timeout"
-    HYBRID = "hybrid"
 
 
 @dataclass(frozen=True)
@@ -125,11 +79,13 @@ class MemorySystemConfig:
     Attributes:
         timing: Direct RDRAM timing parameters.
         geometry: Device geometry (banks, page size, rows).
-        interleaving: Address-mapping registry name (an
-            :class:`Interleaving` member or a bare string naming a
-            registered mapping).
-        page_policy: Page-manager registry name (a :class:`PagePolicy`
-            member or a bare string naming a registered policy).
+        interleaving: Registry name of the address mapping
+            (:data:`~repro.memsys.address.MAPPINGS`: "cli", "pi",
+            ...), in any letter case; held lower-case.
+        page_policy: Registry name of the page manager
+            (:data:`~repro.memsys.pagemanager.PAGE_POLICIES`:
+            "closed", "open", ...), in any letter case; held
+            lower-case.
         cacheline_bytes: Cacheline size used by natural-order accesses.
         page_timeout_cycles: Idle cycles before the ``timeout`` page
             policy auto-precharges an open bank (ignored by the other
@@ -146,28 +102,33 @@ class MemorySystemConfig:
 
     timing: RdramTiming = field(default_factory=RdramTiming)
     geometry: RdramGeometry = field(default_factory=RdramGeometry)
-    interleaving: Union[Interleaving, str] = Interleaving.CACHELINE
-    page_policy: Union[PagePolicy, str] = PagePolicy.CLOSED
+    interleaving: str = "cli"
+    page_policy: str = "closed"
     cacheline_bytes: int = 32
     page_timeout_cycles: int = 64
     remap_epoch_accesses: int = 1024
     topology: MemoryTopology = field(default_factory=MemoryTopology)
 
     def __post_init__(self) -> None:
-        # Normalize known string spellings to the enum members so
-        # ``config.interleaving is Interleaving.CACHELINE`` keeps
-        # working however the caller spelled it; unknown names are kept
-        # verbatim for out-of-tree registry plugins.
-        try:
-            object.__setattr__(
-                self, "interleaving", Interleaving(self.interleaving)
-            )
-        except ValueError:
-            pass
-        try:
-            object.__setattr__(self, "page_policy", PagePolicy(self.page_policy))
-        except ValueError:
-            pass
+        # Imported here: both registry modules import this one.
+        from repro.memsys.address import MAPPINGS
+        from repro.memsys.pagemanager import PAGE_POLICIES
+
+        for name, registry in (
+            ("interleaving", MAPPINGS), ("page_policy", PAGE_POLICIES)
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ConfigurationError(
+                    f"{name} must name a registered {registry.kind}, "
+                    f"got {value!r}"
+                )
+            value = value.lower()
+            try:
+                registry.resolve(value)
+            except ConfigurationError as error:
+                raise ConfigurationError(f"{name}: {error}") from None
+            object.__setattr__(self, name, value)
         for name in (
             "cacheline_bytes", "page_timeout_cycles", "remap_epoch_accesses"
         ):
@@ -204,32 +165,16 @@ class MemorySystemConfig:
     @classmethod
     def cli(cls, **overrides) -> "MemorySystemConfig":
         """The paper's CLI system: cacheline interleave, closed pages."""
-        overrides.setdefault("interleaving", Interleaving.CACHELINE)
-        overrides.setdefault("page_policy", PagePolicy.CLOSED)
+        overrides.setdefault("interleaving", "cli")
+        overrides.setdefault("page_policy", "closed")
         return cls(**overrides)
 
     @classmethod
     def pi(cls, **overrides) -> "MemorySystemConfig":
         """The paper's PI system: page interleave, open pages."""
-        overrides.setdefault("interleaving", Interleaving.PAGE)
-        overrides.setdefault("page_policy", PagePolicy.OPEN)
+        overrides.setdefault("interleaving", "pi")
+        overrides.setdefault("page_policy", "open")
         return cls(**overrides)
-
-    # -- registry names -------------------------------------------------
-
-    @property
-    def interleaving_name(self) -> str:
-        """Registry name of the address mapping ("cli", "pi", ...)."""
-        if isinstance(self.interleaving, Interleaving):
-            return self.interleaving.value
-        return str(self.interleaving)
-
-    @property
-    def page_policy_name(self) -> str:
-        """Registry name of the page manager ("closed", "open", ...)."""
-        if isinstance(self.page_policy, PagePolicy):
-            return self.page_policy.value
-        return str(self.page_policy)
 
     # -- derived quantities the paper's equations use -------------------
 
@@ -294,7 +239,7 @@ class MemorySystemConfig:
         prefix = "" if self.topology.single else f"{self.topology.describe()}, "
         return (
             f"{prefix}"
-            f"{self.interleaving_name.upper()} / {self.page_policy_name}-page, "
+            f"{self.interleaving.upper()} / {self.page_policy}-page, "
             f"{self.geometry.num_banks} banks, "
             f"{self.geometry.page_bytes} B pages, "
             f"{self.cacheline_bytes} B lines"

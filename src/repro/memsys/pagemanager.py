@@ -1,10 +1,9 @@
 """Page-management strategies (the page-policy registry).
 
-Whether a bank's sense amps are precharged after an access used to be
-re-derived from the ``PagePolicy`` enum by every consumer — the SBU's
-access-plan builder, the MSU, the natural-order controller, the L2
-streamer and the random driver each branched on it.  This module makes
-the decision a first-class strategy: a :class:`PageManager` owns the
+Whether a bank's sense amps are precharged after an access is a
+first-class strategy here, rather than a branch in every consumer (the
+SBU's access-plan builder, the MSU, the natural-order controller, the
+L2 streamer and the random driver): a :class:`PageManager` owns the
 precharge policy and the device model consults it in exactly one place
 (:meth:`repro.rdram.device.RdramDevice.issue_access`).
 
@@ -28,13 +27,13 @@ Built-in policies: ``closed``, ``open``, ``timeout``
 (auto-precharge after ``page_timeout_cycles`` idle cycles) and
 ``hybrid`` (a HAPPY-style per-row open/closed predictor with
 saturating 2-bit counters).  To add one, subclass :class:`PageManager`
-and decorate with :func:`register_page_policy` (see
+and decorate with ``@PAGE_POLICIES.register`` (see
 ``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type
+from typing import Dict, Tuple, Type
 
 from repro.errors import ConfigurationError
 from repro.memsys.config import MemorySystemConfig
@@ -87,40 +86,18 @@ class PageManager:
 
 #: Registry of page-management strategies by name (see
 #: :mod:`repro.registry`).
-PAGE_POLICIES: Registry[Type[PageManager]] = Registry(
-    "page policy",
-    class_label="page-manager class",
-    unknown_template=(
-        "unknown page policy {name!r}; registered policies: {names}"
-    ),
-)
-
-
-def register_page_policy(cls: Type[PageManager]) -> Type[PageManager]:
-    """Class decorator adding a manager to the registry by its name."""
-    return PAGE_POLICIES.register(cls)
-
-
-def list_page_policies() -> List[str]:
-    """Registered page-policy names, sorted."""
-    return PAGE_POLICIES.names()
+PAGE_POLICIES: Registry[Type[PageManager]] = Registry("page policy")
 
 
 def make_page_manager(config: MemorySystemConfig) -> PageManager:
-    """Instantiate the page manager the configuration names.
-
-    Raises:
-        ConfigurationError: If no policy is registered under the
-            configuration's ``page_policy`` name (the message lists
-            the registered names).
-    """
-    cls = PAGE_POLICIES.resolve(config.page_policy_name)
+    """Instantiate the page manager the configuration names."""
+    cls = PAGE_POLICIES[config.page_policy]
     if cls is TimeoutPageManager:
         return TimeoutPageManager(timeout=config.page_timeout_cycles)
     return cls()
 
 
-@register_page_policy
+@PAGE_POLICIES.register
 class ClosedPageManager(PageManager):
     """The paper's closed-page policy, acting at plan time.
 
@@ -133,7 +110,7 @@ class ClosedPageManager(PageManager):
     plans_precharge = True
 
 
-@register_page_policy
+@PAGE_POLICIES.register
 class OpenPageManager(PageManager):
     """The paper's open-page policy: never precharge proactively.
 
@@ -143,7 +120,7 @@ class OpenPageManager(PageManager):
     name = "open"
 
 
-@register_page_policy
+@PAGE_POLICIES.register
 class TimeoutPageManager(PageManager):
     """Auto-precharge a bank left idle for ``timeout`` cycles.
 
@@ -179,7 +156,7 @@ class TimeoutPageManager(PageManager):
             memory.autoclose(bank_index, due)
 
 
-@register_page_policy
+@PAGE_POLICIES.register
 class HybridPageManager(PageManager):
     """HAPPY-style per-row open/closed predictor.
 

@@ -40,8 +40,13 @@ Bus-level constraints enforced here:
   also initiate a precharge operation") so that closed-page policies do
   not consume ROW-bus bandwidth for every PRER.
 
-The paper's modeling simplifications are honored: no refresh engine,
-and write-buffer retires appear only through t_RW.
+Refresh is off by default, as in the paper (Section 4.1 ignores it):
+the device issues none of its own.  A run that attaches a
+:class:`~repro.rdram.refresh.RefreshEngine` (``RunSpec(refresh=True)``,
+``repro-simulate --refresh``, ``run_traffic(refresh=...)``) has it
+refresh through :meth:`RdramDevice.issue_act` and
+:meth:`RdramDevice.issue_prer`.  Write-buffer retires appear only
+through t_RW.
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
-"""The shared name -> entry registry behind every policy table.
+"""The shared name -> entry registry behind every strategy table.
 
-The address-mapping, page-policy and scheduler registries all follow
-the same protocol: entries register under a short name, callers test
-membership and look entries up like a dict, listings come back
-sorted, and resolving an unknown name raises a
-:class:`~repro.errors.ConfigurationError` that enumerates what *is*
-registered.  This module is the single implementation of that
-protocol; the per-kind modules instantiate it with their historical
-error-message spellings so existing callers (and tests matching those
-messages) see no change:
+The address-mapping, page-policy, MSU-policy, traffic-scheduler and
+experiment tables all follow the same protocol: entries register
+under a short name, callers test membership and look entries up like
+a dict, listings come back sorted, and resolving an unknown name
+raises a :class:`~repro.errors.ConfigurationError` that enumerates
+what *is* registered.  This module is the single implementation of
+that protocol:
 
     >>> from repro.registry import Registry
     >>> WIDGETS: Registry[type] = Registry("widget")
@@ -17,22 +15,20 @@ messages) see no change:
     ...     name = "frob"
     >>> "frob" in WIDGETS and WIDGETS["frob"] is Frob
     True
+    >>> WIDGETS.resolve("zorp")
+    Traceback (most recent call last):
+    ...
+    repro.errors.ConfigurationError: unknown widget 'zorp'; registered: frob
 
-Entries register through :meth:`Registry.register`, a class
-decorator reading the class's ``name`` attribute.
+Entries register through :meth:`Registry.register`, a decorator
+reading the entry's ``name`` attribute: a lower-case name, the one
+spelling every caller uses.  Every strategy base class is named
+``base``, a name no entry may register under.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    Generic,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import ConfigurationError
 
@@ -40,47 +36,27 @@ E = TypeVar("E")
 
 
 class Registry(Generic[E]):
-    """One named policy table: an ordered name -> entry mapping.
+    """One named strategy table: an ordered name -> entry mapping.
 
     Args:
         kind: Human-readable entry kind ("address mapping", "page
-            policy", ...), used in duplicate-registration errors.
-        class_label: Spelling used when a registered class lacks a
-            usable name (defaults to ``"{kind} class"``).
-        unknown_template: :meth:`unknown_error` message template with
-            ``{name}`` (the offending spelling) and ``{names}`` (the
-            registered names, joined) placeholders.
-        default_name: The base class's placeholder name; registering
-            a class still carrying it (or no name at all) is an error.
+            policy", ...), named in every error message.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        class_label: Optional[str] = None,
-        unknown_template: Optional[str] = None,
-        default_name: str = "base",
-    ) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.class_label = class_label or f"{kind} class"
-        self.default_name = default_name
-        self._unknown_template = unknown_template or (
-            "unknown " + kind + " {name!r}; registered: {names}"
-        )
         self._entries: Dict[str, E] = {}
 
     # -- mapping protocol ----------------------------------------------
     # Iteration and membership are over *names*, in registration
-    # order, exactly as the historical plain-dict registries behaved.
+    # order.
 
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 
     def __getitem__(self, name: str) -> E:
-        # KeyError (not ConfigurationError) on a miss: historical
-        # callers wrap lookups in try/except KeyError to attach their
-        # own error message; resolve() raises the friendly error.
+        # KeyError (not ConfigurationError) on a miss, as a dict does;
+        # resolve() raises the friendly error.
         return self._entries[name]
 
     def __iter__(self) -> Iterator[str]:
@@ -89,17 +65,6 @@ class Registry(Generic[E]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Registry):
-            return self._entries == other._entries
-        return NotImplemented
-
-    # Registries are mutable singletons; identity hashing keeps them
-    # usable as dict keys (e.g. in test parametrization) despite the
-    # entry-comparing __eq__.
-    def __hash__(self) -> int:
-        return id(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Registry({self.kind!r}, names={list(self._entries)})"
 
@@ -107,44 +72,44 @@ class Registry(Generic[E]):
         """The entry under ``name``, or ``default``."""
         return self._entries.get(name, default)
 
-    def keys(self) -> Tuple[str, ...]:
-        """Registered names, in registration order."""
-        return tuple(self._entries)
-
     def values(self) -> Tuple[E, ...]:
         """Registered entries, in registration order."""
         return tuple(self._entries.values())
-
-    def items(self) -> Tuple[Tuple[str, E], ...]:
-        """(name, entry) pairs, in registration order."""
-        return tuple(self._entries.items())
 
     def names(self) -> List[str]:
         """Registered names, sorted, for listings."""
         return sorted(self._entries)
 
-    # -- registration ---------------------------------------------------
+    # -- registration and resolution -------------------------------------
 
-    def register(self, cls: E) -> E:
-        """Class decorator registering ``cls`` under its ``name``."""
-        name = getattr(cls, "name", None)
-        if not name or name == self.default_name:
+    def register(self, entry: E) -> E:
+        """Decorator registering ``entry`` under its ``name``.
+
+        Raises:
+            ConfigurationError: If ``entry`` has no lower-case name of
+                its own (none, upper-case letters, or the base class's
+                ``base``), or its name is taken.
+        """
+        name = getattr(entry, "name", None)
+        if (
+            not isinstance(name, str)
+            or name in ("", "base")
+            or name != name.lower()
+        ):
+            label = getattr(entry, "__name__", type(entry).__name__)
             raise ConfigurationError(
-                f"{self.class_label} "
-                f"{getattr(cls, '__name__', type(cls).__name__)} "
-                "needs a non-default name"
+                f"{self.kind} {label} needs a lower-case name other "
+                f"than 'base', got {name!r}"
             )
         if name in self._entries:
             raise ConfigurationError(
                 f"{self.kind} {name!r} registered twice"
             )
-        self._entries[name] = cls
-        return cls
-
-    # -- resolution -----------------------------------------------------
+        self._entries[name] = entry
+        return entry
 
     def resolve(self, name: str) -> E:
-        """The entry under ``name``, or the kind's unknown-name error.
+        """The entry under ``name``.
 
         Raises:
             ConfigurationError: If nothing is registered under
@@ -152,13 +117,8 @@ class Registry(Generic[E]):
         """
         try:
             return self._entries[name]
-        except KeyError:
-            raise self.unknown_error(name) from None
-
-    def unknown_error(self, name: object) -> ConfigurationError:
-        """The error a miss on ``name`` should raise (not raised here)."""
-        return ConfigurationError(
-            self._unknown_template.format(
-                name=name, names=", ".join(self.names())
-            )
-        )
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ConfigurationError(
+                f"unknown {self.kind} {name!r}; "
+                f"registered: {', '.join(self.names())}"
+            ) from None

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError
-from repro.memsys.address import list_mappings
+from repro.memsys.address import MAPPINGS
 from repro.memsys.config import MemorySystemConfig
-from repro.memsys.pagemanager import list_page_policies
-from repro.traffic.scheduling import Scheduler, list_schedulers, make_scheduler
+from repro.memsys.pagemanager import PAGE_POLICIES
+from repro.traffic.scheduling import SCHEDULERS, Scheduler, make_scheduler
 
 #: Tuning-knob palettes the mutator draws from.
 WINDOW_CHOICES = (8, 16, 32, 64)
@@ -117,11 +117,11 @@ MUTATION_FIELDS = (
 
 def _palette(field: str):
     if field == "interleaving":
-        return tuple(list_mappings())
+        return tuple(MAPPINGS.names())
     if field == "page_policy":
-        return tuple(list_page_policies())
+        return tuple(PAGE_POLICIES.names())
     if field == "scheduler":
-        return tuple(list_schedulers())
+        return tuple(SCHEDULERS.names())
     if field == "window":
         return WINDOW_CHOICES
     if field == "age_cap":

@@ -97,15 +97,14 @@ def batch_unsupported_reason(
             )
     if config.geometry.doubled_banks:
         return "double-bank cores need the event kernel"
-    mapping_cls = MAPPINGS.get(config.interleaving_name)
-    if mapping_cls is not None and mapping_cls.stateful:
+    if MAPPINGS[config.interleaving].stateful:
         return (
-            f"address mapping {config.interleaving_name!r} is stateful "
+            f"address mapping {config.interleaving!r} is stateful "
             "(online re-arrangement needs the event kernel)"
         )
-    if config.page_policy_name not in ("closed", "open"):
+    if config.page_policy not in ("closed", "open"):
         return (
-            f"page policy {config.page_policy_name!r} has runtime "
+            f"page policy {config.page_policy!r} has runtime "
             "behavior the batch loop does not model"
         )
     return None

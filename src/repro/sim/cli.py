@@ -28,9 +28,9 @@ from repro.core.policies import POLICIES
 from repro.core.smc import build_smc_system
 from repro.cpu.kernels import KERNELS, get_kernel
 from repro.cpu.streams import Alignment
-from repro.memsys.address import MAPPINGS, list_mappings
+from repro.memsys.address import MAPPINGS
 from repro.memsys.config import MemoryTopology
-from repro.memsys.pagemanager import PAGE_POLICIES, list_page_policies
+from repro.memsys.pagemanager import PAGE_POLICIES
 from repro.cache.controller import CachedNaturalOrderController
 from repro.core.l2stream import L2StreamingController
 from repro.naturalorder.controller import NaturalOrderController
@@ -40,7 +40,7 @@ from repro.obs.metrics import write_metrics_jsonl
 from repro.rdram.audit import audit_memory
 from repro.rdram.tracefmt import render_trace
 from repro.exec import execution
-from repro.traffic.scheduling import SCHEDULERS, list_schedulers
+from repro.traffic.scheduling import SCHEDULERS
 from repro.sim.engine import run_smc
 from repro.sim.metrics import bank_imbalance, measure_trace
 from repro.sim.runner import (
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("staggered", "aligned"),
                         help="vector base placement (default staggered)")
     parser.add_argument("--policy", default="round-robin",
-                        choices=tuple(sorted(POLICIES)),
+                        choices=POLICIES.names(),
                         help="MSU scheduling policy")
     parser.add_argument("--interleaving", default=None, metavar="NAME",
                         help="registered address mapping overriding the "
@@ -203,22 +203,18 @@ def list_policies() -> str:
     address mappings, page policies, MSU scheduling policies and
     traffic request schedulers.
     """
-    lines = ["address mappings (--interleaving):"]
-    for name in list_mappings():
-        lines.append(f"  {name:12s} {MAPPINGS[name].__doc__.splitlines()[0]}")
-    lines.append("page policies (--page-policy):")
-    for name in list_page_policies():
-        lines.append(
-            f"  {name:12s} {PAGE_POLICIES[name].__doc__.splitlines()[0]}"
-        )
-    lines.append("MSU scheduling policies (--policy):")
-    for name in sorted(POLICIES):
-        lines.append(f"  {name:12s} {POLICIES[name].__doc__.splitlines()[0]}")
-    lines.append("traffic schedulers (run_traffic scheduler=..., repro-search):")
-    for name in list_schedulers():
-        lines.append(
-            f"  {name:12s} {SCHEDULERS[name].__doc__.splitlines()[0]}"
-        )
+    lines = []
+    for title, registry in (
+        ("address mappings (--interleaving):", MAPPINGS),
+        ("page policies (--page-policy):", PAGE_POLICIES),
+        ("MSU scheduling policies (--policy):", POLICIES),
+        ("traffic schedulers (run_traffic scheduler=..., repro-search):",
+         SCHEDULERS),
+    ):
+        lines.append(title)
+        for name in registry.names():
+            summary = registry[name].__doc__.splitlines()[0]
+            lines.append(f"  {name:12s} {summary}")
     return "\n".join(lines)
 
 

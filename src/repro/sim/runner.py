@@ -28,14 +28,7 @@ from repro.cpu.kernels import KERNELS, Kernel, get_kernel
 from repro.cpu.streams import Alignment, Direction, StreamSpec, check_extent
 from repro.core.policies import POLICIES, SchedulingPolicy
 from repro.core.smc import build_smc_system
-from repro.memsys.address import MAPPINGS, list_mappings
-from repro.memsys.config import (
-    Interleaving,
-    MemorySystemConfig,
-    MemoryTopology,
-    PagePolicy,
-)
-from repro.memsys.pagemanager import PAGE_POLICIES, list_page_policies
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.obs.core import Instrumentation
 from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import RdramGeometry
@@ -69,63 +62,41 @@ def resolve_config(
 
 def apply_policy_overrides(
     config: MemorySystemConfig,
-    interleaving: Optional[Union[str, Interleaving]] = None,
-    page_policy: Optional[Union[str, PagePolicy]] = None,
+    interleaving: Optional[str] = None,
+    page_policy: Optional[str] = None,
 ) -> MemorySystemConfig:
     """A copy of ``config`` with mapping/page-policy names swapped in.
 
-    Either override may be an enum member, a registered name (see
+    Either override is a registered name (see
     :data:`repro.memsys.address.MAPPINGS` and
-    :data:`repro.memsys.pagemanager.PAGE_POLICIES`), or None to keep
-    the config's own choice.
+    :data:`repro.memsys.pagemanager.PAGE_POLICIES`), in any letter
+    case, or None to keep the config's own choice.
 
     Raises:
         ConfigurationError: On a name no registry entry claims.
     """
     replacements: Dict[str, Any] = {}
     if interleaving is not None:
-        replacements["interleaving"] = _canonical_mapping_name(interleaving)
+        replacements["interleaving"] = interleaving
     if page_policy is not None:
-        replacements["page_policy"] = _canonical_policy_name(page_policy)
+        replacements["page_policy"] = page_policy
     if not replacements:
         return config
     return dataclasses.replace(config, **replacements)
 
 
-def _canonical_mapping_name(value: Union[str, Interleaving]) -> str:
-    """Validate an address-mapping spelling against the registry."""
-    name = value.value if isinstance(value, Interleaving) else str(value).lower()
-    if name not in MAPPINGS:
-        raise ConfigurationError(
-            f"unknown address mapping {value!r}; "
-            f"registered mappings: {list_mappings()}"
-        )
-    return name
-
-
-def _canonical_policy_name(value: Union[str, PagePolicy]) -> str:
-    """Validate a page-policy spelling against the registry."""
-    name = value.value if isinstance(value, PagePolicy) else str(value).lower()
-    if name not in PAGE_POLICIES:
-        raise ConfigurationError(
-            f"unknown page policy {value!r}; "
-            f"registered policies: {list_page_policies()}"
-        )
-    return name
-
-
 def canonical_memory(
     organization: Union[str, MemorySystemConfig],
-    interleaving: Optional[Union[str, Interleaving]] = None,
-    page_policy: Optional[Union[str, PagePolicy]] = None,
+    interleaving: Optional[str] = None,
+    page_policy: Optional[str] = None,
 ) -> Tuple[Union[str, MemorySystemConfig], Optional[str], Optional[str]]:
     """The one spelling of a memory, as ``(organization, interleaving,
     page_policy)``.
 
     ``organization`` (a name in any case, or a config without a
-    topology) is resolved and the overrides are applied to it; its
-    mapping and page-policy names, overridden or its own, become
-    registry names.  The result is then named one way: the design
+    topology) is resolved and the overrides are applied to it, so its
+    mapping and page-policy names, overridden or its own, are
+    lower-case registry names.  The result is then named one way: the design
     point's name if it equals one; else, if it differs from ``cli``
     only in its mapping and page policy, ``"cli"`` plus the overrides
     that differ from ``cli``'s; else the whole config, with no
@@ -135,11 +106,8 @@ def canonical_memory(
         ConfigurationError: On an unknown organization, mapping or
             page-policy name.
     """
-    config = resolve_config(organization)
     config = apply_policy_overrides(
-        config,
-        config.interleaving_name if interleaving is None else interleaving,
-        config.page_policy_name if page_policy is None else page_policy,
+        resolve_config(organization), interleaving, page_policy
     )
     for name, factory in ORGANIZATIONS.items():
         if config == factory():
@@ -149,11 +117,11 @@ def canonical_memory(
         config, interleaving=cli.interleaving, page_policy=cli.page_policy
     ) != cli:
         return config, None, None
-    mapping, policy = config.interleaving_name, config.page_policy_name
+    mapping, policy = config.interleaving, config.page_policy
     return (
         "cli",
-        None if mapping == cli.interleaving_name else mapping,
-        None if policy == cli.page_policy_name else policy,
+        None if mapping == cli.interleaving else mapping,
+        None if policy == cli.page_policy else policy,
     )
 
 
@@ -163,12 +131,7 @@ def resolve_policy(
     """Accept a policy name, instance, or None (paper default)."""
     if policy is None or isinstance(policy, SchedulingPolicy):
         return policy
-    try:
-        return POLICIES[policy]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown policy {policy!r}; use one of {sorted(POLICIES)}"
-        ) from None
+    return POLICIES.resolve(policy)()
 
 
 # -- config/kernel serialization helpers --------------------------------
@@ -205,8 +168,8 @@ def _config_to_dict(config: MemorySystemConfig) -> Dict[str, Any]:
     data = {
         "timing": dataclasses.asdict(config.timing),
         "geometry": _geometry_to_dict(config.geometry),
-        "interleaving": config.interleaving_name,
-        "page_policy": config.page_policy_name,
+        "interleaving": config.interleaving,
+        "page_policy": config.page_policy,
         "cacheline_bytes": config.cacheline_bytes,
     }
     # Emitted only when non-default so that canonical cache keys for
@@ -324,8 +287,8 @@ class RunSpec:
     policy: Union[str, SchedulingPolicy, None] = None
     audit: bool = False
     refresh: bool = False
-    interleaving: Optional[Union[str, Interleaving]] = None
-    page_policy: Optional[Union[str, PagePolicy]] = None
+    interleaving: Optional[str] = None
+    page_policy: Optional[str] = None
     telemetry_window: Optional[int] = None
     channels: int = 1
     devices: int = 1

@@ -19,13 +19,7 @@ from repro.traffic.driver import (
     TrafficResult,
     run_traffic,
 )
-from repro.traffic.scheduling import (
-    SCHEDULERS,
-    Scheduler,
-    list_schedulers,
-    make_scheduler,
-    register_scheduler,
-)
+from repro.traffic.scheduling import SCHEDULERS, Scheduler, make_scheduler
 
 __all__ = [
     "BankBudgetRegulator",
@@ -36,8 +30,6 @@ __all__ = [
     "TrafficResult",
     "TrafficWorkload",
     "generate_requests",
-    "list_schedulers",
     "make_scheduler",
-    "register_scheduler",
     "run_traffic",
 ]

@@ -2,9 +2,9 @@
 
 The order a channel serves its pending requests used to be hard-coded
 FCFS inside :class:`~repro.traffic.driver.ChannelServer`.  This module
-makes the decision a first-class strategy with the same
-register/list/factory shape as the address-mapping and page-policy
-registries (all built on :mod:`repro.registry`): a
+makes the decision a first-class strategy in a
+:class:`~repro.registry.Registry`, like the address-mapping and
+page-policy tables: a
 :class:`Scheduler` owns the pick, the server calls it in exactly one
 place, and configurations select one by registry name.
 
@@ -134,23 +134,7 @@ class Scheduler:
 
 
 #: Registry of scheduling strategies by name (see :mod:`repro.registry`).
-SCHEDULERS: Registry[Type[Scheduler]] = Registry(
-    "scheduler",
-    class_label="scheduler class",
-    unknown_template=(
-        "unknown scheduler {name!r}; registered schedulers: {names}"
-    ),
-)
-
-
-def register_scheduler(cls: Type[Scheduler]) -> Type[Scheduler]:
-    """Class decorator adding a scheduler to the registry by its name."""
-    return SCHEDULERS.register(cls)
-
-
-def list_schedulers() -> List[str]:
-    """Registered scheduler names, sorted."""
-    return SCHEDULERS.names()
+SCHEDULERS: Registry[Type[Scheduler]] = Registry("scheduler")
 
 
 def make_scheduler(name: str, **params) -> Scheduler:
@@ -176,7 +160,7 @@ def _check_count(name: str, label: str, value: object) -> int:
     return value
 
 
-@register_scheduler
+@SCHEDULERS.register
 class FcfsScheduler(Scheduler):
     """First-come first-served: the historical server behavior."""
 
@@ -188,7 +172,7 @@ class FcfsScheduler(Scheduler):
         return self._first_admitted(server, [], cycle)
 
 
-@register_scheduler
+@SCHEDULERS.register
 class FrFcfsScheduler(Scheduler):
     """First-ready FCFS: oldest open-row hit in the window goes first.
 
@@ -221,7 +205,7 @@ class FrFcfsScheduler(Scheduler):
         return self._first_admitted(server, hits, cycle)
 
 
-@register_scheduler
+@SCHEDULERS.register
 class MarsScheduler(Scheduler):
     """MARS-style batching: group the window by (bank, row), drain
     batches back to back, bounded by a starvation age cap.

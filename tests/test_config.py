@@ -3,32 +3,42 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cpu.kernels import KERNELS
 from repro.errors import ConfigurationError
+from repro.memsys.address import MAPPINGS
 from repro.memsys.config import (
     ELEMENT_BYTES,
     ELEMENTS_PER_PACKET,
-    Interleaving,
     MemorySystemConfig,
-    PagePolicy,
 )
+from repro.memsys.pagemanager import PAGE_POLICIES
+from repro.naturalorder.controller import NaturalOrderController
 from repro.rdram.device import RdramGeometry
+from repro.sim.runner import RunSpec
+
+#: Every registered name of the two registry-named fields.
+REGISTERED = [("interleaving", name) for name in MAPPINGS.names()] + [
+    ("page_policy", name) for name in PAGE_POLICIES.names()
+]
 
 
 class TestConstructors:
     def test_cli_pairs_closed_page(self):
         config = MemorySystemConfig.cli()
-        assert config.interleaving is Interleaving.CACHELINE
-        assert config.page_policy is PagePolicy.CLOSED
+        assert config.interleaving == "cli"
+        assert config.page_policy == "closed"
 
     def test_pi_pairs_open_page(self):
         config = MemorySystemConfig.pi()
-        assert config.interleaving is Interleaving.PAGE
-        assert config.page_policy is PagePolicy.OPEN
+        assert config.interleaving == "pi"
+        assert config.page_policy == "open"
 
     def test_cross_pairing_possible(self):
-        config = MemorySystemConfig.cli(page_policy=PagePolicy.OPEN)
-        assert config.page_policy is PagePolicy.OPEN
+        config = MemorySystemConfig.cli(page_policy="open")
+        assert config.page_policy == "open"
 
     def test_custom_cacheline(self):
         config = MemorySystemConfig.cli(cacheline_bytes=64)
@@ -65,6 +75,33 @@ class TestValidation:
         with pytest.raises(
             ConfigurationError, match=f"{field} must be positive, got {value}"
         ):
+            MemorySystemConfig(**{field: value})
+
+
+class TestRegistryNames:
+    @pytest.mark.parametrize("field, name", REGISTERED)
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_any_letter_case_is_one_memory(self, field, name, data):
+        mixed = "".join(
+            data.draw(st.sampled_from((letter, letter.upper())))
+            for letter in name
+        )
+        lower = MemorySystemConfig.cli(**{field: name})
+        key = RunSpec("copy", lower, length=64).canonical_key()
+        kernel = KERNELS["copy"]
+        result = NaturalOrderController(lower).run(kernel, length=64)
+        for spelling in (name.upper(), mixed):
+            config = MemorySystemConfig.cli(**{field: spelling})
+            assert config == lower
+            assert getattr(config, field) == name
+            assert RunSpec("copy", config, length=64).canonical_key() == key
+            assert NaturalOrderController(config).run(kernel, length=64) == result
+
+    @pytest.mark.parametrize("field", ["interleaving", "page_policy"])
+    @pytest.mark.parametrize("value", [None, 3, "zorp"])
+    def test_unregistered_value_rejected_when_built(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field}"):
             MemorySystemConfig(**{field: value})
 
 

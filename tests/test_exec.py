@@ -230,6 +230,23 @@ class TestRunSpecsSerial:
         assert events[0].result == events[1].result
 
 
+class TestWorkersChecked:
+    """``workers`` is an int or None wherever it enters."""
+
+    SPECS = [RunSpec(kernel="copy", length=64, fifo_depth=8)] * 3
+
+    @pytest.mark.parametrize("workers", ["2", 2.5, True])
+    def test_run_specs_names_workers(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            run_specs(self.SPECS, workers=workers)
+
+    @pytest.mark.parametrize("workers", ["4", 2.5, True])
+    def test_execution_names_workers(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            with execution(workers=workers):
+                run_specs(self.SPECS)
+
+
 class TestRunSpecsPooled:
     def test_parallel_identical_to_serial_32_points(self):
         specs = small_grid()

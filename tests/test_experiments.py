@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.experiments import figure7, figure8, figure9, headline, tables, timelines
-from repro.experiments.cli import EXPERIMENTS, collect, main
-from repro.experiments.registry import get_experiment, list_experiments
+from repro.experiments.cli import collect, main
+from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.rendering import ExperimentTable, render_all
 
 
@@ -162,7 +161,7 @@ class TestExtensionExperiments:
 
 class TestRegistry:
     def test_lists_every_experiment_in_paper_order(self):
-        names = list_experiments()
+        names = list(EXPERIMENTS)
         assert names[:3] == ["figure1", "figure2", "timelines"]
         assert set(names) == {
             "figure1", "figure2", "timelines", "figure7", "figure8",
@@ -171,23 +170,21 @@ class TestRegistry:
             "policy_search",
         }
 
-    def test_cli_default_list_comes_from_registry(self):
-        assert EXPERIMENTS == tuple(list_experiments())
+    def test_cli_default_list_comes_from_registry(self, capsys):
+        assert main(["--list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == list(EXPERIMENTS)
 
     def test_get_experiment_builds_named_tables(self):
-        experiment = get_experiment("figure8")
+        experiment = EXPERIMENTS.resolve("figure8")
         assert experiment.name == "figure8"
         assert experiment.description
         (slug, table), = experiment.build()
         assert slug == "figure8"
         assert isinstance(table, ExperimentTable)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown experiment"):
-            get_experiment("figure99")
-
     def test_registry_and_collect_agree(self):
-        assert collect(["figure2"]) == get_experiment("figure2").build()
+        assert collect(["figure2"]) == EXPERIMENTS.resolve("figure2").build()
 
 
 class TestCli:

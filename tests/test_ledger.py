@@ -138,7 +138,7 @@ class TestCrashPath:
         monkeypatch.setenv("REPRO_EXEC_CRASH_KERNEL", "copy")
         with pytest.raises(Exception):
             with execution(workers=2, ledger=path):
-                run_specs(SPECS, retries=1)
+                run_specs(SPECS)
         ledger = Ledger.load(path)
         counts = ledger.counts()
         assert counts.get("retried", 0) > 0
@@ -169,7 +169,7 @@ class TestCrashPath:
         path = tmp_path / "run.jsonl"
         with pytest.raises(ExecutionError, match="crashed 2 times"):
             with execution(workers=2, ledger=path):
-                run_specs(SPECS, retries=1)
+                run_specs(SPECS)
         ledger = Ledger.load(path)
         counts = ledger.counts()
         assert counts["completed"] == 2

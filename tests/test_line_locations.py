@@ -49,7 +49,6 @@ from repro.memsys.address import (
     Location,
     PageInterleaving,
     get_address_mapping,
-    list_mappings,
 )
 from repro.memsys.config import MemorySystemConfig, MemoryTopology
 from repro.naturalorder.controller import NaturalOrderController
@@ -64,7 +63,7 @@ from repro.traffic.driver import ChannelServer
 #: Mappings without monitor state, the only ones that may declare
 #: ``line_in_row``.
 STATIC_MAPPINGS = [
-    name for name in list_mappings() if not MAPPINGS.resolve(name).stateful
+    name for name in MAPPINGS.names() if not MAPPINGS[name].stateful
 ]
 
 #: Name -> (per-device geometry, devices per channel).
@@ -162,11 +161,11 @@ class TestLineLocationsProperty:
             ] == _per_packet(mapping, address)
 
     def test_only_static_mappings_declare_line_in_row(self):
-        for name in list_mappings():
+        for name in MAPPINGS.names():
             cls = MAPPINGS.resolve(name)
             assert not (cls.line_in_row and cls.stateful), name
 
-    @pytest.mark.parametrize("name", list_mappings())
+    @pytest.mark.parametrize("name", MAPPINGS.names())
     def test_channel_striping_inherits_the_declaration(self, name):
         mapping = get_address_mapping(
             MemorySystemConfig(
@@ -400,7 +399,7 @@ class TestDecomposeCounts:
         assert per_line, "the run issued no line"
         want = (
             config.packets_per_cacheline
-            if config.interleaving_name == "dream"
+            if config.interleaving == "dream"
             else 1
         )
         assert set(per_line) == {want}

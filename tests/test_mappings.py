@@ -14,14 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
-from repro.memsys.address import (
-    MAPPINGS,
-    AddressMapping,
-    get_address_mapping,
-    list_mappings,
-    register_mapping,
-)
+from repro.memsys.address import MAPPINGS, get_address_mapping
 from repro.memsys.config import MemorySystemConfig
 from repro.rdram.device import RdramGeometry
 
@@ -37,7 +30,7 @@ def mapped_addresses(draw):
         rows_per_bank=draw(st.integers(min_value=2, max_value=32)),
         doubled_banks=doubled,
     )
-    name = draw(st.sampled_from(list_mappings()))
+    name = draw(st.sampled_from(MAPPINGS.names()))
     config = MemorySystemConfig(
         geometry=geometry, interleaving=name, page_policy="open"
     )
@@ -133,25 +126,3 @@ class TestSwizzle:
             == geometry.num_banks
         )
 
-
-class TestRegistry:
-    def test_unknown_mapping_lists_registered_names(self):
-        config = MemorySystemConfig(interleaving="zorp", page_policy="open")
-        with pytest.raises(ConfigurationError) as err:
-            get_address_mapping(config)
-        for name in list_mappings():
-            assert name in str(err.value)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="registered twice"):
-
-            @register_mapping
-            class Duplicate(AddressMapping):
-                name = "cli"
-
-    def test_default_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-default name"):
-
-            @register_mapping
-            class Unnamed(AddressMapping):
-                pass

@@ -2,9 +2,8 @@
 
 Covers the plan-time behavior of the paper's closed policy, the lazy
 materialization of the timeout policy, the hybrid predictor's counter
-dynamics, resolving a policy from its enum or name spelling, and
-end-to-end runs of the new policies (and the swizzle mapping) through
-both controllers.
+dynamics, and end-to-end runs of the new policies (and the swizzle
+mapping) through both controllers.
 """
 
 from __future__ import annotations
@@ -18,16 +17,12 @@ from repro.cpu.kernels import get_kernel
 from repro.cpu.streams import Alignment, place_streams
 from repro.core.fifo import build_plan
 from repro.core.smc import build_smc_system
-from repro.memsys.config import MemorySystemConfig, PagePolicy
+from repro.memsys.config import MemorySystemConfig
 from repro.memsys.pagemanager import (
     PAGE_POLICIES,
     HybridPageManager,
-    OpenPageManager,
-    PageManager,
     TimeoutPageManager,
-    list_page_policies,
     make_page_manager,
-    register_page_policy,
 )
 from repro.naturalorder.controller import NaturalOrderController
 from repro.rdram.device import RdramDevice
@@ -57,16 +52,6 @@ class TestPlanTime:
                 index + 1 == len(units) or units[index + 1][:2] != (bank, row)
             )
             assert precharge == is_last_of_run
-
-    def test_enum_and_name_spellings_plan_identically(
-        self, cli_config, daxpy_descriptor
-    ):
-        def plan(page_policy):
-            config = dataclasses.replace(cli_config, page_policy=page_policy)
-            return build_plan(daxpy_descriptor, config)
-
-        assert plan(PagePolicy.CLOSED) == plan("closed")
-        assert plan(PagePolicy.OPEN) == plan("open")
 
     def test_open_plan_never_flags(self, cli_config, daxpy_descriptor):
         config = dataclasses.replace(cli_config, page_policy="open")
@@ -155,27 +140,6 @@ class TestHybrid:
         manager.observe(None, 0, 2)
         manager.reset()
         assert not manager.close_after(None, 0, 1)
-
-
-class TestCoercion:
-    def test_enum_and_string_coerce(self):
-        for page_policy in (PagePolicy.OPEN, "open"):
-            config = MemorySystemConfig(page_policy=page_policy)
-            assert isinstance(make_page_manager(config), OpenPageManager)
-
-    def test_unknown_policy_lists_registered_names(self):
-        config = MemorySystemConfig(interleaving="cli", page_policy="zorp")
-        with pytest.raises(ConfigurationError) as err:
-            make_page_manager(config)
-        for name in list_page_policies():
-            assert name in str(err.value)
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ConfigurationError, match="registered twice"):
-
-            @register_page_policy
-            class Duplicate(PageManager):
-                name = "open"
 
 
 @pytest.mark.parametrize("interleaving", ("cli", "pi", "swizzle"))

@@ -50,14 +50,12 @@ from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.obs.ledger import Ledger
 from repro.rdram.device import RdramGeometry
-from repro.registry import Registry
 from repro.search import PolicyGenome, SearchConfig, mutate, run_search
 from repro.sim.engine import run_smc
 from repro.traffic import (
     SCHEDULERS,
     BankBudgetRegulator,
     TrafficWorkload,
-    list_schedulers,
     make_scheduler,
     run_traffic,
 )
@@ -206,30 +204,6 @@ class TestPinnedPolicyRefactorIdentity:
 
 
 class TestSchedulerRegistry:
-    def test_listing(self):
-        assert list_schedulers() == ["fcfs", "frfcfs", "mars"]
-
-    def test_unknown_name_lists_the_registered(self):
-        with pytest.raises(ConfigurationError, match="zorp.*fcfs"):
-            make_scheduler("zorp")
-
-    def test_duplicate_registration_rejected(self):
-        class Impostor(SCHEDULERS["fcfs"]):
-            name = "fcfs"
-
-        with pytest.raises(ConfigurationError, match="registered twice"):
-            SCHEDULERS.register(Impostor)
-        assert SCHEDULERS["fcfs"] is not Impostor
-
-    def test_default_name_rejected(self):
-        registry: Registry[type] = Registry("widget")
-
-        class Nameless:
-            pass
-
-        with pytest.raises(ConfigurationError, match="non-default name"):
-            registry.register(Nameless)
-
     @pytest.mark.parametrize("params", ({"window": 0}, {"window": -4}))
     def test_frfcfs_validates_the_window(self, params):
         with pytest.raises(ConfigurationError, match="window.*at least 1"):
@@ -342,7 +316,7 @@ class TestSchedulerBehavior:
             assert again.to_dict() == fresh.to_dict(), seed
 
     def test_reset_clears_only_reordering_state(self):
-        for name in list_schedulers():
+        for name in SCHEDULERS.names():
             scheduler = make_scheduler(name)
             before = dict(vars(scheduler))
             scheduler.reset()

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, StreamError
 from repro.core.policies import BankAwarePolicy
-from repro.memsys.address import list_mappings
-from repro.memsys.config import Interleaving, MemorySystemConfig, MemoryTopology
-from repro.memsys.pagemanager import list_page_policies
+from repro.memsys.address import MAPPINGS
+from repro.memsys.config import MemorySystemConfig, MemoryTopology
+from repro.memsys.pagemanager import PAGE_POLICIES
 from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import RdramGeometry
 from repro.sim import runner
@@ -29,8 +29,8 @@ from repro.sim.runner import (
 class TestResolvers:
     def test_named_organizations(self):
         assert set(ORGANIZATIONS) == {"cli", "pi"}
-        assert resolve_config("cli").interleaving is Interleaving.CACHELINE
-        assert resolve_config("PI").interleaving is Interleaving.PAGE
+        assert resolve_config("cli").interleaving == "cli"
+        assert resolve_config("PI").interleaving == "pi"
 
     def test_config_passthrough(self):
         config = MemorySystemConfig.cli(cacheline_bytes=64)
@@ -165,9 +165,9 @@ class TestConstructionChecks:
         [
             ({"organization": "numa"}, ConfigurationError,
              "unknown organization 'numa'"),
-            ({"organization": MemorySystemConfig(interleaving="zorp")},
+            ({"interleaving": "zorp"},
              ConfigurationError, "unknown address mapping 'zorp'"),
-            ({"organization": MemorySystemConfig(page_policy="zorp")},
+            ({"page_policy": "zorp"},
              ConfigurationError, "unknown page policy 'zorp'"),
             ({"kernel": "fft"}, StreamError, "unknown kernel 'fft'"),
             ({"policy": "fifo-first"}, ConfigurationError,
@@ -245,8 +245,8 @@ def memories(draw) -> MemorySystemConfig:
     geometry = draw(st.sampled_from(GEOMETRIES))
     return MemorySystemConfig(
         geometry=geometry,
-        interleaving=draw(st.sampled_from(list_mappings())),
-        page_policy=draw(st.sampled_from(list_page_policies())),
+        interleaving=draw(st.sampled_from(MAPPINGS.names())),
+        page_policy=draw(st.sampled_from(PAGE_POLICIES.names())),
         page_timeout_cycles=draw(st.sampled_from((64, 128))),
         remap_epoch_accesses=draw(st.sampled_from((1024, 256))),
         # A ChannelGeometry already holds its devices.
@@ -261,8 +261,8 @@ class TestOneSpellingProperty:
     @settings(max_examples=60, deadline=None)
     @given(
         memory=memories(),
-        other_mapping=st.sampled_from(list_mappings()),
-        other_policy=st.sampled_from(list_page_policies()),
+        other_mapping=st.sampled_from(MAPPINGS.names()),
+        other_policy=st.sampled_from(PAGE_POLICIES.names()),
     )
     def test_every_spelling_is_one_spec(
         self, memory, other_mapping, other_policy
@@ -270,8 +270,8 @@ class TestOneSpellingProperty:
         topology = memory.topology
         bare = dataclasses.replace(memory, topology=MemoryTopology())
         names = {
-            "interleaving": memory.interleaving_name,
-            "page_policy": memory.page_policy_name,
+            "interleaving": memory.interleaving,
+            "page_policy": memory.page_policy,
         }
         fields = {
             "channels": topology.channels,
